@@ -62,6 +62,7 @@ from .milp import (
 from .models import (
     DrDiagnostics,
     GroundHoldingPolicy,
+    ModelIndex,
     PolicyExtractionError,
     build_d_saghp,
     build_dr_maghp,
@@ -70,6 +71,7 @@ from .models import (
     check_policy,
     dr_diagnostics,
     extract_policy,
+    policy_from_assignments,
 )
 from .solver import (
     CombinatorialLimitError,

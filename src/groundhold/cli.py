@@ -31,7 +31,8 @@ from .ingest import (
     write_instance,
 )
 from .milp import export_mps
-from .models import GroundHoldingPolicy, build_d_saghp, build_dr_maghp, build_dr_saghp, build_s_saghp, extract_policy
+from .models import (build_d_saghp, build_dr_maghp, build_dr_saghp, build_s_saghp, extract_policy,
+                     policy_from_assignments)
 from .solver import SolverOptions, solve_milp
 
 __all__ = ["main", "entry"]
@@ -47,12 +48,6 @@ EVAL_SCHEMA = "ghp-eval/1"
 
 class UsageError(Exception):
     """Bad flag combination or unusable input; maps to exit code 2."""
-
-
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="seed for every random draw")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for sweep cells")
-    p.add_argument("--out", type=str, default=None, help="output file or directory")
 
 
 def _solver_flags(p: argparse.ArgumentParser) -> None:
@@ -183,25 +178,6 @@ def _build_model(inst: Instance, args):
     raise UsageError(f"unknown model kind {kind!r}")
 
 
-def _dual_values(model, sol):
-    """alpha/beta blocks keyed the way the builders name them."""
-    alpha: dict[str, float] = {}
-    beta: dict[str, dict[str, float]] = {}
-    for j, defn in enumerate(model.variables):
-        name = defn.name
-        if name == "alpha":
-            alpha[""] = float(sol.values[j])
-        elif name.startswith("alpha["):
-            alpha[name[6:-1]] = float(sol.values[j])
-        elif name.startswith("beta["):
-            body = name[5:-1]
-            airport, _, value = body.rpartition(",")
-            beta.setdefault(airport, {})[value] = float(sol.values[j])
-    if list(alpha) == [""]:
-        return alpha.get(""), beta.get("", {})
-    return alpha, beta
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -257,9 +233,13 @@ def cmd_solve(args) -> int:
                 "ground_cost": policy.ground_cost,
             }
         if args.model in ("dr", "dr-maghp"):
-            alpha, beta = _dual_values(model, sol)
-            doc["alpha"] = alpha
-            doc["beta"] = beta
+            # keyed by airport; the single-airport model's only key is None
+            alpha = {z: float(sol.values[j]) for z, j in model.index.alpha.items()}
+            beta: dict = {z: {} for z in alpha}
+            for (z, xi_hat), j in model.index.beta.items():
+                beta[z][str(xi_hat)] = float(sol.values[j])
+            doc["alpha"] = alpha[None] if args.model == "dr" else alpha
+            doc["beta"] = beta[None] if args.model == "dr" else beta
     _write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     if sol.status == "infeasible":
         return EXIT_INFEASIBLE
@@ -317,14 +297,7 @@ def cmd_evaluate(args) -> int:
     if not doc.get("policy"):
         raise UsageError("result document carries no policy to evaluate")
     assignments = {fid: int(t) for fid, t in doc["policy"]["assignments"].items()}
-    delays = {}
-    cost = 0.0
-    for f in schedule.flights:
-        if f.id not in assignments:
-            raise UsageError(f"policy is missing flight {f.id!r}")
-        delays[f.id] = assignments[f.id] - f.scheduled_arrival
-        cost += f.ground_cost * delays[f.id]
-    policy = GroundHoldingPolicy(assignments, delays, cost)
+    policy = policy_from_assignments(assignments, schedule)
 
     eval_dist = _eval_distribution(args, empirical)
     sizes = _parse_int_list(args.sizes, "sample size")
@@ -364,7 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--support-size", type=int, default=3)
     p.add_argument("--density", type=float, default=0.15)
     p.add_argument("--airports", type=int, default=1)
-    _common_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for every random draw")
+    p.add_argument("--out", type=str, default=None, help="output file or directory")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("solve", help="solve one model and write a result document")
@@ -375,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--airport", type=str, default=None)
     p.add_argument("--capacity", type=int, default=None, help="override det capacity")
     _solver_flags(p)
-    _common_flags(p)
+    p.add_argument("--out", type=str, default=None, help="output file or directory")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="radius sweep with out-of-sample evaluation")
@@ -386,7 +360,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--support", type=str, default=None)
     p.add_argument("--airport", type=str, default=None)
     _solver_flags(p)
-    _common_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for every random draw")
+    p.add_argument("--jobs", type=int, default=1, help="worker threads for sweep cells")
+    p.add_argument("--out", type=str, default=None, help="output file or directory")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("evaluate", help="re-evaluate a saved policy out of sample")
@@ -395,7 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval", type=str, default=None)
     p.add_argument("--sizes", type=str, default="50,100")
     p.add_argument("--airport", type=str, default=None)
-    _common_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for every random draw")
+    p.add_argument("--out", type=str, default=None, help="output file or directory")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("export-mps", help="write a model as fixed-format MPS")
@@ -405,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--support", type=str, default=None)
     p.add_argument("--airport", type=str, default=None)
     p.add_argument("--capacity", type=int, default=None)
-    _common_flags(p)
+    p.add_argument("--out", type=str, default=None, help="output file or directory")
     p.set_defaults(func=cmd_export_mps)
 
     return parser

@@ -2,18 +2,22 @@
 
 Every model builder targets this IR; the solver consumes it and the MPS
 exporter serializes it for cross-checking against external solvers.  Models
-are minimizations only.  Variable names encode semantic identity (``x[f,t]``,
-``y[xi,t]``, ``alpha``, ``beta[s]``) so solutions can be interpreted without
-positional assumptions.
+are minimizations only.  Variable and row names (``x[f,t]``, ``y[xi,t]``,
+``alpha``, ``beta[s]``) are for people and the MPS comment block; what a
+column means lives in the index a model builder attaches at ``freeze``, and
+code that interprets a solution reads that index, never a name.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .models import ModelIndex
 
 __all__ = [
     "CONTINUOUS",
@@ -124,6 +128,7 @@ class MilpModel:
         self._objective: dict[int, float] = {}
         self._offset = 0.0
         self._frozen = False
+        self._index: ModelIndex | None = None
 
     # -- building -----------------------------------------------------------
 
@@ -164,8 +169,10 @@ class MilpModel:
         self._check_mutable()
         self._offset += float(value)
 
-    def freeze(self) -> "MilpModel":
-        self._frozen = True
+    def freeze(self, index: ModelIndex | None = None) -> "MilpModel":
+        """Stop further edits and record what the columns mean; a second call changes nothing."""
+        if not self._frozen:
+            self._frozen, self._index = True, index
         return self
 
     # -- inspection ----------------------------------------------------------
@@ -173,6 +180,10 @@ class MilpModel:
     @property
     def frozen(self) -> bool:
         return self._frozen
+
+    @property
+    def index(self) -> ModelIndex | None:
+        return self._index
 
     @property
     def variables(self) -> tuple[VariableDef, ...]:
@@ -196,13 +207,6 @@ class MilpModel:
 
     def objective_coefficient(self, index: int) -> float:
         return self._objective.get(index, 0.0)
-
-    def variables_with_prefix(self, prefix: str) -> list[tuple[int, str]]:
-        """(index, name) of every variable whose name starts with ``prefix``."""
-        return [(i, d.name) for i, d in enumerate(self._variables) if d.name.startswith(prefix)]
-
-    def objective_value(self, values: Sequence[float]) -> float:
-        return float(sum(c * values[j] for j, c in self._objective.items()) + self._offset)
 
     def to_arrays(self) -> ModelArrays:
         n = len(self._variables)

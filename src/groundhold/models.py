@@ -14,13 +14,15 @@ connection coupling) and differ in how capacity enters:
 * ``build_dr_maghp``   - per-airport copies of the robust blocks with
   connections allowed to span airports.
 
-All builders are pure functions of their inputs and return frozen models.
+All builders are pure functions of their inputs and return frozen models
+carrying a :class:`ModelIndex`, the one place a column's meaning is kept;
+variable names are only a rendering of it for people and MPS files.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .domain import (
     AmbiguitySpec,
@@ -33,6 +35,7 @@ from .domain import (
 from .milp import SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel, Solution, VariableRef
 
 __all__ = [
+    "ModelIndex",
     "GroundHoldingPolicy",
     "PolicyExtractionError",
     "DrDiagnostics",
@@ -41,9 +44,27 @@ __all__ = [
     "build_dr_saghp",
     "build_dr_maghp",
     "extract_policy",
+    "policy_from_assignments",
     "check_policy",
     "dr_diagnostics",
 ]
+
+
+@dataclass(frozen=True)
+class ModelIndex:
+    """Columns of a built model by meaning.
+
+    ``x[(flight, slot)]`` is the assignment binary, ``queues[(airport, xi)]``
+    the queue block ``y[xi,1..T]``, ``alpha[airport]`` the transport-budget
+    multiplier and ``beta[(airport, xi_hat)]`` the scenario multiplier.
+    ``airport`` is ``None`` in single-airport models.  Builders fill the maps
+    in column order and attach the index when they freeze the model.
+    """
+
+    x: dict[tuple[str, int], int]
+    queues: dict[tuple[str | None, int], tuple[int, ...]] = field(default_factory=dict)
+    alpha: dict[str | None, int] = field(default_factory=dict)
+    beta: dict[tuple[str | None, int], int] = field(default_factory=dict)
 
 
 class PolicyExtractionError(RuntimeError):
@@ -73,27 +94,27 @@ def _require_valid(schedule: FlightSchedule) -> None:
         raise ValueError("invalid schedule: " + "; ".join(str(v) for v in violations))
 
 
-def _add_assignment_vars(model: MilpModel, schedule: FlightSchedule) -> dict[tuple[str, int], VariableRef]:
+def _first_stage(schedule: FlightSchedule) -> tuple[MilpModel, dict[tuple[str, int], VariableRef], ModelIndex]:
+    """New model holding the binaries ``x[f,t]`` and the ground-delay cost."""
+    _require_valid(schedule)
+    model = MilpModel()
     x: dict[tuple[str, int], VariableRef] = {}
     for f in schedule.flights:
         for t in schedule.available_slots(f):
             x[f.id, t] = model.add_binary(f"x[{f.id},{t}]")
-    return x
-
-
-def _add_ground_objective(model: MilpModel, schedule: FlightSchedule,
-                          x: dict[tuple[str, int], VariableRef]) -> None:
-    for f in schedule.flights:
-        for t in schedule.available_slots(f):
             model.add_objective_term(x[f.id, t], f.ground_cost * t)
         model.add_objective_offset(-f.ground_cost * f.scheduled_arrival)
+    return model, x, ModelIndex({key: ref.index for key, ref in x.items()})
 
 
-def _add_assignment_rows(model: MilpModel, schedule: FlightSchedule,
-                         x: dict[tuple[str, int], VariableRef]) -> None:
+def _finish(model: MilpModel, schedule: FlightSchedule,
+            x: dict[tuple[str, int], VariableRef], index: ModelIndex) -> MilpModel:
+    """One-slot-per-flight and connection rows, then freeze with ``index``."""
     for f in schedule.flights:
         terms = [(x[f.id, t], 1.0) for t in schedule.available_slots(f)]
         model.add_row(terms, SENSE_EQ, 1.0, name=f"assign[{f.id}]")
+    _add_coupling_rows(model, schedule, x)
+    return model.freeze(index)
 
 
 def _add_coupling_rows(model: MilpModel, schedule: FlightSchedule,
@@ -109,22 +130,18 @@ def _add_coupling_rows(model: MilpModel, schedule: FlightSchedule,
         model.add_row(terms, SENSE_LE, rhs, name=f"couple[{f1.id},{f2.id}]")
 
 
-def _add_queue_block(
-    model: MilpModel,
-    schedule: FlightSchedule,
-    x: dict[tuple[str, int], VariableRef],
-    flights: list,
-    capacity: int,
-    tag: str,
-    zero_terminal_queue: bool,
-) -> list[VariableRef]:
+def _add_queue_block(model: MilpModel, schedule: FlightSchedule, x: dict[tuple[str, int], VariableRef],
+                     index: ModelIndex, airport: str | None, flights: list, capacity: int,
+                     zero_terminal_queue: bool) -> list[VariableRef]:
     """Airborne-queue recourse rows for one capacity realization.
 
     ``arrivals_t <= capacity - y_{t-1} + y_t`` with ``y_0 = 0``; returns the
-    queue variables ``y_1..y_T``.
+    queue variables ``y_1..y_T`` and records them in ``index``.
     """
     T = schedule.horizon.num_slots
+    tag = str(capacity) if airport is None else f"{airport},{capacity}"
     y = [model.add_continuous(f"y[{tag},{t}]") for t in range(1, T + 1)]
+    index.queues[airport, capacity] = tuple(yt.index for yt in y)
     for t in range(1, T + 1):
         terms = [(x[f.id, t], 1.0) for f in flights if t >= f.scheduled_arrival]
         terms.append((y[t - 1], -1.0))
@@ -136,6 +153,40 @@ def _add_queue_block(
     return y
 
 
+def _add_robust_block(model: MilpModel, schedule: FlightSchedule, x: dict[tuple[str, int], VariableRef],
+                      index: ModelIndex, airport: str | None, flights: list, amb: AmbiguitySpec,
+                      zero_terminal_queue: bool, alpha_cap: float | None) -> None:
+    """One airport's Wasserstein-ball terms, recorded in ``index`` under ``airport``.
+
+    Adds a queue block per grid value, ``alpha``, ``beta`` per support point,
+    their objective terms and the ``dual`` rows.  ``airport=None`` is the
+    single-airport model, whose names carry no airport.
+    """
+    tag = "" if airport is None else f"{airport},"
+    queues: dict[int, list[VariableRef]] = {}
+    for xi in amb.grid.values:
+        queues[xi] = _add_queue_block(model, schedule, x, index, airport, flights, xi, zero_terminal_queue)
+
+    alpha = model.add_continuous("alpha" if airport is None else f"alpha[{airport}]",
+                                 0.0, math.inf if alpha_cap is None else alpha_cap)
+    beta = {xi_hat: model.add_continuous(f"beta[{tag}{xi_hat}]", -math.inf, math.inf)
+            for xi_hat in amb.empirical.support_points}
+    index.alpha[airport] = alpha.index
+    for xi_hat, ref in beta.items():
+        index.beta[airport, xi_hat] = ref.index
+
+    model.add_objective_term(alpha, amb.radius)
+    for xi_hat, p in amb.empirical.atoms():
+        model.add_objective_term(beta[xi_hat], p)
+
+    for xi in amb.grid.values:
+        for xi_hat in amb.empirical.support_points:
+            terms = [(alpha, float(abs(xi_hat - xi)))] if xi_hat != xi else []
+            terms.append((beta[xi_hat], 1.0))
+            terms += [(yt, -schedule.airborne_cost) for yt in queues[xi]]
+            model.add_row(terms, SENSE_GE, 0.0, name=f"dual[{tag}{xi},{xi_hat}]")
+
+
 def build_d_saghp(schedule: FlightSchedule, capacity: int) -> MilpModel:
     """Deterministic single-airport model with hard per-slot capacity.
 
@@ -143,18 +194,13 @@ def build_d_saghp(schedule: FlightSchedule, capacity: int) -> MilpModel:
     per flight and connection coupling.  Infeasibility (more flights than the
     horizon can absorb) surfaces at solve time, not here.
     """
-    _require_valid(schedule)
+    model, x, index = _first_stage(schedule)
     if capacity < 0:
         raise ValueError("capacity must be nonnegative")
-    model = MilpModel()
-    x = _add_assignment_vars(model, schedule)
-    _add_ground_objective(model, schedule, x)
     for t in schedule.horizon.slots():
         terms = [(x[f.id, t], 1.0) for f in schedule.flights if t >= f.scheduled_arrival]
         model.add_row(terms, SENSE_LE, float(capacity), name=f"cap[{t}]")
-    _add_assignment_rows(model, schedule, x)
-    _add_coupling_rows(model, schedule, x)
-    return model.freeze()
+    return _finish(model, schedule, x, index)
 
 
 def build_s_saghp(
@@ -171,18 +217,13 @@ def build_s_saghp(
     of the horizon (the base model, like the queue recursion it mirrors,
     leaves end-of-horizon airborne flights unresolved).
     """
-    _require_valid(schedule)
-    model = MilpModel()
-    x = _add_assignment_vars(model, schedule)
-    _add_ground_objective(model, schedule, x)
+    model, x, index = _first_stage(schedule)
     flights = list(schedule.flights)
     for xi, p in dist.atoms():
-        y = _add_queue_block(model, schedule, x, flights, xi, str(xi), zero_terminal_queue)
+        y = _add_queue_block(model, schedule, x, index, None, flights, xi, zero_terminal_queue)
         for yt in y:
             model.add_objective_term(yt, p * schedule.airborne_cost)
-    _add_assignment_rows(model, schedule, x)
-    _add_coupling_rows(model, schedule, x)
-    return model.freeze()
+    return _finish(model, schedule, x, index)
 
 
 def build_dr_saghp(
@@ -206,34 +247,10 @@ def build_dr_saghp(
     coefficient is zero and the zero-cost ray is harmless.  ``alpha_cap``
     adds a guard bound for pathological pivoting.
     """
-    _require_valid(schedule)
-    model = MilpModel()
-    x = _add_assignment_vars(model, schedule)
-    _add_ground_objective(model, schedule, x)
-
-    flights = list(schedule.flights)
-    queue_cost: dict[int, list[VariableRef]] = {}
-    for xi in amb.grid.values:
-        queue_cost[xi] = _add_queue_block(model, schedule, x, flights, xi, str(xi), zero_terminal_queue)
-
-    alpha = model.add_continuous("alpha", 0.0, math.inf if alpha_cap is None else alpha_cap)
-    beta = {xi_hat: model.add_continuous(f"beta[{xi_hat}]", -math.inf, math.inf)
-            for xi_hat in amb.empirical.support_points}
-
-    model.add_objective_term(alpha, amb.radius)
-    for xi_hat, p in amb.empirical.atoms():
-        model.add_objective_term(beta[xi_hat], p)
-
-    for xi in amb.grid.values:
-        for xi_hat in amb.empirical.support_points:
-            terms = [(alpha, float(abs(xi_hat - xi)))] if xi_hat != xi else []
-            terms.append((beta[xi_hat], 1.0))
-            terms += [(yt, -schedule.airborne_cost) for yt in queue_cost[xi]]
-            model.add_row(terms, SENSE_GE, 0.0, name=f"dual[{xi},{xi_hat}]")
-
-    _add_assignment_rows(model, schedule, x)
-    _add_coupling_rows(model, schedule, x)
-    return model.freeze()
+    model, x, index = _first_stage(schedule)
+    _add_robust_block(model, schedule, x, index, None, list(schedule.flights), amb,
+                      zero_terminal_queue, alpha_cap)
+    return _finish(model, schedule, x, index)
 
 
 def build_dr_maghp(
@@ -251,34 +268,27 @@ def build_dr_maghp(
     Connections may span airports.
     """
     schedule = net.schedule
-    _require_valid(schedule)
-    model = MilpModel()
-    x = _add_assignment_vars(model, schedule)
-    _add_ground_objective(model, schedule, x)
-
+    model, x, index = _first_stage(schedule)
     for z in net.airports:
-        amb = net.ambiguities[z]
         flights = [f for f in schedule.flights if f.airport == z]
-        queue_vars: dict[int, list[VariableRef]] = {}
-        for xi in amb.grid.values:
-            queue_vars[xi] = _add_queue_block(
-                model, schedule, x, flights, xi, f"{z},{xi}", zero_terminal_queue)
-        alpha = model.add_continuous(f"alpha[{z}]", 0.0, math.inf if alpha_cap is None else alpha_cap)
-        beta = {xi_hat: model.add_continuous(f"beta[{z},{xi_hat}]", -math.inf, math.inf)
-                for xi_hat in amb.empirical.support_points}
-        model.add_objective_term(alpha, amb.radius)
-        for xi_hat, p in amb.empirical.atoms():
-            model.add_objective_term(beta[xi_hat], p)
-        for xi in amb.grid.values:
-            for xi_hat in amb.empirical.support_points:
-                terms = [(alpha, float(abs(xi_hat - xi)))] if xi_hat != xi else []
-                terms.append((beta[xi_hat], 1.0))
-                terms += [(yt, -schedule.airborne_cost) for yt in queue_vars[xi]]
-                model.add_row(terms, SENSE_GE, 0.0, name=f"dual[{z},{xi},{xi_hat}]")
+        _add_robust_block(model, schedule, x, index, z, flights, net.ambiguities[z],
+                          zero_terminal_queue, alpha_cap)
+    return _finish(model, schedule, x, index)
 
-    _add_assignment_rows(model, schedule, x)
-    _add_coupling_rows(model, schedule, x)
-    return model.freeze()
+
+def policy_from_assignments(assignments: dict[str, int], schedule: FlightSchedule) -> GroundHoldingPolicy:
+    """Policy for a ``flight -> slot`` map, with delays and ground cost
+    derived from the schedule; raises ``ValueError`` for a missing flight."""
+    slots: dict[str, int] = {}
+    delays: dict[str, int] = {}
+    ground_cost = 0.0
+    for f in schedule.flights:
+        if f.id not in assignments:
+            raise ValueError(f"policy is missing flight {f.id!r}")
+        slots[f.id] = assignments[f.id]
+        delays[f.id] = assignments[f.id] - f.scheduled_arrival
+        ground_cost += f.ground_cost * delays[f.id]
+    return GroundHoldingPolicy(slots, delays, ground_cost)
 
 
 def extract_policy(model: MilpModel, sol: Solution, schedule: FlightSchedule) -> GroundHoldingPolicy:
@@ -292,35 +302,24 @@ def extract_policy(model: MilpModel, sol: Solution, schedule: FlightSchedule) ->
         raise ValueError(f"cannot extract a policy from a {sol.status!r} solution")
     chosen: dict[str, list[int]] = {f.id: [] for f in schedule.flights}
     first_stage = model.objective_offset
-    for j, defn in enumerate(model.variables):
-        if not defn.name.startswith("x["):
-            continue
-        fid, _, slot = defn.name[2:-1].rpartition(",")
+    for (fid, slot), j in model.index.x.items():
         value = float(sol.values[j])
         first_stage += model.objective_coefficient(j) * value
         if value > 0.5:
             if fid not in chosen:
-                raise PolicyExtractionError(f"solution variable {defn.name!r} has no flight in schedule")
-            chosen[fid].append(int(slot))
+                raise PolicyExtractionError(f"solution variable x[{fid},{slot}] has no flight in schedule")
+            chosen[fid].append(slot)
 
-    assignments: dict[str, int] = {}
-    delays: dict[str, int] = {}
-    ground_cost = 0.0
-    for f in schedule.flights:
-        slots = chosen[f.id]
+    for fid, slots in chosen.items():
         if len(slots) != 1:
             raise PolicyExtractionError(
-                f"flight {f.id!r} has {len(slots)} active slots; expected exactly one")
-        t = slots[0]
-        assignments[f.id] = t
-        delays[f.id] = t - f.scheduled_arrival
-        ground_cost += f.ground_cost * (t - f.scheduled_arrival)
-
-    if abs(ground_cost - first_stage) > 1e-6:
+                f"flight {fid!r} has {len(slots)} active slots; expected exactly one")
+    policy = policy_from_assignments({fid: slots[0] for fid, slots in chosen.items()}, schedule)
+    if abs(policy.ground_cost - first_stage) > 1e-6:
         raise PolicyExtractionError(
-            f"recomputed ground cost {ground_cost} disagrees with the solution's "
+            f"recomputed ground cost {policy.ground_cost} disagrees with the solution's "
             f"first-stage objective {first_stage}")
-    return GroundHoldingPolicy(assignments, delays, ground_cost)
+    return policy
 
 
 def check_policy(policy: GroundHoldingPolicy, schedule: FlightSchedule) -> list[Violation]:
@@ -373,18 +372,16 @@ def dr_diagnostics(model: MilpModel, sol: Solution, amb: AmbiguitySpec,
     solved single-airport robust model."""
     if sol.status != "optimal":
         raise ValueError(f"diagnostics need an optimal solution, got {sol.status!r}")
-    alpha = 0.0
-    beta: dict[int, float] = {}
+    index = model.index
+    if index is None or list(index.alpha) != [None]:
+        raise ValueError("dr_diagnostics needs a solved single-airport robust model")
+    values = sol.values
+    alpha = float(values[index.alpha[None]])
+    beta = {xi_hat: float(values[j]) for (_, xi_hat), j in index.beta.items()}
     costs: dict[int, float] = {xi: 0.0 for xi in amb.grid.values}
-    for j, defn in enumerate(model.variables):
-        name = defn.name
-        if name == "alpha":
-            alpha = float(sol.values[j])
-        elif name.startswith("beta["):
-            beta[int(name[5:-1])] = float(sol.values[j])
-        elif name.startswith("y["):
-            xi_text, _, _ = name[2:-1].rpartition(",")
-            costs[int(xi_text)] += schedule.airborne_cost * float(sol.values[j])
+    for (_, xi), columns in index.queues.items():
+        for j in columns:
+            costs[xi] += schedule.airborne_cost * float(values[j])
     dual_term = amb.radius * alpha + sum(
         p * beta[xi_hat] for xi_hat, p in amb.empirical.atoms())
     return DrDiagnostics(alpha, beta, costs, dual_term)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import FlightSchedule
-from .milp import BINARY, MilpModel, ModelError, Solution
+from .milp import MilpModel, ModelError, Solution
 from .simplex import LpSolution, NumericalInstabilityError, solve_lp_arrays
 
 __all__ = [
@@ -179,17 +179,6 @@ def solve_milp(model: MilpModel, options: SolverOptions | None = None) -> Soluti
     return Solution(status, incumbent, inc_obj, min(best_bound, inc_obj), nodes, pivots, wall)
 
 
-def _parse_assignment_name(name: str) -> tuple[str, int] | None:
-    """``x[<flight>,<slot>]`` -> (flight, slot); None when not an x variable."""
-    if not name.startswith("x[") or not name.endswith("]"):
-        return None
-    body = name[2:-1]
-    fid, _, slot = body.rpartition(",")
-    if not fid or not slot.isdigit():
-        return None
-    return fid, int(slot)
-
-
 def enumerate_small(
     model: MilpModel,
     schedule: FlightSchedule,
@@ -206,14 +195,11 @@ def enumerate_small(
     t0 = time.perf_counter()
     a = model.to_arrays()
 
-    xcol: dict[tuple[str, int], int] = {}
-    for j, defn in enumerate(model.variables):
-        if defn.kind != BINARY:
-            continue
-        parsed = _parse_assignment_name(defn.name)
-        if parsed is None:
-            raise ModelError(f"binary {defn.name!r} is not an assignment variable x[f,t]")
-        xcol[parsed] = j
+    xcol = {} if model.index is None else model.index.x
+    foreign = sorted(set(np.flatnonzero(a.is_binary).tolist()) - set(xcol.values()))
+    if foreign:
+        name = model.variables[foreign[0]].name
+        raise ModelError(f"binary {name!r} is not an assignment variable x[f,t]")
 
     slot_choices: list[list[tuple[int, int]]] = []  # per flight: (slot, column)
     combos = 1

@@ -115,6 +115,19 @@ class TestSolve:
         assert set(doc["alpha"]) == {"AP0", "AP1"}
         assert set(doc["beta"]) == {"AP0", "AP1"}
 
+    def test_beta_keys_are_capacity_strings(self, tmp_path):
+        # two-digit capacities: the keys sort as text, so "10" < "8"
+        bundle = tmp_path / "wide"
+        assert main(["gen", "--flights", "6", "--cap-min", "8", "--cap-max", "12",
+                     "--support-size", "5", "--seed", "5", "--out", str(bundle)]) == 0
+        out = tmp_path / "res.json"
+        assert main(["solve", str(bundle), "--model", "dr", "--epsilon", "0.5",
+                     "--out", str(out)]) == 0
+        support = gh.load_instance(bundle).capacities["AP0"].support_points
+        keys = list(_read_json(out)["beta"])
+        assert keys == sorted(str(xi) for xi in support)
+        assert any(k.startswith("1") for k in keys) and any(len(k) == 1 for k in keys)
+
     def test_usage_error_from_argparse(self):
         assert main(["solve"]) == 2            # missing instance and model
         assert main(["no-such-command"]) == 2
@@ -177,6 +190,12 @@ class TestEvaluate:
         assert lines[0] == "# schema: ghp-eval/1"
         assert len(lines) == 4
 
+    def test_policy_missing_a_flight_exits_2(self, worked_bundle, tmp_path, capsys):
+        result = tmp_path / "res.json"
+        result.write_text(json.dumps({"policy": {"assignments": {"other": 1}}}))
+        assert main(["evaluate", str(worked_bundle), "--result", str(result)]) == 2
+        assert "missing flight 'f1'" in capsys.readouterr().err
+
     def test_result_without_policy_rejected(self, worked_bundle, tmp_path):
         res = tmp_path / "res.json"
         res.write_text('{"schema": "ghp-solve/1", "policy": null}')
@@ -203,3 +222,23 @@ class TestExportMps:
         code = main(["export-mps", str(worked_bundle), "--model", "det",
                      "--out", str(tmp_path / "no" / "dir" / "m.mps")])
         assert code == 2
+
+
+class TestRemovedFlags:
+    @pytest.mark.parametrize("command, flag", [
+        ("solve", "--seed"), ("solve", "--jobs"),
+        ("export-mps", "--seed"), ("export-mps", "--jobs"),
+        ("gen", "--jobs"), ("evaluate", "--jobs"),
+    ])
+    def test_flag_that_did_nothing_exits_2(self, bundle, tmp_path, capsys, command, flag):
+        result = tmp_path / "res.json"
+        assert main(["solve", str(bundle), "--model", "sp", "--out", str(result)]) == 0
+        argv = {
+            "solve": ["solve", str(bundle), "--model", "sp"],
+            "export-mps": ["export-mps", str(bundle), "--model", "sp"],
+            "gen": ["gen"],
+            "evaluate": ["evaluate", str(bundle), "--result", str(result)],
+        }[command] + ["--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert main(argv + [flag, "1"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

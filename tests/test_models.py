@@ -278,3 +278,64 @@ class TestStrongDualityDiagnostics:
         assert expected_cost == pytest.approx(diag.dual_term, abs=1e-6)
         dist_w = gh.wasserstein_distance(plan.marginal(), gh.DiscreteDistribution.from_capacity(dist))
         assert dist_w <= eps + 1e-9
+
+    def test_needs_single_airport_robust_model(self):
+        sched = one_flight_schedule()
+        sp = gh.build_s_saghp(sched, gh.CapacityDistribution((1,), (1.0,)))
+        maghp = gh.build_dr_maghp(_two_airport_network(0.4))
+        amb = one_flight_ambiguity(0.4)
+        for model in (sp, maghp):
+            with pytest.raises(ValueError, match="single-airport robust model"):
+                gh.dr_diagnostics(model, gh.solve_milp(model), amb, sched)
+
+
+def _all_builders(rng):
+    """One model from each builder on a random single-airport draw; the
+    network splits the same flights over airports A and B."""
+    sched, dist = random_instance(rng)
+    amb = gh.AmbiguitySpec(dist, rng.choice([0.0, 0.5, 2.0]), gh.default_support_grid(dist))
+    split = gh.FlightSchedule(
+        sched.horizon,
+        tuple(gh.Flight(f.id, "AB"[i % 2], f.scheduled_arrival, f.ground_cost)
+              for i, f in enumerate(sched.flights)),
+        sched.connections, sched.airborne_cost)
+    net = gh.NetworkInstance(("A", "B"), split, {"A": amb, "B": amb})
+    return sched, [gh.build_d_saghp(sched, rng.randint(0, 3)), gh.build_s_saghp(sched, dist),
+                   gh.build_dr_saghp(sched, amb), gh.build_dr_maghp(net)]
+
+
+class TestModelIndex:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_index_agrees_with_names(self, seed):
+        sched, models = _all_builders(random.Random(70_000 + seed))
+        T = sched.horizon.num_slots
+        for model in models:
+            index = model.index
+            names = [d.name for d in model.variables]
+            expected: dict[int, str] = {j: f"x[{f},{t}]" for (f, t), j in index.x.items()}
+            for (z, xi), columns in index.queues.items():
+                assert len(columns) == T
+                tag = xi if z is None else f"{z},{xi}"
+                expected.update((j, f"y[{tag},{t}]") for t, j in enumerate(columns, 1))
+            for z, j in index.alpha.items():
+                expected[j] = "alpha" if z is None else f"alpha[{z}]"
+            for (z, xi_hat), j in index.beta.items():
+                expected[j] = f"beta[{xi_hat}]" if z is None else f"beta[{z},{xi_hat}]"
+            # the index covers every column exactly once and names render its keys
+            assert expected == dict(enumerate(names))
+            binaries = {j for j, d in enumerate(model.variables) if d.kind == gh.BINARY}
+            assert binaries == set(index.x.values())
+
+    def test_refreezing_keeps_the_index(self):
+        model = gh.build_d_saghp(two_flight_schedule(), 1)
+        index = model.index
+        assert model.freeze().index is index
+
+
+class TestPolicyFromAssignments:
+    def test_delays_and_cost_follow_schedule_order(self):
+        sched = two_flight_schedule()
+        policy = gh.policy_from_assignments({"f2": 3, "f1": 1}, sched)
+        assert list(policy.assignments) == ["f1", "f2"]
+        assert policy.ground_delays == {"f1": 0, "f2": 2}
+        assert policy.ground_cost == pytest.approx(2.0)

@@ -26,7 +26,7 @@ for eps in (0.0, 0.5, 1.0, 2.0, 4.0):
     amb = gh.AmbiguitySpec(empirical, eps, grid)
     plan, worst_cost = gh.worst_case_distribution(costs, amb)
     marginal = plan.marginal()
-    atoms = {v: round(p, 3) for v, p in marginal.atoms}
+    atoms = {v: round(p, 3) for v, p in marginal.atoms()}
     distance = gh.wasserstein_distance(marginal, empirical)
     print(f"  radius {eps:>3}: worst-case cost {worst_cost:5.2f}, "
           f"marginal {atoms} (distance {distance:.3f} <= {eps})")

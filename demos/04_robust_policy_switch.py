@@ -28,7 +28,7 @@ for eps in (0.0, 0.2, 0.4, 0.5, 0.6, 1.0, 2.0):
     policy = gh.extract_policy(model, sol, schedule)
     diag = gh.dr_diagnostics(model, sol, amb, schedule)
     plan, worst_cost = gh.worst_case_distribution(diag.second_stage_costs, amb)
-    marginal = {v: round(p, 2) for v, p in plan.marginal().atoms}
+    marginal = {v: round(p, 2) for v, p in plan.marginal().atoms()}
     gap = abs(worst_cost - diag.dual_term)
     print(f"{eps:>7} {sol.objective:>10.3f} {policy.assignments['f1']:>9} "
           f"{diag.alpha:>6.2f} {diag.beta[1]:>6.2f} {str(marginal):>22} {gap:>9.1e}")

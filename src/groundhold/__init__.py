@@ -31,7 +31,6 @@ from .ingest import (
     CapacityHistoryRecord,
     IngestError,
     Instance,
-    SynthInstance,
     SynthParams,
     empirical_distribution,
     load_instance,
@@ -77,13 +76,11 @@ from .solver import (
     CombinatorialLimitError,
     LpSolution,
     NumericalInstabilityError,
-    SolverOptions,
     enumerate_small,
     solve_lp,
     solve_milp,
 )
 from .wasserstein import (
-    DiscreteDistribution,
     TransportPlan,
     wasserstein_distance,
     worst_case_distribution,

@@ -1,8 +1,9 @@
 """Command-line front end: generate, solve, sweep, evaluate, export.
 
 Exit codes are stable: 0 success, 1 model infeasible, 2 usage or I/O error,
-3 solver node limit hit.  All randomness flows from ``--seed``; sweep output
-is byte-identical for a fixed seed at any ``--jobs`` setting.
+3 solver node limit hit, 4 numerical failure in the engine.  All randomness
+flows from ``--seed``; sweep output is byte-identical for a fixed seed at any
+``--jobs`` setting.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from .ingest import (
     write_instance,
 )
 from .milp import export_mps
-from .models import (build_d_saghp, build_dr_maghp, build_dr_saghp, build_s_saghp, extract_policy,
-                     policy_from_assignments)
-from .solver import SolverOptions, solve_milp
+from .models import (PolicyExtractionError, build_d_saghp, build_dr_maghp, build_dr_saghp, build_s_saghp,
+                     extract_policy, policy_from_assignments)
+from .solver import NumericalInstabilityError, solve_milp
 
 __all__ = ["main", "entry"]
 
@@ -41,6 +42,7 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
+EXIT_NUMERICAL = 4
 
 RESULT_SCHEMA = "ghp-solve/1"
 EVAL_SCHEMA = "ghp-eval/1"
@@ -48,30 +50,6 @@ EVAL_SCHEMA = "ghp-eval/1"
 
 class UsageError(Exception):
     """Bad flag combination or unusable input; maps to exit code 2."""
-
-
-def _solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--node-limit", type=int, default=100_000)
-    p.add_argument("--gap", type=float, default=1e-6, help="absolute optimality gap")
-    p.add_argument("--feasibility-tol", type=float, default=1e-7)
-    p.add_argument("--integrality-tol", type=float, default=1e-6)
-    p.add_argument("--branching", choices=("most-fractional", "lowest-index"),
-                   default="most-fractional")
-    p.add_argument("--node-order", choices=("best-bound", "depth-first"), default="best-bound")
-
-
-def _solver_options(args) -> SolverOptions:
-    try:
-        return SolverOptions(
-            feasibility_tol=args.feasibility_tol,
-            integrality_tol=args.integrality_tol,
-            optimality_gap=args.gap,
-            node_limit=args.node_limit,
-            branching=args.branching,
-            node_order=args.node_order,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -209,7 +187,7 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     inst = _load(args.instance)
     model, schedule, context = _build_model(inst, args)
-    sol = solve_milp(model, _solver_options(args))
+    sol = solve_milp(model, node_limit=args.node_limit)
 
     doc: dict = {
         "schema": RESULT_SCHEMA,
@@ -273,7 +251,7 @@ def cmd_sweep(args) -> int:
 
     result = epsilon_sweep(
         schedule, empirical, omegas, eval_dist, sizes, args.seed,
-        grid=grid, options=_solver_options(args), jobs=args.jobs,
+        grid=grid, node_limit=args.node_limit, jobs=args.jobs,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -348,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--support", type=str, default=None, help="grid as lo:hi or v1,v2,...")
     p.add_argument("--airport", type=str, default=None)
     p.add_argument("--capacity", type=int, default=None, help="override det capacity")
-    _solver_flags(p)
+    p.add_argument("--node-limit", type=int, default=100_000)
     p.add_argument("--out", type=str, default=None, help="output file or directory")
     p.set_defaults(func=cmd_solve)
 
@@ -359,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=str, default="50,100")
     p.add_argument("--support", type=str, default=None)
     p.add_argument("--airport", type=str, default=None)
-    _solver_flags(p)
+    p.add_argument("--node-limit", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0, help="seed for every random draw")
     p.add_argument("--jobs", type=int, default=1, help="worker threads for sweep cells")
     p.add_argument("--out", type=str, default=None, help="output file or directory")
@@ -402,6 +380,9 @@ def main(argv=None) -> int:
     except (IngestError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (NumericalInstabilityError, PolicyExtractionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 def entry() -> None:  # console-script hook

@@ -33,7 +33,7 @@ from .models import (
     check_policy,
     extract_policy,
 )
-from .solver import SolverOptions, solve_milp
+from .solver import solve_milp
 
 __all__ = [
     "PolicyEvaluation",
@@ -197,8 +197,8 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _solve_to_policy(model, schedule, options) -> tuple[str, GroundHoldingPolicy | None]:
-    sol = solve_milp(model, options)
+def _solve_to_policy(model, schedule, node_limit) -> tuple[str, GroundHoldingPolicy | None]:
+    sol = solve_milp(model, node_limit=node_limit)
     if sol.status != "optimal":
         return sol.status, None
     return "optimal", extract_policy(model, sol, schedule)
@@ -213,7 +213,7 @@ def epsilon_sweep(
     seed: int,
     *,
     grid: SupportGrid | None = None,
-    options: SolverOptions | None = None,
+    node_limit: int = 100_000,
     jobs: int = 1,
 ) -> SweepResult:
     """Solve det/sp/dr models once each and score them out of sample.
@@ -221,13 +221,18 @@ def epsilon_sweep(
     The deterministic model uses the rounded mean empirical capacity; one
     robust model is solved per radius in ``omegas``.  Every policy is
     evaluated on the same ``sample_capacities(eval_dist, n, seed)`` draw per
-    sample size.  Solver failures annotate their rows and the sweep
-    continues.  ``jobs`` fans the independent solves out over a thread pool;
+    sample size.  A solve that ends without an optimum (infeasible or
+    ``node_limit`` reached) annotates its rows with that status and the sweep
+    continues; an error raised by a solve or by policy extraction
+    (``NumericalInstabilityError``, ``PolicyExtractionError``) ends the
+    sweep.  ``jobs`` fans the independent solves out over a thread pool;
     every cell is a pure function of its inputs and results merge in request
     order, so the output is identical at any setting.
     """
     if not omegas:
         raise ValueError("omega grid must be nonempty")
+    if node_limit < 1:
+        raise ValueError("node_limit must be >= 1")
     if not sample_sizes:
         raise ValueError("need at least one sample size")
     grid = grid or default_support_grid(empirical)
@@ -242,7 +247,7 @@ def epsilon_sweep(
 
     def run(spec):
         name, eps, model = spec
-        status, policy = _solve_to_policy(model, schedule, options)
+        status, policy = _solve_to_policy(model, schedule, node_limit)
         return name, eps, status, policy
 
     if jobs > 1:

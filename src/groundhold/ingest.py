@@ -34,7 +34,6 @@ __all__ = [
     "IngestError",
     "CapacityHistoryRecord",
     "SynthParams",
-    "SynthInstance",
     "Instance",
     "parse_schedule",
     "serialize_schedule",
@@ -261,16 +260,16 @@ class SynthParams:
 
 
 @dataclass(frozen=True)
-class SynthInstance:
-    """Generator output: schedule, per-airport distributions and the raw
-    history records they were counted from."""
+class Instance:
+    """A loaded or generated bundle: schedule, per-airport empirical
+    distributions and the raw history records they were counted from."""
 
     schedule: FlightSchedule
     capacities: dict[str, CapacityDistribution]
     history: dict[str, list[CapacityHistoryRecord]]
 
 
-def synth_instance(params: SynthParams, seed: int) -> SynthInstance:
+def synth_instance(params: SynthParams, seed: int) -> Instance:
     """Deterministic synthetic instance for a seed.
 
     Scheduled arrivals are packed so per-slot demand never exceeds the
@@ -330,16 +329,7 @@ def synth_instance(params: SynthParams, seed: int) -> SynthInstance:
     if violations:  # pragma: no cover - generator postcondition
         raise RuntimeError("generator produced an invalid schedule: "
                            + "; ".join(str(v) for v in violations))
-    return SynthInstance(schedule, capacities, history)
-
-
-@dataclass(frozen=True)
-class Instance:
-    """A loaded bundle: schedule plus per-airport empirical distributions."""
-
-    schedule: FlightSchedule
-    capacities: dict[str, CapacityDistribution]
-    history: dict[str, list[CapacityHistoryRecord]]
+    return Instance(schedule, capacities, history)
 
 
 def write_instance(path: str | Path, schedule: FlightSchedule,

@@ -247,8 +247,10 @@ class Solution:
 
 def constraint_residuals(model: MilpModel, values: Sequence[float]) -> np.ndarray:
     """Signed violation per constraint (positive entries mean violated)."""
-    v = np.asarray(values, dtype=float)
-    arrays = model.to_arrays()
+    return _residuals(model.to_arrays(), np.asarray(values, dtype=float))
+
+
+def _residuals(arrays: ModelArrays, v: np.ndarray) -> np.ndarray:
     lhs = arrays.A @ v if arrays.A.size else np.zeros(len(arrays.b))
     out = np.zeros(len(arrays.b))
     le = arrays.senses < 0
@@ -266,7 +268,7 @@ def is_feasible(model: MilpModel, values: Sequence[float], tol: float = 1e-7) ->
     arrays = model.to_arrays()
     if np.any(v < arrays.lower - tol) or np.any(v > arrays.upper + tol):
         return False
-    res = constraint_residuals(model, values)
+    res = _residuals(arrays, v)
     return bool(res.size == 0 or float(res.max()) <= tol)
 
 

@@ -131,8 +131,8 @@ def _add_coupling_rows(model: MilpModel, schedule: FlightSchedule,
 
 
 def _add_queue_block(model: MilpModel, schedule: FlightSchedule, x: dict[tuple[str, int], VariableRef],
-                     index: ModelIndex, airport: str | None, flights: list, capacity: int,
-                     zero_terminal_queue: bool) -> list[VariableRef]:
+                     index: ModelIndex, airport: str | None, flights: list,
+                     capacity: int) -> list[VariableRef]:
     """Airborne-queue recourse rows for one capacity realization.
 
     ``arrivals_t <= capacity - y_{t-1} + y_t`` with ``y_0 = 0``; returns the
@@ -148,14 +148,11 @@ def _add_queue_block(model: MilpModel, schedule: FlightSchedule, x: dict[tuple[s
         if t >= 2:
             terms.append((y[t - 2], 1.0))
         model.add_row(terms, SENSE_LE, float(capacity), name=f"recourse[{tag},{t}]")
-    if zero_terminal_queue:
-        model.add_row([(y[T - 1], 1.0)], SENSE_EQ, 0.0, name=f"terminal[{tag}]")
     return y
 
 
 def _add_robust_block(model: MilpModel, schedule: FlightSchedule, x: dict[tuple[str, int], VariableRef],
-                      index: ModelIndex, airport: str | None, flights: list, amb: AmbiguitySpec,
-                      zero_terminal_queue: bool, alpha_cap: float | None) -> None:
+                      index: ModelIndex, airport: str | None, flights: list, amb: AmbiguitySpec) -> None:
     """One airport's Wasserstein-ball terms, recorded in ``index`` under ``airport``.
 
     Adds a queue block per grid value, ``alpha``, ``beta`` per support point,
@@ -165,10 +162,9 @@ def _add_robust_block(model: MilpModel, schedule: FlightSchedule, x: dict[tuple[
     tag = "" if airport is None else f"{airport},"
     queues: dict[int, list[VariableRef]] = {}
     for xi in amb.grid.values:
-        queues[xi] = _add_queue_block(model, schedule, x, index, airport, flights, xi, zero_terminal_queue)
+        queues[xi] = _add_queue_block(model, schedule, x, index, airport, flights, xi)
 
-    alpha = model.add_continuous("alpha" if airport is None else f"alpha[{airport}]",
-                                 0.0, math.inf if alpha_cap is None else alpha_cap)
+    alpha = model.add_continuous("alpha" if airport is None else f"alpha[{airport}]")
     beta = {xi_hat: model.add_continuous(f"beta[{tag}{xi_hat}]", -math.inf, math.inf)
             for xi_hat in amb.empirical.support_points}
     index.alpha[airport] = alpha.index
@@ -203,36 +199,24 @@ def build_d_saghp(schedule: FlightSchedule, capacity: int) -> MilpModel:
     return _finish(model, schedule, x, index)
 
 
-def build_s_saghp(
-    schedule: FlightSchedule,
-    dist: CapacityDistribution,
-    *,
-    zero_terminal_queue: bool = False,
-) -> MilpModel:
+def build_s_saghp(schedule: FlightSchedule, dist: CapacityDistribution) -> MilpModel:
     """Extensive-form two-stage stochastic model on the empirical distribution.
 
     The hard capacity row is replaced by one airborne-queue block per
     scenario; the objective adds the probability-weighted airborne cost.
-    With ``zero_terminal_queue`` every scenario queue must drain by the end
-    of the horizon (the base model, like the queue recursion it mirrors,
-    leaves end-of-horizon airborne flights unresolved).
+    Like the queue recursion it mirrors, the model leaves flights still
+    airborne at the end of the horizon unresolved.
     """
     model, x, index = _first_stage(schedule)
     flights = list(schedule.flights)
     for xi, p in dist.atoms():
-        y = _add_queue_block(model, schedule, x, index, None, flights, xi, zero_terminal_queue)
+        y = _add_queue_block(model, schedule, x, index, None, flights, xi)
         for yt in y:
             model.add_objective_term(yt, p * schedule.airborne_cost)
     return _finish(model, schedule, x, index)
 
 
-def build_dr_saghp(
-    schedule: FlightSchedule,
-    amb: AmbiguitySpec,
-    *,
-    zero_terminal_queue: bool = False,
-    alpha_cap: float | None = None,
-) -> MilpModel:
+def build_dr_saghp(schedule: FlightSchedule, amb: AmbiguitySpec) -> MilpModel:
     """Distributionally robust model, finite deterministic equivalent.
 
     Variables: assignment binaries, queue block ``y[xi,t]`` per grid value,
@@ -243,22 +227,15 @@ def build_dr_saghp(
     (grid value, scenario) pair bound the worst-case airborne cost over the
     ball.  The scalar ground metric makes the l2 norm an absolute difference.
 
-    ``alpha`` is unbounded by default; at ``epsilon = 0`` its objective
-    coefficient is zero and the zero-cost ray is harmless.  ``alpha_cap``
-    adds a guard bound for pathological pivoting.
+    ``alpha`` is unbounded; at ``epsilon = 0`` its objective coefficient is
+    zero and the zero-cost ray is harmless.
     """
     model, x, index = _first_stage(schedule)
-    _add_robust_block(model, schedule, x, index, None, list(schedule.flights), amb,
-                      zero_terminal_queue, alpha_cap)
+    _add_robust_block(model, schedule, x, index, None, list(schedule.flights), amb)
     return _finish(model, schedule, x, index)
 
 
-def build_dr_maghp(
-    net: NetworkInstance,
-    *,
-    zero_terminal_queue: bool = False,
-    alpha_cap: float | None = None,
-) -> MilpModel:
+def build_dr_maghp(net: NetworkInstance) -> MilpModel:
     """Multi-airport robust model: one dr block per airport, shared coupling.
 
     Every airport contributes its own queue blocks, budget multiplier
@@ -271,8 +248,7 @@ def build_dr_maghp(
     model, x, index = _first_stage(schedule)
     for z in net.airports:
         flights = [f for f in schedule.flights if f.airport == z]
-        _add_robust_block(model, schedule, x, index, z, flights, net.ambiguities[z],
-                          zero_terminal_queue, alpha_cap)
+        _add_robust_block(model, schedule, x, index, z, flights, net.ambiguities[z])
     return _finish(model, schedule, x, index)
 
 

@@ -28,6 +28,7 @@ _PIVOT_FLOOR = 1e-10   # below this a pivot is reported as numerical trouble
 _DEGEN_TOL = 1e-9      # step sizes at or below this count as degenerate
 _BLAND_AFTER = 1000    # consecutive degenerate pivots before Bland's rule
 _REFACTOR_EVERY = 100  # pivots between basis refactorizations
+FEASIBILITY_TOL = 1e-7  # bound violation a slack or phase-1 total may carry
 
 
 class NumericalInstabilityError(RuntimeError):
@@ -59,24 +60,22 @@ def solve_lp_arrays(
     b: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-    feasibility_tol: float = 1e-7,
 ) -> LpSolution:
     """Solve ``min c.x + offset`` s.t. ``A x (senses) b``, ``lower <= x <= upper``.
 
     ``senses`` holds -1 for ``<=``, 0 for ``=``, +1 for ``>=`` per row.
     """
-    return _Simplex(c, offset, A, senses, b, lower, upper, feasibility_tol).solve()
+    return _Simplex(c, offset, A, senses, b, lower, upper).solve()
 
 
 class _Simplex:
-    def __init__(self, c, offset, A, senses, b, lower, upper, feasibility_tol):
+    def __init__(self, c, offset, A, senses, b, lower, upper):
         A = np.asarray(A, dtype=float)
         self.m, self.nstruct = A.shape
         m = self.m
         self.offset = float(offset)
         self.cstruct = np.asarray(c, dtype=float)
         self.b = np.asarray(b, dtype=float)
-        self.ftol = feasibility_tol
 
         slack_lo = np.where(senses > 0, -np.inf, 0.0)
         slack_up = np.where(senses < 0, np.inf, 0.0)
@@ -112,7 +111,7 @@ class _Simplex:
         art_rows: list[int] = []
         for i in range(m):
             s = n + i
-            if self.lo[s] - self.ftol <= resid[i] <= self.up[s] + self.ftol:
+            if self.lo[s] - FEASIBILITY_TOL <= resid[i] <= self.up[s] + FEASIBILITY_TOL:
                 self.basis[i] = s
                 self.status[s] = _BASIC
                 self.xB[i] = resid[i]
@@ -292,7 +291,7 @@ class _Simplex:
             c1[self.nstruct + self.m:] = 1.0
             self._run(c1, phase=1)
             art_total = float(self.xB[self.basis >= self.nstruct + self.m].sum()) if self.m else 0.0
-            if art_total > self.ftol:
+            if art_total > FEASIBILITY_TOL:
                 return LpSolution("infeasible", None, math.inf, None, None, self.pivots)
             self._drive_out_artificials()
 

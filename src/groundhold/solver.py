@@ -13,16 +13,14 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import FlightSchedule
 from .milp import MilpModel, ModelError, Solution
-from .simplex import LpSolution, NumericalInstabilityError, solve_lp_arrays
+from .simplex import FEASIBILITY_TOL, LpSolution, NumericalInstabilityError, solve_lp_arrays
 
 __all__ = [
-    "SolverOptions",
     "LpSolution",
     "NumericalInstabilityError",
     "CombinatorialLimitError",
@@ -31,8 +29,10 @@ __all__ = [
     "enumerate_small",
 ]
 
-_BRANCHING = ("most-fractional", "lowest-index")
-_NODE_ORDER = ("best-bound", "depth-first")
+INTEGRALITY_TOL = 1e-6  # distance from 0/1 at which a binary counts as integral
+# absolute, since desk-scale objectives can sit near zero where a relative
+# gap would be meaningless
+OPTIMALITY_GAP = 1e-6
 
 # assignment combinations enumerate_small is willing to walk
 ENUMERATION_LIMIT = 10 ** 6
@@ -42,58 +42,31 @@ class CombinatorialLimitError(RuntimeError):
     """The instance has too many first-stage assignments to enumerate."""
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Engine tolerances and search configuration.
-
-    ``optimality_gap`` is absolute, since desk-scale objectives can sit near
-    zero where a relative gap would be meaningless.
-    """
-
-    feasibility_tol: float = 1e-7
-    integrality_tol: float = 1e-6
-    optimality_gap: float = 1e-6
-    node_limit: int = 100_000
-    branching: str = "most-fractional"
-    node_order: str = "best-bound"
-
-    def __post_init__(self) -> None:
-        for name in ("feasibility_tol", "integrality_tol", "optimality_gap"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.node_limit < 1:
-            raise ValueError("node_limit must be >= 1")
-        if self.branching not in _BRANCHING:
-            raise ValueError(f"branching must be one of {_BRANCHING}")
-        if self.node_order not in _NODE_ORDER:
-            raise ValueError(f"node_order must be one of {_NODE_ORDER}")
-
-
 def solve_lp(
     model: MilpModel,
-    options: SolverOptions | None = None,
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
 ) -> LpSolution:
     """Solve the LP relaxation (every variable treated as continuous).
 
-    ``lower``/``upper`` override the model's variable bounds; branch and
-    bound uses this to fix binaries along the tree.
+    ``lower``/``upper`` override the model's variable bounds.
     """
-    opts = options or SolverOptions()
     a = model.to_arrays()
     lo = a.lower if lower is None else np.asarray(lower, dtype=float)
     up = a.upper if upper is None else np.asarray(upper, dtype=float)
-    return solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, lo, up, opts.feasibility_tol)
+    return solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, lo, up)
 
 
-def solve_milp(model: MilpModel, options: SolverOptions | None = None) -> Solution:
-    """Branch and bound to an absolute gap of ``options.optimality_gap``.
+def solve_milp(model: MilpModel, *, node_limit: int = 100_000) -> Solution:
+    """Best-bound branch and bound to an absolute gap of ``OPTIMALITY_GAP``.
 
-    Deterministic for fixed options: Dantzig/Bland simplex below, lowest
-    variable index on all branching ties, sequence-numbered node queue.
+    Branches on the most fractional binary.  Deterministic: Dantzig/Bland
+    simplex below, lowest variable index on all branching ties,
+    sequence-numbered node queue.  Stops with status ``node-limit`` after
+    ``node_limit`` LP solves.
     """
-    opts = options or SolverOptions()
+    if node_limit < 1:
+        raise ValueError("node_limit must be >= 1")
     t0 = time.perf_counter()
     a = model.to_arrays()
     bin_idx = np.flatnonzero(a.is_binary)
@@ -105,69 +78,51 @@ def solve_milp(model: MilpModel, options: SolverOptions | None = None) -> Soluti
     best_bound = math.inf  # min bound of any unexplored region at stop time
     status = "optimal"
 
-    use_heap = opts.node_order == "best-bound"
     open_nodes: list[tuple[float, int, np.ndarray, np.ndarray]] = [
         (-math.inf, 0, a.lower.copy(), a.upper.copy())
     ]
     seq = 0
 
     while open_nodes:
-        if nodes >= opts.node_limit:
+        if nodes >= node_limit:
             status = "node-limit"
-            bounds_left = [node[0] for node in open_nodes]
-            best_bound = min(bounds_left) if bounds_left else inc_obj
+            best_bound = open_nodes[0][0]  # heap order: the smallest open bound
             break
-        if use_heap:
-            bound, _, lo, up = heapq.heappop(open_nodes)
-            if incumbent is not None and bound >= inc_obj - opts.optimality_gap:
-                # heap is bound-ordered: every remaining node is prunable too
-                best_bound = bound
-                open_nodes.clear()
-                break
-        else:
-            bound, _, lo, up = open_nodes.pop()
-            if incumbent is not None and bound >= inc_obj - opts.optimality_gap:
-                continue
+        bound, _, lo, up = heapq.heappop(open_nodes)
+        if incumbent is not None and bound >= inc_obj - OPTIMALITY_GAP:
+            # heap is bound-ordered: every remaining node is prunable too
+            best_bound = bound
+            open_nodes.clear()
+            break
 
         nodes += 1
-        rel = solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, lo, up, opts.feasibility_tol)
+        rel = solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, lo, up)
         pivots += rel.pivots
         if rel.status == "infeasible":
             continue
         if rel.status == "unbounded":
             return Solution("unbounded", None, -math.inf, -math.inf, nodes, pivots,
                             time.perf_counter() - t0)
-        if incumbent is not None and rel.objective >= inc_obj - opts.optimality_gap:
+        if incumbent is not None and rel.objective >= inc_obj - OPTIMALITY_GAP:
             continue
 
         v = rel.values
         frac = np.abs(v[bin_idx] - np.round(v[bin_idx])) if bin_idx.size else np.zeros(0)
-        if frac.size == 0 or float(frac.max()) <= opts.integrality_tol:
+        if frac.size == 0 or float(frac.max()) <= INTEGRALITY_TOL:
             if rel.objective < inc_obj - 1e-12:
                 inc_obj = rel.objective
                 incumbent = v.copy()
             continue
 
-        if opts.branching == "most-fractional":
-            j = int(bin_idx[int(np.argmax(frac))])
-        else:
-            j = int(bin_idx[int(np.flatnonzero(frac > opts.integrality_tol)[0])])
-
+        j = int(bin_idx[int(np.argmax(frac))])
         lo0, up0 = lo.copy(), up.copy()
         up0[j] = 0.0
         lo1, up1 = lo.copy(), up.copy()
         lo1[j] = 1.0
-        child_bound = rel.objective
-        if use_heap:
-            seq += 1
-            heapq.heappush(open_nodes, (child_bound, seq, lo0, up0))
-            seq += 1
-            heapq.heappush(open_nodes, (child_bound, seq, lo1, up1))
-        else:
-            # pushed 0-branch first so the 1-branch (commit the landing) pops first
-            open_nodes.append((child_bound, seq + 1, lo0, up0))
-            open_nodes.append((child_bound, seq + 2, lo1, up1))
-            seq += 2
+        seq += 1
+        heapq.heappush(open_nodes, (rel.objective, seq, lo0, up0))
+        seq += 1
+        heapq.heappush(open_nodes, (rel.objective, seq, lo1, up1))
     else:
         best_bound = inc_obj  # search exhausted: the incumbent is proven
 
@@ -179,11 +134,7 @@ def solve_milp(model: MilpModel, options: SolverOptions | None = None) -> Soluti
     return Solution(status, incumbent, inc_obj, min(best_bound, inc_obj), nodes, pivots, wall)
 
 
-def enumerate_small(
-    model: MilpModel,
-    schedule: FlightSchedule,
-    options: SolverOptions | None = None,
-) -> Solution:
+def enumerate_small(model: MilpModel, schedule: FlightSchedule) -> Solution:
     """Exact optimum by brute force over first-stage assignments.
 
     Walks every combination of per-flight landing slots, fixes the ``x``
@@ -191,7 +142,6 @@ def enumerate_small(
     variables.  Refuses instances with more than ``ENUMERATION_LIMIT``
     combinations.
     """
-    opts = options or SolverOptions()
     t0 = time.perf_counter()
     a = model.to_arrays()
 
@@ -231,7 +181,7 @@ def enumerate_small(
     const_rows = np.setdiff1d(np.arange(a.A.shape[0]), lp_rows)
     A_lp = A_cont[lp_rows]
     senses_lp = a.senses[lp_rows]
-    ftol = opts.feasibility_tol
+    ftol = FEASIBILITY_TOL
 
     best_obj = math.inf
     best_values: np.ndarray | None = None
@@ -257,7 +207,7 @@ def enumerate_small(
         total = float(a.offset + c_bin @ xbin)
         cont_values: np.ndarray | None = np.zeros(0)
         if cont_cols.size:
-            lp = solve_lp_arrays(c_cont, 0.0, A_lp, senses_lp, b_res[lp_rows], lo_cont, up_cont, ftol)
+            lp = solve_lp_arrays(c_cont, 0.0, A_lp, senses_lp, b_res[lp_rows], lo_cont, up_cont)
             pivots += lp.pivots
             if lp.status == "infeasible":
                 continue

@@ -15,57 +15,15 @@ from typing import Mapping
 
 import numpy as np
 
-from .domain import PROBABILITY_TOL, AmbiguitySpec, CapacityDistribution
+from .domain import AmbiguitySpec, CapacityDistribution
 from .milp import SENSE_EQ, SENSE_LE, MilpModel
 from .simplex import solve_lp_arrays
 
 __all__ = [
-    "DiscreteDistribution",
     "TransportPlan",
     "wasserstein_distance",
     "worst_case_distribution",
 ]
-
-
-@dataclass(frozen=True)
-class DiscreteDistribution:
-    """Probability distribution with finitely many integer-valued atoms."""
-
-    atoms: tuple[tuple[int, float], ...]
-
-    def __post_init__(self) -> None:
-        atoms = tuple((int(v), float(p)) for v, p in self.atoms)
-        if not atoms:
-            raise ValueError("distribution needs at least one atom")
-        values = [v for v, _ in atoms]
-        if len(set(values)) != len(values):
-            raise ValueError("atom values must be distinct")
-        if any(p <= 0.0 for _, p in atoms):
-            raise ValueError("atom probabilities must be strictly positive")
-        total = sum(p for _, p in atoms)
-        if abs(total - 1.0) > PROBABILITY_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        object.__setattr__(self, "atoms", tuple(sorted(atoms)))
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.atoms)
-
-    @property
-    def probabilities(self) -> tuple[float, ...]:
-        return tuple(p for _, p in self.atoms)
-
-    @classmethod
-    def from_capacity(cls, dist: CapacityDistribution) -> "DiscreteDistribution":
-        return cls(dist.atoms())
-
-
-def _as_distribution(dist) -> DiscreteDistribution:
-    if isinstance(dist, DiscreteDistribution):
-        return dist
-    if isinstance(dist, CapacityDistribution):
-        return DiscreteDistribution.from_capacity(dist)
-    raise TypeError(f"expected a distribution, got {type(dist).__name__}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +45,7 @@ class TransportPlan:
         tgt = np.asarray(self.target_values, dtype=float)[None, :]
         return float((np.abs(src - tgt) * self.mass).sum())
 
-    def marginal(self, drop_tol: float = 1e-12) -> DiscreteDistribution:
+    def marginal(self, drop_tol: float = 1e-12) -> CapacityDistribution:
         """Column-sum distribution over the target values.
 
         Entries at or below ``drop_tol`` are dropped and the remainder is
@@ -97,22 +55,20 @@ class TransportPlan:
         col = self.mass.sum(axis=0)
         keep = [(v, float(p)) for v, p in zip(self.target_values, col) if p > drop_tol]
         total = sum(p for _, p in keep)
-        return DiscreteDistribution(tuple((v, p / total) for v, p in keep))
+        return CapacityDistribution(tuple(v for v, _ in keep), tuple(p / total for _, p in keep))
 
 
-def wasserstein_distance(p, q) -> float:
+def wasserstein_distance(p: CapacityDistribution, q: CapacityDistribution) -> float:
     """Minimum-cost transport between two discrete distributions.
 
-    Accepts :class:`DiscreteDistribution` or :class:`CapacityDistribution`.
     Solves the transportation LP directly; for scalar supports this equals
     the classic CDF-area formula, which the test suite uses as an
     independent oracle.
     """
-    p = _as_distribution(p)
-    q = _as_distribution(q)
-    n1, n2 = len(p.atoms), len(q.atoms)
+    n1, n2 = p.size, q.size
     cost = np.abs(
-        np.asarray(p.values, dtype=float)[:, None] - np.asarray(q.values, dtype=float)[None, :]
+        np.asarray(p.support_points, dtype=float)[:, None]
+        - np.asarray(q.support_points, dtype=float)[None, :]
     ).reshape(-1)
 
     m = n1 + n2

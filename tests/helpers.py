@@ -65,9 +65,9 @@ def random_instance(
     return schedule, dist
 
 
-def random_distribution(rng: random.Random, max_atoms: int = 4, span: int = 9) -> gh.DiscreteDistribution:
+def random_distribution(rng: random.Random, max_atoms: int = 4, span: int = 9) -> gh.CapacityDistribution:
     n = rng.randint(1, max_atoms)
     values = rng.sample(range(span + 1), n)
     counts = [rng.randint(1, 5) for _ in values]
     total = sum(counts)
-    return gh.DiscreteDistribution(tuple((v, c / total) for v, c in zip(values, counts)))
+    return gh.CapacityDistribution(tuple(values), tuple(c / total for c in counts))

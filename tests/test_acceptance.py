@@ -71,8 +71,7 @@ def test_criterion_2_strong_duality(radius_zero_runs):
         diag = gh.dr_diagnostics(model, sol, amb, sched)
         plan, expected_cost = gh.worst_case_distribution(diag.second_stage_costs, amb)
         worst_gap = max(worst_gap, abs(expected_cost - diag.dual_term))
-        distance = gh.wasserstein_distance(
-            plan.marginal(), gh.DiscreteDistribution.from_capacity(amb.empirical))
+        distance = gh.wasserstein_distance(plan.marginal(), amb.empirical)
         worst_excess = max(worst_excess, distance - amb.radius)
         checked += 1
     ok = checked >= 40 and worst_gap <= 1e-6 and worst_excess <= 1e-9

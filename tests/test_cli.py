@@ -224,17 +224,21 @@ class TestExportMps:
         assert code == 2
 
 
+_SOLVER_FLAGS = ("--gap", "--feasibility-tol", "--integrality-tol", "--branching", "--node-order")
+
+
 class TestRemovedFlags:
     @pytest.mark.parametrize("command, flag", [
         ("solve", "--seed"), ("solve", "--jobs"),
         ("export-mps", "--seed"), ("export-mps", "--jobs"),
         ("gen", "--jobs"), ("evaluate", "--jobs"),
-    ])
+    ] + [(command, flag) for command in ("solve", "sweep") for flag in _SOLVER_FLAGS])
     def test_flag_that_did_nothing_exits_2(self, bundle, tmp_path, capsys, command, flag):
         result = tmp_path / "res.json"
         assert main(["solve", str(bundle), "--model", "sp", "--out", str(result)]) == 0
         argv = {
             "solve": ["solve", str(bundle), "--model", "sp"],
+            "sweep": ["sweep", str(bundle), "--omega", "0", "--sizes", "4"],
             "export-mps": ["export-mps", str(bundle), "--model", "sp"],
             "gen": ["gen"],
             "evaluate": ["evaluate", str(bundle), "--result", str(result)],
@@ -242,3 +246,32 @@ class TestRemovedFlags:
         assert main(argv) == 0
         assert main(argv + [flag, "1"]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _raise(error):
+    def fail(*args, **kwargs):
+        raise error
+    return fail
+
+
+_NUMERICAL = gh.NumericalInstabilityError("singular basis")
+_EXTRACTION = gh.PolicyExtractionError("flight 'f1' has 2 active slots; expected exactly one")
+
+
+class TestEngineErrors:
+    @pytest.mark.parametrize("command, owner, name, error", [
+        ("solve", "groundhold.cli", "solve_milp", _NUMERICAL),
+        ("solve", "groundhold.cli", "extract_policy", _EXTRACTION),
+        ("sweep", "groundhold.evaluate", "solve_milp", _NUMERICAL),
+        ("sweep", "groundhold.evaluate", "extract_policy", _EXTRACTION),
+        ("sweep --jobs 2", "groundhold.evaluate", "solve_milp", _NUMERICAL),
+        ("sweep --jobs 2", "groundhold.evaluate", "extract_policy", _EXTRACTION),
+    ])
+    def test_engine_error_exits_4(self, bundle, tmp_path, capsys, monkeypatch, command, owner, name, error):
+        monkeypatch.setattr(f"{owner}.{name}", _raise(error))
+        argv = command.split() + [str(bundle)] + {
+            "solve": ["--model", "sp"],
+            "sweep": ["--omega", "0", "--sizes", "4"],
+        }[command.split()[0]]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == f"error: {error}\n"

@@ -115,16 +115,6 @@ class TestRobustModel:
             expected_rows = n_grid * n_scen + len(sched.flights) + n_grid * T + len(sched.connections)
             assert model.num_constraints == expected_rows
 
-    def test_alpha_cap_and_terminal_queue_flags(self):
-        sched = one_flight_schedule()
-        amb = one_flight_ambiguity(0.4)
-        base = gh.build_dr_saghp(sched, amb)
-        capped = gh.build_dr_saghp(sched, amb, alpha_cap=1e9)
-        assert gh.solve_milp(capped).objective == pytest.approx(gh.solve_milp(base).objective)
-        drained = gh.build_dr_saghp(sched, amb, zero_terminal_queue=True)
-        assert drained.num_constraints == base.num_constraints + len(amb.grid)
-        assert gh.solve_milp(drained).objective >= gh.solve_milp(base).objective - 1e-9
-
 
 class TestOrderingProperties:
     def test_epsilon_monotonicity(self):
@@ -276,7 +266,7 @@ class TestStrongDualityDiagnostics:
         diag = gh.dr_diagnostics(model, sol, amb, sched)
         plan, expected_cost = gh.worst_case_distribution(diag.second_stage_costs, amb)
         assert expected_cost == pytest.approx(diag.dual_term, abs=1e-6)
-        dist_w = gh.wasserstein_distance(plan.marginal(), gh.DiscreteDistribution.from_capacity(dist))
+        dist_w = gh.wasserstein_distance(plan.marginal(), dist)
         assert dist_w <= eps + 1e-9
 
     def test_needs_single_airport_robust_model(self):

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import groundhold as gh
+from groundhold import solver
 from helpers import one_flight_ambiguity, one_flight_schedule, random_instance, two_flight_schedule
 
 
@@ -23,22 +25,19 @@ def _random_model(rng, max_flights=3, max_slots=4, max_atoms=3):
 
 class TestSolverOptions:
     def test_defaults(self):
-        opts = gh.SolverOptions()
-        assert opts.feasibility_tol == 1e-7
-        assert opts.integrality_tol == 1e-6
-        assert opts.optimality_gap == 1e-6
-        assert opts.node_limit == 100_000
+        assert solver.FEASIBILITY_TOL == 1e-7
+        assert solver.INTEGRALITY_TOL == 1e-6
+        assert solver.OPTIMALITY_GAP == 1e-6
+        for fn in (gh.solve_milp, gh.epsilon_sweep):
+            assert inspect.signature(fn).parameters["node_limit"].default == 100_000
 
-    @pytest.mark.parametrize("kwargs", [
-        {"feasibility_tol": 0.0},
-        {"optimality_gap": -1e-9},
-        {"node_limit": 0},
-        {"branching": "random"},
-        {"node_order": "breadth"},
-    ])
-    def test_rejects_bad_options(self, kwargs):
-        with pytest.raises(ValueError):
-            gh.SolverOptions(**kwargs)
+    def test_rejects_node_limit_below_one(self):
+        model = gh.build_d_saghp(two_flight_schedule(), 1)
+        with pytest.raises(ValueError, match="node_limit"):
+            gh.solve_milp(model, node_limit=0)
+        dist = gh.CapacityDistribution((1,), (1.0,))
+        with pytest.raises(ValueError, match="node_limit"):
+            gh.epsilon_sweep(two_flight_schedule(), dist, [0.5], dist, [10], 0, node_limit=0)
 
 
 class TestSolveMilp:
@@ -87,17 +86,14 @@ class TestSolveMilp:
         assert full.status == "optimal"
         assert full.objective == pytest.approx(-1.0)
         assert full.nodes > 1
-        limited = gh.solve_milp(m, gh.SolverOptions(node_limit=1))
+        limited = gh.solve_milp(m, node_limit=1)
         assert limited.status == "node-limit"
 
-    @pytest.mark.parametrize("branching", ["most-fractional", "lowest-index"])
-    @pytest.mark.parametrize("node_order", ["best-bound", "depth-first"])
-    def test_search_options_agree_on_objective(self, branching, node_order):
+    def test_search_agrees_with_enumeration(self):
         rng = random.Random(4242)
         for _ in range(10):
             model, sched = _random_model(rng)
-            opts = gh.SolverOptions(branching=branching, node_order=node_order)
-            sol = gh.solve_milp(model, opts)
+            sol = gh.solve_milp(model)
             ref = gh.enumerate_small(model, sched)
             assert sol.status == ref.status
             if sol.status == "optimal":
@@ -124,7 +120,7 @@ class TestSolveMilp:
             sol = gh.solve_milp(model)
             if sol.status == "optimal":
                 assert sol.objective >= sol.best_bound - 1e-9
-                assert sol.objective - sol.best_bound <= gh.SolverOptions().optimality_gap + 1e-9
+                assert sol.objective - sol.best_bound <= solver.OPTIMALITY_GAP + 1e-9
 
 
 class TestEnumerateSmall:

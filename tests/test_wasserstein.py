@@ -8,12 +8,12 @@ import groundhold as gh
 from helpers import one_flight_ambiguity, random_distribution
 
 
-def cdf_area_distance(p: gh.DiscreteDistribution, q: gh.DiscreteDistribution) -> float:
+def cdf_area_distance(p: gh.CapacityDistribution, q: gh.CapacityDistribution) -> float:
     """Independent oracle: 1-Wasserstein on the line is the area between CDFs."""
-    points = sorted(set(p.values) | set(q.values))
+    points = sorted(set(p.support_points) | set(q.support_points))
 
     def cdf(dist, x):
-        return sum(prob for v, prob in dist.atoms if v <= x)
+        return sum(prob for v, prob in dist.atoms() if v <= x)
 
     area = 0.0
     for a, b in zip(points, points[1:]):
@@ -26,17 +26,17 @@ dists = st.integers(0, 10 ** 6).map(lambda s: random_distribution(random.Random(
 
 class TestDistance:
     def test_identical_distributions(self):
-        p = gh.DiscreteDistribution(((2, 0.5), (4, 0.5)))
+        p = gh.CapacityDistribution((2, 4), (0.5, 0.5))
         assert gh.wasserstein_distance(p, p) == pytest.approx(0.0, abs=1e-12)
 
     def test_shifted_point_masses(self):
-        d3 = gh.DiscreteDistribution(((3, 1.0),))
-        d5 = gh.DiscreteDistribution(((5, 1.0),))
+        d3 = gh.CapacityDistribution((3,), (1.0,))
+        d5 = gh.CapacityDistribution((5,), (1.0,))
         assert gh.wasserstein_distance(d3, d5) == pytest.approx(2.0)
 
     def test_split_mass(self):
-        p = gh.DiscreteDistribution(((2, 0.5), (4, 0.5)))
-        q = gh.DiscreteDistribution(((3, 1.0),))
+        p = gh.CapacityDistribution((2, 4), (0.5, 0.5))
+        q = gh.CapacityDistribution((3,), (1.0,))
         assert gh.wasserstein_distance(p, q) == pytest.approx(1.0)
         assert cdf_area_distance(p, q) == pytest.approx(1.0)
 
@@ -75,11 +75,11 @@ class TestDistributionType:
     ])
     def test_rejects_invalid(self, atoms):
         with pytest.raises(ValueError):
-            gh.DiscreteDistribution(atoms)
+            gh.CapacityDistribution(tuple(v for v, _ in atoms), tuple(p for _, p in atoms))
 
     def test_sorts_atoms(self):
-        d = gh.DiscreteDistribution(((5, 0.25), (1, 0.75)))
-        assert d.values == (1, 5)
+        d = gh.CapacityDistribution((5, 1), (0.25, 0.75))
+        assert d.support_points == (1, 5)
 
 
 class TestWorstCase:
@@ -99,7 +99,7 @@ class TestWorstCase:
         plan, expected = gh.worst_case_distribution({0: 4.0, 1: 0.0}, amb)
         assert expected == pytest.approx(1.6)
         marginal = plan.marginal()
-        assert marginal.values == (0, 1)
+        assert marginal.support_points == (0, 1)
         assert marginal.probabilities == pytest.approx((0.4, 0.6))
 
     def test_ample_budget_concentrates_on_worst_value(self):
@@ -109,7 +109,7 @@ class TestWorstCase:
         plan, expected = gh.worst_case_distribution(costs, amb)
         assert expected == pytest.approx(9.0)
         marginal = plan.marginal()
-        assert marginal.values == (2,)
+        assert marginal.support_points == (2,)
         assert marginal.probabilities == pytest.approx((1.0,))
 
     def test_missing_grid_cost_rejected(self):
@@ -134,8 +134,7 @@ class TestWorstCase:
         assert plan.mass.sum() == pytest.approx(1.0, abs=1e-9)
         assert plan.cost() <= amb.radius + 1e-9
         marginal = plan.marginal()
-        assert gh.wasserstein_distance(marginal, gh.DiscreteDistribution.from_capacity(dist)) \
-            <= amb.radius + 1e-9
+        assert gh.wasserstein_distance(marginal, dist) <= amb.radius + 1e-9
         recomputed = sum(plan.mass[s, j] * costs[xi]
                          for s in range(len(support))
                          for j, xi in enumerate(amb.grid.values))

@@ -1,3 +1,4 @@
+import heapq
 import inspect
 import math
 import random
@@ -21,6 +22,60 @@ def _random_model(rng, max_flights=3, max_slots=4, max_atoms=3):
     eps = rng.choice([0.0, 0.1, 0.5, 1.0, 3.0])
     amb = gh.AmbiguitySpec(dist, eps, gh.default_support_grid(dist))
     return gh.build_dr_saghp(sched, amb), sched
+
+
+def _knapsack_model(rng, n=6):
+    """A random 0/1 knapsack; its LP relaxation is mostly fractional at the root."""
+    m = gh.MilpModel()
+    weights = [rng.randint(1, 9) for _ in range(n)]
+    xs = [m.add_binary(f"k{i}") for i in range(n)]
+    for x in xs:
+        m.add_objective_term(x, -float(rng.randint(1, 9)))
+    m.add_row(list(zip(xs, map(float, weights))), gh.SENSE_LE, sum(weights) / 2 + 0.5)
+    m.freeze()
+    return m
+
+
+def _reference_search(model, node_order, branching):
+    """Optimal objective by a plain branch and bound over ``gh.solve_lp``.
+
+    ``node_order`` is ``best-bound`` (heap on the parent bound) or
+    ``depth-first`` (stack); ``branching`` picks the ``most-fractional`` or
+    the ``lowest-index`` fractional binary.  Returns ``math.inf`` when the
+    model is infeasible.  Its tolerances are literals, not the solver's
+    constants, so it stays independent of them.
+    """
+    a = model.to_arrays()
+    bins = np.flatnonzero(a.is_binary)
+    best = math.inf
+    open_nodes = [(-math.inf, 0, a.lower.copy(), a.upper.copy())]
+    seq = 0
+    while open_nodes:
+        if node_order == "best-bound":
+            bound, _, lo, up = heapq.heappop(open_nodes)
+        else:
+            bound, _, lo, up = open_nodes.pop()
+        if bound >= best - 1e-6:
+            continue
+        rel = gh.solve_lp(model, lo, up)
+        if rel.status != "optimal" or rel.objective >= best - 1e-6:
+            continue
+        frac = np.abs(rel.values[bins] - np.round(rel.values[bins]))
+        fractional = np.flatnonzero(frac > 1e-6)
+        if fractional.size == 0:
+            best = rel.objective
+            continue
+        k = int(np.argmax(frac)) if branching == "most-fractional" else int(fractional[0])
+        j = int(bins[k])
+        for fixed in (0.0, 1.0):
+            clo, cup = lo.copy(), up.copy()
+            clo[j] = cup[j] = fixed
+            seq += 1
+            if node_order == "best-bound":
+                heapq.heappush(open_nodes, (rel.objective, seq, clo, cup))
+            else:
+                open_nodes.append((rel.objective, seq, clo, cup))
+    return best
 
 
 class TestSolverOptions:
@@ -98,6 +153,23 @@ class TestSolveMilp:
             assert sol.status == ref.status
             if sol.status == "optimal":
                 assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
+
+    @pytest.mark.parametrize("branching", ["most-fractional", "lowest-index"])
+    @pytest.mark.parametrize("node_order", ["best-bound", "depth-first"])
+    def test_search_options_agree_on_objective(self, branching, node_order):
+        # the optimum must not depend on the search: solve_milp's one path
+        # against a plain search over solve_lp in each order and rule.  The
+        # builder draws here all have integral roots, so the knapsacks are
+        # what makes the searches branch.
+        rng = random.Random(4242)
+        models = [_random_model(rng)[0] for _ in range(10)]
+        models += [_knapsack_model(rng) for _ in range(10)]
+        for model in models:
+            sol = gh.solve_milp(model)
+            ref = _reference_search(model, node_order, branching)
+            assert sol.status == ("optimal" if math.isfinite(ref) else "infeasible")
+            if sol.status == "optimal":
+                assert sol.objective == pytest.approx(ref, abs=1e-6)
 
     def test_determinism(self):
         rng = random.Random(31337)

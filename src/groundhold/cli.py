@@ -22,7 +22,6 @@ from .evaluate import (
     sample_capacities,
 )
 from .ingest import (
-    IngestError,
     Instance,
     SynthParams,
     empirical_distribution,
@@ -48,27 +47,13 @@ RESULT_SCHEMA = "ghp-solve/1"
 EVAL_SCHEMA = "ghp-eval/1"
 
 
-class UsageError(Exception):
-    """Bad flag combination or unusable input; maps to exit code 2."""
-
-
-def _parse_int_list(text: str, what: str) -> list[int]:
+def _parse_list(text: str, what: str, kind: type) -> list:
     try:
-        out = [int(c) for c in text.split(",") if c.strip()]
+        out = [kind(c) for c in text.split(",") if c.strip()]
     except ValueError:
-        raise UsageError(f"bad {what} list {text!r}") from None
+        raise ValueError(f"bad {what} list {text!r}") from None
     if not out:
-        raise UsageError(f"empty {what} list")
-    return out
-
-
-def _parse_float_list(text: str, what: str) -> list[float]:
-    try:
-        out = [float(c) for c in text.split(",") if c.strip()]
-    except ValueError:
-        raise UsageError(f"bad {what} list {text!r}") from None
-    if not out:
-        raise UsageError(f"empty {what} list")
+        raise ValueError(f"empty {what} list")
     return out
 
 
@@ -79,14 +64,7 @@ def _parse_support(text: str) -> SupportGrid:
             return SupportGrid(tuple(range(int(lo), int(hi) + 1)))
         return SupportGrid(tuple(sorted(int(c) for c in text.split(",") if c.strip())))
     except ValueError as exc:
-        raise UsageError(f"bad support spec {text!r}: {exc}") from None
-
-
-def _load(path: str) -> Instance:
-    try:
-        return load_instance(path)
-    except IngestError as exc:
-        raise UsageError(str(exc)) from None
+        raise ValueError(f"bad support spec {text!r}: {exc}") from None
 
 
 def _single_airport(inst: Instance, requested: str | None):
@@ -94,17 +72,17 @@ def _single_airport(inst: Instance, requested: str | None):
     airports = inst.schedule.airports
     if requested is None:
         if len(airports) != 1:
-            raise UsageError(f"bundle has airports {list(airports)}; pick one with --airport")
+            raise ValueError(f"bundle has airports {list(airports)}; pick one with --airport")
         requested = airports[0]
     if requested not in airports:
-        raise UsageError(f"airport {requested!r} not in bundle (has {list(airports)})")
+        raise ValueError(f"airport {requested!r} not in bundle (has {list(airports)})")
     schedule = inst.schedule
     if len(airports) > 1:
         keep = {f.id for f in schedule.flights if f.airport == requested}
         for c in schedule.connections:
             inside = (c.predecessor in keep) + (c.successor in keep)
             if inside == 1:
-                raise UsageError(
+                raise ValueError(
                     f"connection {c.predecessor}->{c.successor} crosses airports; use dr-maghp")
         schedule = FlightSchedule(
             schedule.horizon,
@@ -113,7 +91,7 @@ def _single_airport(inst: Instance, requested: str | None):
             schedule.airborne_cost,
         )
     if requested not in inst.capacities:
-        raise UsageError(f"bundle has no capacity records for airport {requested!r}")
+        raise ValueError(f"bundle has no capacity records for airport {requested!r}")
     return requested, schedule, inst.capacities[requested]
 
 
@@ -122,24 +100,21 @@ def _network(inst: Instance, epsilon: float, grid_spec: str | None) -> NetworkIn
     ambiguities = {}
     for z in airports:
         if z not in inst.capacities:
-            raise UsageError(f"bundle has no capacity records for airport {z!r}")
+            raise ValueError(f"bundle has no capacity records for airport {z!r}")
         empirical = inst.capacities[z]
         grid = _parse_support(grid_spec) if grid_spec else default_support_grid(empirical)
-        try:
-            ambiguities[z] = AmbiguitySpec(empirical, epsilon, grid)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        ambiguities[z] = AmbiguitySpec(empirical, epsilon, grid)
     return NetworkInstance(airports, inst.schedule, ambiguities)
 
 
 def _build_model(inst: Instance, args):
-    """Model plus context needed to interpret its solution."""
+    """Model, the schedule it covers, and the fields it adds to the result document."""
     kind = args.model
     if kind in ("dr", "dr-maghp") and args.epsilon is None:
-        raise UsageError(f"--epsilon is required for model {kind!r}")
+        raise ValueError(f"--epsilon is required for model {kind!r}")
     if kind == "dr-maghp":
         net = _network(inst, args.epsilon, args.support)
-        return build_dr_maghp(net), inst.schedule, {"net": net}
+        return build_dr_maghp(net), inst.schedule, {}
     airport, schedule, empirical = _single_airport(inst, args.airport)
     if kind == "det":
         capacity = args.capacity if args.capacity is not None else deterministic_capacity(empirical)
@@ -148,12 +123,9 @@ def _build_model(inst: Instance, args):
         return build_s_saghp(schedule, empirical), schedule, {"airport": airport}
     if kind == "dr":
         grid = _parse_support(args.support) if args.support else default_support_grid(empirical)
-        try:
-            amb = AmbiguitySpec(empirical, args.epsilon, grid)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        return build_dr_saghp(schedule, amb), schedule, {"airport": airport, "amb": amb}
-    raise UsageError(f"unknown model kind {kind!r}")
+        amb = AmbiguitySpec(empirical, args.epsilon, grid)
+        return build_dr_saghp(schedule, amb), schedule, {"airport": airport}
+    raise ValueError(f"unknown model kind {kind!r}")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -164,20 +136,17 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_gen(args) -> int:
-    try:
-        params = SynthParams(
-            num_flights=args.flights,
-            horizon=args.horizon,
-            ground_cost_range=(args.cost_min, args.cost_max),
-            capacity_range=(args.cap_min, args.cap_max),
-            support_size=args.support_size,
-            connection_density=args.density,
-            num_airports=args.airports,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    params = SynthParams(
+        num_flights=args.flights,
+        horizon=args.horizon,
+        ground_cost_range=(args.cost_min, args.cost_max),
+        capacity_range=(args.cap_min, args.cap_max),
+        support_size=args.support_size,
+        connection_density=args.density,
+        num_airports=args.airports,
+    )
     if args.out is None:
-        raise UsageError("gen requires --out DIRECTORY")
+        raise ValueError("gen requires --out DIRECTORY")
     inst = synth_instance(params, args.seed)
     write_instance(args.out, inst.schedule, inst.history)
     print(f"wrote instance bundle to {args.out}")
@@ -185,7 +154,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     model, schedule, context = _build_model(inst, args)
     sol = solve_milp(model, node_limit=args.node_limit)
 
@@ -198,10 +167,7 @@ def cmd_solve(args) -> int:
         "policy": None,
         "stats": {"nodes": sol.nodes, "pivots": sol.pivots, "wall_time_s": sol.wall_time},
     }
-    if "airport" in context:
-        doc["airport"] = context["airport"]
-    if "capacity" in context:
-        doc["capacity"] = context["capacity"]
+    doc.update(context)
     if sol.values is not None and sol.status in ("optimal", "node-limit"):
         policy = extract_policy(model, sol, schedule) if sol.status == "optimal" else None
         if policy is not None:
@@ -232,21 +198,21 @@ def _eval_distribution(args, fallback):
     try:
         records = parse_capacity_history(Path(args.eval).read_text())
     except OSError as exc:
-        raise UsageError(f"cannot read {args.eval}: {exc}") from None
+        raise ValueError(f"cannot read {args.eval}: {exc}") from None
     airports = sorted({r.airport for r in records})
     if len(airports) != 1:
-        raise UsageError(f"evaluation capacity file must cover one airport, has {airports}")
+        raise ValueError(f"evaluation capacity file must cover one airport, has {airports}")
     return empirical_distribution(records, airports[0])
 
 
 def cmd_sweep(args) -> int:
     if args.out is None:
-        raise UsageError("sweep requires --out DIRECTORY")
-    inst = _load(args.instance)
+        raise ValueError("sweep requires --out DIRECTORY")
+    inst = load_instance(args.instance)
     _, schedule, empirical = _single_airport(inst, args.airport)
     eval_dist = _eval_distribution(args, empirical)
-    omegas = _parse_float_list(args.omega, "omega") if args.omega else list(DEFAULT_OMEGA)
-    sizes = _parse_int_list(args.sizes, "sample size")
+    omegas = _parse_list(args.omega, "omega", float) if args.omega else list(DEFAULT_OMEGA)
+    sizes = _parse_list(args.sizes, "sample size", int)
     grid = _parse_support(args.support) if args.support else None
 
     result = epsilon_sweep(
@@ -266,19 +232,24 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     _, schedule, empirical = _single_airport(inst, args.airport)
     try:
         doc = json.loads(Path(args.result).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read result document {args.result}: {exc}") from None
-    if not doc.get("policy"):
-        raise UsageError("result document carries no policy to evaluate")
-    assignments = {fid: int(t) for fid, t in doc["policy"]["assignments"].items()}
-    policy = policy_from_assignments(assignments, schedule)
+        raise ValueError(f"cannot read result document {args.result}: {exc}") from None
+    saved = doc.get("policy") if isinstance(doc, dict) else None
+    if not saved:
+        raise ValueError("result document carries no policy to evaluate")
+    try:
+        slots = {fid: int(t) for fid, t in saved["assignments"].items()}
+    except (AttributeError, KeyError, TypeError):
+        raise ValueError(f"result document {args.result}: policy.assignments must map "
+                         "flight ids to integer slots") from None
+    policy = policy_from_assignments(slots, schedule)
 
     eval_dist = _eval_distribution(args, empirical)
-    sizes = _parse_int_list(args.sizes, "sample size")
+    sizes = _parse_list(args.sizes, "sample size", int)
     rows = ["# schema: " + EVAL_SCHEMA, "sample_size,mean_cost,std_dev"]
     for n in sizes:
         ev = evaluate_policy(policy, schedule, sample_capacities(eval_dist, n, args.seed))
@@ -288,13 +259,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_export_mps(args) -> int:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     model, _, _ = _build_model(inst, args)
     text = export_mps(model)
     try:
         _write_text(args.out, text)
     except OSError as exc:
-        raise UsageError(f"cannot write {args.out}: {exc}") from None
+        raise ValueError(f"cannot write {args.out}: {exc}") from None
     return EXIT_OK
 
 
@@ -374,10 +345,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (IngestError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NumericalInstabilityError, PolicyExtractionError) as exc:

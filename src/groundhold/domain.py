@@ -8,6 +8,7 @@ share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -193,6 +194,8 @@ class AmbiguitySpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "radius", float(self.radius))
+        if not math.isfinite(self.radius):
+            raise ValueError(f"radius must be a finite number, got {self.radius}")
         if self.radius < 0.0:
             raise ValueError(f"radius must be nonnegative, got {self.radius}")
         missing = [v for v in self.empirical.support_points if v not in self.grid]
@@ -233,6 +236,17 @@ class Violation:
         return f"[{self.code}] {self.message}"
 
 
+def _cost_code(value, what: str) -> str | None:
+    """Violation code for a cost that is not a finite nonnegative number."""
+    try:
+        cost = float(value)
+    except (TypeError, ValueError):
+        return f"negative-{what}"
+    if not math.isfinite(cost):
+        return f"non-finite-{what}"
+    return f"negative-{what}" if cost < 0.0 else None
+
+
 def validate_schedule(schedule: FlightSchedule) -> list[Violation]:
     """Check every schedule invariant, returning all violations found.
 
@@ -253,19 +267,13 @@ def validate_schedule(schedule: FlightSchedule) -> list[Violation]:
                 "slot-out-of-range",
                 f"flight {f.id!r} scheduled_arrival {r!r} outside 1..{T}",
             ))
-        try:
-            negative = float(f.ground_cost) < 0.0
-        except (TypeError, ValueError):
-            negative = True
-        if negative:
-            out.append(Violation("negative-ground-cost", f"flight {f.id!r} ground_cost {f.ground_cost!r}"))
+        code = _cost_code(f.ground_cost, "ground-cost")
+        if code:
+            out.append(Violation(code, f"flight {f.id!r} ground_cost {f.ground_cost!r}"))
 
-    try:
-        airborne_negative = float(schedule.airborne_cost) < 0.0
-    except (TypeError, ValueError):
-        airborne_negative = True
-    if airborne_negative:
-        out.append(Violation("negative-airborne-cost", f"airborne_cost {schedule.airborne_cost!r}"))
+    code = _cost_code(schedule.airborne_cost, "airborne-cost")
+    if code:
+        out.append(Violation(code, f"airborne_cost {schedule.airborne_cost!r}"))
 
     ids = {f.id for f in schedule.flights}
     for c in schedule.connections:

@@ -16,6 +16,7 @@ underestimate during slack periods.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,9 +52,14 @@ CONNECTIONS_HEADER = "pred_id,succ_id,slack_slots"
 CAPACITY_HEADER = "slot,airport,throughput"
 PARAMS_SCHEMA = "ghp-instance/1"
 
+# synthetic generator: airborne cost per slot as a multiple of the largest
+# ground cost, and the largest connection slack drawn
+_AIRBORNE_FACTOR = 2.0
+_MAX_SLACK = 2
+
 
 class IngestError(ValueError):
-    """Malformed input file; the message names the offending line."""
+    """Malformed input file; the message names the file and the offending line or field."""
 
 
 @dataclass(frozen=True)
@@ -114,8 +120,7 @@ def parse_schedule(
     bundle's parameters file.
     """
     flights = []
-    for lineno, (fid, airport, slot, cost) in ((ln, cells) for ln, cells in
-                                               _rows(schedule_text, SCHEDULE_HEADER, "schedule")):
+    for lineno, (fid, airport, slot, cost) in _rows(schedule_text, SCHEDULE_HEADER, "schedule"):
         flights.append(Flight(
             fid, airport,
             _parse_int(slot, "schedule", lineno),
@@ -126,8 +131,7 @@ def parse_schedule(
 
     connections = []
     if connections_text:
-        for lineno, (pred, succ, slack) in ((ln, cells) for ln, cells in
-                                            _rows(connections_text, CONNECTIONS_HEADER, "connections")):
+        for lineno, (pred, succ, slack) in _rows(connections_text, CONNECTIONS_HEADER, "connections"):
             connections.append(ConnectionPair(pred, succ, _parse_int(slack, "connections", lineno)))
 
     if horizon is None:
@@ -155,8 +159,7 @@ def serialize_schedule(schedule: FlightSchedule) -> tuple[str, str]:
 
 def parse_capacity_history(text: str) -> list[CapacityHistoryRecord]:
     records = []
-    for lineno, (slot, airport, throughput) in ((ln, cells) for ln, cells in
-                                                _rows(text, CAPACITY_HEADER, "capacity")):
+    for lineno, (slot, airport, throughput) in _rows(text, CAPACITY_HEADER, "capacity"):
         value = _parse_int(throughput, "capacity", lineno)
         if value < 0:
             raise IngestError(f"capacity line {lineno}: negative throughput {value}")
@@ -228,8 +231,6 @@ class SynthParams:
     support_size: int = 3
     connection_density: float = 0.15
     num_airports: int = 1
-    airborne_factor: float = 2.0
-    max_slack: int = 2
 
     def __post_init__(self) -> None:
         if self.num_flights < 1 or self.num_flights > 200:
@@ -237,6 +238,8 @@ class SynthParams:
         if self.horizon < 1 or self.horizon > 500:
             raise ValueError("horizon must be in 1..500")
         lo, hi = self.ground_cost_range
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("ground_cost_range must be finite")
         if lo < 0 or hi < lo:
             raise ValueError("ground_cost_range must be 0 <= lo <= hi")
         klo, khi = self.capacity_range
@@ -250,10 +253,6 @@ class SynthParams:
             raise ValueError("connection_density must be in [0, 1]")
         if self.num_airports < 1 or self.num_airports > 30:
             raise ValueError("num_airports must be in 1..30")
-        if self.airborne_factor < 1.0:
-            raise ValueError("airborne_factor must be >= 1")
-        if self.max_slack < 0:
-            raise ValueError("max_slack must be nonnegative")
         per_airport = -(-self.num_flights // self.num_airports)  # ceil
         if per_airport > self.horizon * khi:
             raise ValueError("flights exceed horizon x max capacity; instance would be infeasible")
@@ -320,9 +319,9 @@ def synth_instance(params: SynthParams, seed: int) -> Instance:
     for i, f1 in enumerate(flights):
         for f2 in flights[i + 1:]:
             if rng.random() < params.connection_density:
-                connections.append(ConnectionPair(f1.id, f2.id, rng.randint(0, params.max_slack)))
+                connections.append(ConnectionPair(f1.id, f2.id, rng.randint(0, _MAX_SLACK)))
 
-    airborne = round(max(f.ground_cost for f in flights) * params.airborne_factor, 2)
+    airborne = round(max(f.ground_cost for f in flights) * _AIRBORNE_FACTOR, 2)
     schedule = FlightSchedule(
         TimeHorizon(params.horizon), tuple(flights), tuple(connections), airborne)
     violations = validate_schedule(schedule)
@@ -350,6 +349,15 @@ def write_instance(path: str | Path, schedule: FlightSchedule,
     (path / "params.json").write_text(json.dumps(params, indent=2, sort_keys=True) + "\n")
 
 
+def _param(params: dict, key: str, kind: type):
+    if key not in params:
+        raise IngestError(f"params.json: missing {key!r}")
+    try:
+        return kind(params[key])
+    except (OverflowError, TypeError, ValueError):
+        raise IngestError(f"params.json: {key} {params[key]!r} is not a number") from None
+
+
 def load_instance(path: str | Path) -> Instance:
     """Read a bundle directory back into validated domain objects."""
     path = Path(path)
@@ -358,6 +366,8 @@ def load_instance(path: str | Path) -> Instance:
         schedule_text = (path / "schedule.csv").read_text()
     except (OSError, json.JSONDecodeError) as exc:
         raise IngestError(f"cannot read instance bundle at {path}: {exc}") from None
+    if not isinstance(params, dict):
+        raise IngestError(f"params.json: expected a JSON object, got {type(params).__name__}")
     if params.get("schema") != PARAMS_SCHEMA:
         raise IngestError(f"unknown params schema {params.get('schema')!r}")
 
@@ -367,8 +377,8 @@ def load_instance(path: str | Path) -> Instance:
         connections_text = conn_path.read_text()
     schedule = parse_schedule(
         schedule_text, connections_text,
-        horizon=int(params["num_slots"]),
-        airborne_cost=float(params["airborne_cost"]),
+        horizon=_param(params, "num_slots", int),
+        airborne_cost=_param(params, "airborne_cost", float),
     )
 
     history: dict[str, list[CapacityHistoryRecord]] = {}

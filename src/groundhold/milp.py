@@ -16,6 +16,8 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .simplex import FEASIBILITY_TOL
+
 if TYPE_CHECKING:
     from .models import ModelIndex
 
@@ -262,14 +264,14 @@ def _residuals(arrays: ModelArrays, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_feasible(model: MilpModel, values: Sequence[float], tol: float = 1e-7) -> bool:
-    """True when bounds and all constraints hold within ``tol``."""
+def is_feasible(model: MilpModel, values: Sequence[float]) -> bool:
+    """True when bounds and all constraints hold within ``FEASIBILITY_TOL``."""
     v = np.asarray(values, dtype=float)
     arrays = model.to_arrays()
-    if np.any(v < arrays.lower - tol) or np.any(v > arrays.upper + tol):
+    if np.any(v < arrays.lower - FEASIBILITY_TOL) or np.any(v > arrays.upper + FEASIBILITY_TOL):
         return False
     res = _residuals(arrays, v)
-    return bool(res.size == 0 or float(res.max()) <= tol)
+    return bool(res.size == 0 or float(res.max()) <= FEASIBILITY_TOL)
 
 
 # -- MPS export ---------------------------------------------------------------
@@ -301,7 +303,7 @@ def _mps_line(f1: str = "", f2: str = "", f3: str = "", f4: str = "", f5: str = 
     return line
 
 
-def export_mps(model: MilpModel, name: str = "GROUNDHL") -> str:
+def export_mps(model: MilpModel) -> str:
     """Serialize a model as fixed-format MPS text."""
     n = model.num_variables
     cols = [f"C{j}" for j in range(n)]
@@ -316,7 +318,7 @@ def export_mps(model: MilpModel, name: str = "GROUNDHL") -> str:
     for i, con in enumerate(model.constraints):
         if con.name:
             lines.append(f"* {rows[i]} = {con.name}")
-    lines.append(_mps_line("NAME", "", name))
+    lines.append(_mps_line("NAME", "", "GROUNDHL"))
 
     lines.append("ROWS")
     lines.append(_mps_line("N", _OBJ_ROW))

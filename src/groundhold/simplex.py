@@ -79,7 +79,7 @@ class _Simplex:
 
         slack_lo = np.where(senses > 0, -np.inf, 0.0)
         slack_up = np.where(senses < 0, np.inf, 0.0)
-        self.A = np.hstack([A, np.eye(m)]) if m else A.reshape(0, self.nstruct)
+        self.A = np.hstack([A, np.eye(m)])
         self.lo = np.concatenate([np.asarray(lower, dtype=float), slack_lo])
         self.up = np.concatenate([np.asarray(upper, dtype=float), slack_up])
 
@@ -104,7 +104,7 @@ class _Simplex:
         """Slack basis where the slack value is in bounds, artificials elsewhere."""
         m, n = self.m, self.nstruct
         self.status = self._initial_status(n + m)
-        resid = self.b - self.A @ self._nonbasic_values() if m else np.zeros(0)
+        resid = self.b - self.A @ self._nonbasic_values()
 
         self.basis = np.empty(m, dtype=int)
         self.xB = np.zeros(m)
@@ -136,9 +136,6 @@ class _Simplex:
     # -- linear algebra --------------------------------------------------------
 
     def _refactor(self) -> None:
-        if self.m == 0:
-            self.Binv = np.zeros((0, 0))
-            return
         try:
             self.Binv = np.linalg.inv(self.A[:, self.basis])
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
@@ -174,27 +171,22 @@ class _Simplex:
         """
         t_own = self.up[j] - self.lo[j]
         rate = direction * w
-        m = self.m
-        if m:
-            ratios = np.full(m, np.inf)
-            lo_b = self.lo[self.basis]
-            up_b = self.up[self.basis]
-            pos = rate > _PIVOT_TOL
-            neg = rate < -_PIVOT_TOL
-            with np.errstate(invalid="ignore"):
-                ratios[pos] = np.maximum(self.xB[pos] - lo_b[pos], 0.0) / rate[pos]
-                ratios[neg] = np.maximum(up_b[neg] - self.xB[neg], 0.0) / (-rate[neg])
-            rmin = float(ratios.min()) if ratios.size else math.inf
-        else:
-            ratios = np.zeros(0)
-            rmin = math.inf
+        ratios = np.full(self.m, np.inf)
+        lo_b = self.lo[self.basis]
+        up_b = self.up[self.basis]
+        pos = rate > _PIVOT_TOL
+        neg = rate < -_PIVOT_TOL
+        with np.errstate(invalid="ignore"):
+            ratios[pos] = np.maximum(self.xB[pos] - lo_b[pos], 0.0) / rate[pos]
+            ratios[neg] = np.maximum(up_b[neg] - self.xB[neg], 0.0) / (-rate[neg])
+        rmin = float(ratios.min(initial=math.inf))
 
         if t_own <= rmin:
             if math.isinf(t_own):
                 # no blocking bound: either a genuine ray or a numerically
                 # vanishing pivot column
                 shaky = (np.abs(rate) > _PIVOT_FLOOR) & (np.abs(rate) <= _PIVOT_TOL)
-                if m and shaky.any():
+                if shaky.any():
                     return None, -1
                 return math.inf, -1
             return t_own, -1
@@ -238,12 +230,12 @@ class _Simplex:
                 raise NumericalInstabilityError("pivot limit exceeded, presumed cycling")
             if self._since_refactor >= _REFACTOR_EVERY:
                 self._refactor()
-            y = cvec[self.basis] @ self.Binv if self.m else np.zeros(0)
-            d = cvec - (y @ self.A if self.m else 0.0)
+            y = cvec[self.basis] @ self.Binv
+            d = cvec - y @ self.A
             j, direction = self._choose_entering(d, bland=degen_run >= _BLAND_AFTER)
             if j is None:
                 return "optimal"
-            w = self.Binv @ self.A[:, j] if self.m else np.zeros(0)
+            w = self.Binv @ self.A[:, j]
             delta, r = self._ratio_test(j, direction, w)
             if delta is None:
                 if retried_after_refactor:
@@ -290,7 +282,7 @@ class _Simplex:
             c1 = np.zeros(ncols)
             c1[self.nstruct + self.m:] = 1.0
             self._run(c1, phase=1)
-            art_total = float(self.xB[self.basis >= self.nstruct + self.m].sum()) if self.m else 0.0
+            art_total = float(self.xB[self.basis >= self.nstruct + self.m].sum())
             if art_total > FEASIBILITY_TOL:
                 return LpSolution("infeasible", None, math.inf, None, None, self.pivots)
             self._drive_out_artificials()
@@ -303,10 +295,9 @@ class _Simplex:
 
         self._refactor()
         full = self._nonbasic_values()
-        if self.m:
-            full[self.basis] = self.xB
-        y = c2[self.basis] @ self.Binv if self.m else np.zeros(0)
-        reduced = c2 - (y @ self.A if self.m else 0.0)
+        full[self.basis] = self.xB
+        y = c2[self.basis] @ self.Binv
+        reduced = c2 - y @ self.A
         objective = float(self.cstruct @ full[: self.nstruct] + self.offset)
         return LpSolution(
             "optimal",

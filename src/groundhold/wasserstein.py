@@ -25,6 +25,8 @@ __all__ = [
     "worst_case_distribution",
 ]
 
+_DROP_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class TransportPlan:
@@ -45,15 +47,15 @@ class TransportPlan:
         tgt = np.asarray(self.target_values, dtype=float)[None, :]
         return float((np.abs(src - tgt) * self.mass).sum())
 
-    def marginal(self, drop_tol: float = 1e-12) -> CapacityDistribution:
+    def marginal(self) -> CapacityDistribution:
         """Column-sum distribution over the target values.
 
-        Entries at or below ``drop_tol`` are dropped and the remainder is
+        Entries at or below ``_DROP_TOL`` are dropped and the remainder is
         renormalized, so tiny solver residue never produces zero-probability
         atoms.
         """
         col = self.mass.sum(axis=0)
-        keep = [(v, float(p)) for v, p in zip(self.target_values, col) if p > drop_tol]
+        keep = [(v, float(p)) for v, p in zip(self.target_values, col) if p > _DROP_TOL]
         total = sum(p for _, p in keep)
         return CapacityDistribution(tuple(v for v, _ in keep), tuple(p / total for _, p in keep))
 

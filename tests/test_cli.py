@@ -1,4 +1,7 @@
+import importlib
 import json
+import math
+import pkgutil
 
 import pytest
 
@@ -128,6 +131,24 @@ class TestSolve:
         assert keys == sorted(str(xi) for xi in support)
         assert any(k.startswith("1") for k in keys) and any(len(k) == 1 for k in keys)
 
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda p: {k: v for k, v in p.items() if k != "num_slots"},
+                     "params.json: missing 'num_slots'", id="no-num-slots"),
+        pytest.param(lambda p: {**p, "num_slots": None},
+                     "params.json: num_slots None is not a number", id="null-num-slots"),
+        pytest.param(lambda p: {**p, "airborne_cost": None},
+                     "params.json: airborne_cost None is not a number", id="null-airborne-cost"),
+        pytest.param(lambda p: {**p, "airborne_cost": math.nan},
+                     "[non-finite-airborne-cost]", id="nan-airborne-cost"),
+        pytest.param(lambda p: [p], "params.json: expected a JSON object, got list", id="list"),
+    ])
+    def test_malformed_params_exits_2(self, bundle, capsys, edit, message):
+        params = bundle / "params.json"
+        params.write_text(json.dumps(edit(_read_json(params))))
+        assert main(["solve", str(bundle), "--model", "sp"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
     def test_usage_error_from_argparse(self):
         assert main(["solve"]) == 2            # missing instance and model
         assert main(["no-such-command"]) == 2
@@ -200,6 +221,20 @@ class TestEvaluate:
         res = tmp_path / "res.json"
         res.write_text('{"schema": "ghp-solve/1", "policy": null}')
         assert main(["evaluate", str(worked_bundle), "--result", str(res)]) == 2
+
+    @pytest.mark.parametrize("doc", [
+        [{"policy": {"assignments": {"f1": 1}}}],
+        {"policy": [{"f1": 1}]},
+        {"policy": {"ground_delays": {"f1": 0}}},
+        {"policy": {"assignments": None}},
+        {"policy": {"assignments": {"f1": None}}},
+    ])
+    def test_malformed_result_document_exits_2(self, worked_bundle, tmp_path, capsys, doc):
+        res = tmp_path / "res.json"
+        res.write_text(json.dumps(doc))
+        assert main(["evaluate", str(worked_bundle), "--result", str(res)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: result document ") and err.count("\n") == 1
 
 
 class TestExportMps:
@@ -275,3 +310,105 @@ class TestEngineErrors:
         }[command.split()[0]]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 4
         assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.fixture()
+def two_airports(tmp_path):
+    """Two airports, flights alternating AP0/AP1 (f1 at AP0, f2 at AP1), no connections."""
+    path = tmp_path / "net"
+    assert main(["gen", "--flights", "8", "--horizon", "6", "--airports", "2", "--density", "0",
+                 "--seed", "4", "--out", str(path)]) == 0
+    return path
+
+
+class TestSingleAirport:
+    def test_solve_matches_filtered_schedule(self, two_airports, tmp_path):
+        out = tmp_path / "res.json"
+        assert main(["solve", str(two_airports), "--model", "sp", "--airport", "AP1",
+                     "--out", str(out)]) == 0
+        doc = _read_json(out)
+        inst = gh.load_instance(two_airports)
+        sched = gh.FlightSchedule(
+            inst.schedule.horizon,
+            tuple(f for f in inst.schedule.flights if f.airport == "AP1"),
+            (),
+            inst.schedule.airborne_cost,
+        )
+        model = gh.build_s_saghp(sched, inst.capacities["AP1"])
+        sol = gh.solve_milp(model)
+        assert doc["airport"] == "AP1"
+        assert doc["objective"] == pytest.approx(sol.objective, abs=1e-9)
+        assert doc["policy"]["assignments"] == gh.extract_policy(model, sol, sched).assignments
+
+    def test_connection_across_airports_exits_2(self, two_airports, capsys):
+        (two_airports / "connections.csv").write_text("pred_id,succ_id,slack_slots\nf1,f2,0\n")
+        assert main(["solve", str(two_airports), "--model", "sp", "--airport", "AP0"]) == 2
+        assert capsys.readouterr().err == "error: connection f1->f2 crosses airports; use dr-maghp\n"
+
+    def test_unknown_airport_exits_2(self, two_airports, capsys):
+        assert main(["solve", str(two_airports), "--model", "sp", "--airport", "ZZ"]) == 2
+        assert capsys.readouterr().err == "error: airport 'ZZ' not in bundle (has ['AP0', 'AP1'])\n"
+
+
+_RADIUS_ERRORS = {
+    "solve --model dr --epsilon nan": "error: radius must be a finite number, got nan\n",
+    "solve --model dr --epsilon inf": "error: radius must be a finite number, got inf\n",
+    "solve --model dr-maghp --epsilon nan": "error: radius must be a finite number, got nan\n",
+    "sweep --omega 0,nan --sizes 4": "error: radius must be a finite number, got nan\n",
+    "solve --model dr --epsilon -1": "error: radius must be nonnegative, got -1.0\n",
+}
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("command", _RADIUS_ERRORS)
+    def test_radius_exits_2(self, bundle, tmp_path, capsys, command):
+        name, *flags = command.split()
+        assert main([name, str(bundle), *flags, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == _RADIUS_ERRORS[command]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cost", ["nan", "inf"])
+    def test_ground_cost_exits_2(self, bundle, capsys, cost):
+        schedule = bundle / "schedule.csv"
+        header, first, *rest = schedule.read_text().splitlines()
+        first = ",".join(first.split(",")[:3] + [cost])
+        schedule.write_text("\n".join([header, first, *rest]) + "\n")
+        assert main(["solve", str(bundle), "--model", "sp"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: schedule invalid: [non-finite-ground-cost] flight 'f1' ground_cost {cost}")
+        assert err.count("\n") == 1
+
+
+def _library_exceptions() -> list[type]:
+    """Every exception class defined in a ``groundhold`` module."""
+    found = []
+    for info in pkgutil.iter_modules(gh.__path__):
+        if info.name.startswith("__"):  # __main__ runs the CLI on import
+            continue
+        module = importlib.import_module(f"groundhold.{info.name}")
+        found += [obj for obj in vars(module).values()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)
+                  and obj.__module__ == module.__name__]
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+# Exception classes no subcommand can raise, with the reason.
+_NOT_REACHABLE_FROM_CLI = {
+    "CombinatorialLimitError": "only enumerate_small raises it, and no subcommand calls it",
+}
+
+
+class TestExitCodeContract:
+    def test_discovery_finds_the_known_errors(self):
+        names = {cls.__name__ for cls in _library_exceptions()}
+        assert {"IngestError", "ModelError", "NumericalInstabilityError", "PolicyExtractionError",
+                *_NOT_REACHABLE_FROM_CLI} <= names
+
+    @pytest.mark.parametrize("error", [
+        cls for cls in _library_exceptions() if cls.__name__ not in _NOT_REACHABLE_FROM_CLI
+    ], ids=lambda cls: cls.__name__)
+    def test_every_library_error_has_an_exit_code(self, bundle, capsys, monkeypatch, error):
+        monkeypatch.setattr("groundhold.cli.load_instance", _raise(error("boom")))
+        code = main(["solve", str(bundle), "--model", "sp"])
+        assert code == (2 if issubclass(error, ValueError) else 4)
+        assert capsys.readouterr().err == "error: boom\n"

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -56,6 +58,13 @@ class TestValidateSchedule:
         assert "slot-out-of-range" in codes
         assert "negative-ground-cost" in codes
 
+    @pytest.mark.parametrize("cost", [math.nan, math.inf, -math.inf])
+    def test_non_finite_costs(self, cost):
+        ground = gh.FlightSchedule(gh.TimeHorizon(2), (gh.Flight("f1", "A", 1, cost),), (), 2.0)
+        airborne = gh.FlightSchedule(gh.TimeHorizon(2), (gh.Flight("f1", "A", 1, 1.0),), (), cost)
+        assert [v.code for v in gh.validate_schedule(ground)] == ["non-finite-ground-cost"]
+        assert [v.code for v in gh.validate_schedule(airborne)] == ["non-finite-airborne-cost"]
+
 
 class TestCapacityDistribution:
     def test_sorts_support(self):
@@ -99,6 +108,12 @@ class TestAmbiguitySpec:
         dist = gh.CapacityDistribution((2,), (1.0,))
         with pytest.raises(ValueError):
             gh.AmbiguitySpec(dist, -0.1, gh.SupportGrid((2,)))
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_radius(self, radius):
+        dist = gh.CapacityDistribution((2,), (1.0,))
+        with pytest.raises(ValueError, match=f"radius must be a finite number, got {radius}"):
+            gh.AmbiguitySpec(dist, radius, gh.SupportGrid((2,)))
 
     @given(st.sets(st.integers(0, 30), min_size=1, max_size=5))
     def test_default_grid_always_admissible(self, support):

@@ -1,3 +1,6 @@
+import json
+import math
+
 import pytest
 
 import groundhold as gh
@@ -150,6 +153,8 @@ class TestSynthInstance:
         {"support_size": 9, "capacity_range": (1, 4)},
         {"connection_density": 1.5},
         {"num_flights": 100, "horizon": 2, "capacity_range": (1, 2)},
+        {"ground_cost_range": (1.0, math.inf)},
+        {"ground_cost_range": (math.nan, 5.0)},
     ])
     def test_parameter_bounds_enforced(self, kwargs):
         with pytest.raises(ValueError):
@@ -174,4 +179,29 @@ class TestBundleIO:
         (d / "params.json").write_text('{"schema": "other/9"}')
         (d / "schedule.csv").write_text(SCHEDULE_TEXT)
         with pytest.raises(gh.IngestError, match="schema"):
+            gh.load_instance(d)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"airborne_cost": 5.0}, "params.json: missing 'num_slots'"),
+        ({"num_slots": 4}, "params.json: missing 'airborne_cost'"),
+        ({"num_slots": None, "airborne_cost": 5.0}, "params.json: num_slots None is not a number"),
+        ({"num_slots": math.inf, "airborne_cost": 5.0}, "params.json: num_slots inf is not a number"),
+        ({"num_slots": 4, "airborne_cost": None}, "params.json: airborne_cost None is not a number"),
+        ({"num_slots": 4, "airborne_cost": [5]}, r"params.json: airborne_cost \[5\] is not a number"),
+    ], ids=["no-num-slots", "no-airborne-cost", "null-num-slots", "inf-num-slots",
+            "null-airborne-cost", "list-airborne-cost"])
+    def test_malformed_params_rejected(self, tmp_path, fields, message):
+        d = tmp_path / "inst"
+        d.mkdir()
+        (d / "params.json").write_text(json.dumps({"schema": "ghp-instance/1", **fields}))
+        (d / "schedule.csv").write_text(SCHEDULE_TEXT)
+        with pytest.raises(gh.IngestError, match=message):
+            gh.load_instance(d)
+
+    def test_params_not_an_object_rejected(self, tmp_path):
+        d = tmp_path / "inst"
+        d.mkdir()
+        (d / "params.json").write_text('["ghp-instance/1", 4, 5.0]')
+        (d / "schedule.csv").write_text(SCHEDULE_TEXT)
+        with pytest.raises(gh.IngestError, match="params.json: expected a JSON object, got list"):
             gh.load_instance(d)

@@ -70,7 +70,7 @@ class TestSolutionChecking:
         model = gh.build_dr_saghp(sched, one_flight_ambiguity(0.4))
         sol = gh.solve_milp(model)
         assert sol.status == "optimal"
-        assert gh.is_feasible(model, sol.values, tol=1e-7)
+        assert gh.is_feasible(model, sol.values)
         binaries = [v for v, d in zip(sol.values, model.variables) if d.kind == gh.BINARY]
         assert all(min(abs(v), abs(v - 1.0)) <= 1e-6 for v in binaries)
 

@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import linprog
 
 import groundhold as gh
+from groundhold import simplex
 
 
 def _lp(c, rows, bounds, offset=0.0):
@@ -146,6 +147,42 @@ class TestAgainstScipy:
             assert sol.status == "infeasible"
         elif ref.status == 3:
             assert sol.status == "unbounded"
+
+
+class TestPeriodicRefactorization:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_long_dr_relaxation_matches_highs(self, seed, monkeypatch):
+        # dr-SAGHP relaxations of seeded 16-flight, 12-slot instances take
+        # 160-250 pivots, so the basis inverse is rebuilt mid-solve
+        rebuilt_after = []
+        refactor = simplex._Simplex._refactor
+
+        def spy(self):
+            rebuilt_after.append(self._since_refactor)
+            refactor(self)
+
+        monkeypatch.setattr(simplex._Simplex, "_refactor", spy)
+        inst = gh.synth_instance(gh.SynthParams(num_flights=16, horizon=12), seed)
+        empirical = inst.capacities["AP0"]
+        amb = gh.AmbiguitySpec(empirical, 0.5, gh.default_support_grid(empirical))
+        model = gh.build_dr_saghp(inst.schedule, amb)
+        sol = gh.solve_lp(model)
+        assert sol.status == "optimal"
+        assert sol.pivots > 100
+        assert max(rebuilt_after) >= simplex._REFACTOR_EVERY
+
+        a = model.to_arrays()
+        le, ge, eq = a.senses < 0, a.senses > 0, a.senses == 0
+        ref = linprog(
+            a.c,
+            A_ub=np.vstack([a.A[le], -a.A[ge]]), b_ub=np.concatenate([a.b[le], -a.b[ge]]),
+            A_eq=a.A[eq], b_eq=a.b[eq],
+            bounds=[(lo if math.isfinite(lo) else None, up if math.isfinite(up) else None)
+                    for lo, up in zip(a.lower, a.upper)],
+            method="highs",
+        )
+        assert ref.status == 0
+        assert sol.objective == pytest.approx(ref.fun + a.offset, abs=1e-6)
 
 
 class TestOptimalityCertificates:

@@ -248,4 +248,4 @@ class TestOracleEquivalence:
         assert bb.status == en.status
         if bb.status == "optimal":
             assert bb.objective == pytest.approx(en.objective, abs=1e-6)
-            assert gh.is_feasible(model, bb.values, tol=1e-7)
+            assert gh.is_feasible(model, bb.values)

@@ -240,6 +240,8 @@ def _cost_code(value, what: str) -> str | None:
     """Violation code for a cost that is not a finite nonnegative number."""
     try:
         cost = float(value)
+    except OverflowError:  # an int beyond the float range
+        return f"non-finite-{what}"
     except (TypeError, ValueError):
         return f"negative-{what}"
     if not math.isfinite(cost):

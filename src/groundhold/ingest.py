@@ -352,10 +352,15 @@ def write_instance(path: str | Path, schedule: FlightSchedule,
 def _param(params: dict, key: str, kind: type):
     if key not in params:
         raise IngestError(f"params.json: missing {key!r}")
+    value = params[key]
     try:
-        return kind(params[key])
+        parsed = kind(value)
     except (OverflowError, TypeError, ValueError):
-        raise IngestError(f"params.json: {key} {params[key]!r} is not a number") from None
+        raise IngestError(f"params.json: {key} {value!r} is not a number") from None
+    # int() would truncate 8.9 to 8 and read true as 1
+    if kind is int and (isinstance(value, bool) or (isinstance(value, float) and parsed != value)):
+        raise IngestError(f"params.json: {key} {value!r} is not a whole number")
+    return parsed
 
 
 def load_instance(path: str | Path) -> Instance:

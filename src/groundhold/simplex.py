@@ -1,10 +1,14 @@
-"""Bounded-variable primal simplex.
+"""Bounded-variable revised simplex: primal two-phase cold, dual warm.
 
-Two-phase revised simplex over the standard form ``A x + s = b`` with
-sense-dependent slack bounds; free variables are handled natively (nonbasic
-at zero) rather than split.  Pricing is Dantzig with a permanent-for-the-run
-Bland's-rule fallback after a run of 1000 degenerate pivots; all ties break
-toward the lowest variable index, so solves are deterministic.
+Revised simplex over the standard form ``A x + s = b`` with sense-dependent
+slack bounds; free variables are handled natively (nonbasic at zero) rather
+than split.  A cold solve crashes a slack basis and runs the two-phase primal
+simplex.  A warm solve starts from a previous optimal basis of the same
+arrays under new variable bounds (a branch-and-bound child): that basis is
+still dual feasible, so a bounded dual simplex restores primal feasibility
+and the phase-2 primal loop then certifies optimality.  Pricing is Dantzig
+with a permanent-for-the-run Bland's-rule fallback after a run of 1000
+degenerate pivots; all ties break deterministically, so solves repeat.
 
 The basis inverse is maintained explicitly with product-form updates and
 periodic refactorization.  Adequate at desk scale (hundreds of rows), which
@@ -49,7 +53,11 @@ class LpSolution:
     objective: float
     dual_values: np.ndarray | None     # one multiplier per constraint
     reduced_costs: np.ndarray | None   # structural variables
-    pivots: int = 0
+    pivots: int = 0                    # primal and dual pivots together
+    # (basic columns, statuses over the n + m structural and slack columns)
+    # of an optimal solve, to warm-start a solve under other bounds; None
+    # when an artificial stays basic on a redundant row
+    basis: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def solve_lp_arrays(
@@ -60,12 +68,17 @@ def solve_lp_arrays(
     b: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
+    *,
+    basis: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LpSolution:
     """Solve ``min c.x + offset`` s.t. ``A x (senses) b``, ``lower <= x <= upper``.
 
     ``senses`` holds -1 for ``<=``, 0 for ``=``, +1 for ``>=`` per row.
+    ``basis`` is the ``LpSolution.basis`` of an earlier optimal solve of the
+    same ``c``, ``A``, ``senses`` and ``b`` under other bounds; the solve then
+    starts from it with a dual simplex instead of a cold phase 1.
     """
-    return _Simplex(c, offset, A, senses, b, lower, upper).solve()
+    return _Simplex(c, offset, A, senses, b, lower, upper).solve(basis)
 
 
 class _Simplex:
@@ -131,6 +144,19 @@ class _Simplex:
             self.lo = np.concatenate([self.lo, np.zeros(self.nart)])
             self.up = np.concatenate([self.up, np.full(self.nart, np.inf)])
             self.status = np.concatenate([self.status, np.full(self.nart, _BASIC, dtype=np.int8)])
+        self._refactor()
+
+    def _load(self, basis) -> None:
+        """Start from a stored basis; a nonbasic status whose bound the new
+        box no longer has falls back to the crash's choice."""
+        cols, status = basis
+        self.basis = np.array(cols, dtype=int)
+        self.status = status.copy()
+        lost = (((self.status == _AT_LO) & ~np.isfinite(self.lo))
+                | ((self.status == _AT_UP) & ~np.isfinite(self.up))
+                | ((self.status == _FREE) & (np.isfinite(self.lo) | np.isfinite(self.up))))
+        self.status[lost] = self._initial_status(self.nstruct + self.m)[lost]
+        self.nart = 0
         self._refactor()
 
     # -- linear algebra --------------------------------------------------------
@@ -201,12 +227,13 @@ class _Simplex:
             return self.up[j]
         return 0.0
 
-    def _apply_pivot(self, j, direction, delta, r, w) -> None:
-        enter_val = self._value_of(j) + direction * delta
-        self.xB -= delta * direction * w
+    def _apply_pivot(self, j, step, r, w, leave_status) -> None:
+        """Column ``j`` moves by ``step`` and replaces the variable basic in
+        row ``r``, which leaves with ``leave_status``."""
+        enter_val = self._value_of(j) + step
+        self.xB -= step * w
         leaving = self.basis[r]
-        rate = direction * w[r]
-        self.status[leaving] = _AT_LO if rate > 0 else _AT_UP
+        self.status[leaving] = leave_status
         self.basis[r] = j
         self.status[j] = _BASIC
         self.xB[r] = enter_val
@@ -253,10 +280,59 @@ class _Simplex:
                 self.xB -= delta * direction * w
                 self.status[j] = _AT_UP if self.status[j] == _AT_LO else _AT_LO
             else:
-                self._apply_pivot(j, direction, delta, r, w)
+                # the leaving variable stops at the bound it ran into
+                self._apply_pivot(j, direction * delta, r, w,
+                                  _AT_LO if direction * w[r] > 0 else _AT_UP)
             self.pivots += 1
             self._since_refactor += 1
             degen_run = degen_run + 1 if delta <= _DEGEN_TOL else 0
+
+    def _dual(self, cvec: np.ndarray) -> bool:
+        """Bounded dual simplex from a dual-feasible basis to a primal-feasible
+        one.  Returns False when a row proves the bounds infeasible.
+
+        The leaving row is the most bound-violating basic variable (lowest
+        row on ties), which leaves at the bound it violates.  The entering
+        column minimises ``|d_j| / |alpha_j|`` over the nonbasics that can
+        move it there (largest ``|alpha_j|``, then lowest index, on ties), so
+        every reduced cost keeps its sign.
+        """
+        limit = 2000 + 200 * (self.m + self.A.shape[1])
+        movable = self.up > self.lo
+        while True:
+            if self.pivots > limit:  # pragma: no cover - defensive
+                raise NumericalInstabilityError("pivot limit exceeded, presumed cycling")
+            if self._since_refactor >= _REFACTOR_EVERY:
+                self._refactor()
+            below = self.lo[self.basis] - self.xB
+            above = self.xB - self.up[self.basis]
+            violation = np.maximum(below, above)
+            r = int(np.argmax(violation))
+            if violation[r] <= FEASIBILITY_TOL:
+                return True
+            rise = below[r] > 0.0  # the leaving variable climbs to its lower bound
+            alpha = self.Binv[r] @ self.A
+            # push_j < 0: raising x_j moves x_B[r] toward its violated bound
+            push = alpha if rise else -alpha
+            eligible = movable & (((self.status == _AT_LO) & (push < -_PIVOT_TOL))
+                                  | ((self.status == _AT_UP) & (push > _PIVOT_TOL))
+                                  | ((self.status == _FREE) & (np.abs(alpha) > _PIVOT_TOL)))
+            if not eligible.any():
+                if self._since_refactor:
+                    self._refactor()  # rule out drift in Binv before concluding
+                    continue
+                return False
+            d = cvec - (cvec[self.basis] @ self.Binv) @ self.A
+            ratios = np.full(alpha.shape, math.inf)
+            ratios[eligible] = np.abs(d[eligible]) / np.abs(alpha[eligible])
+            cand = np.flatnonzero(ratios <= ratios.min() + 1e-12)
+            j = int(cand[np.argmax(np.abs(alpha[cand]))])
+            w = self.Binv @ self.A[:, j]
+            leaving = self.basis[r]
+            target = self.lo[leaving] if rise else self.up[leaving]
+            self._apply_pivot(j, (self.xB[r] - target) / w[r], r, w, _AT_LO if rise else _AT_UP)
+            self.pivots += 1
+            self._since_refactor += 1
 
     def _drive_out_artificials(self) -> None:
         n_real = self.nstruct + self.m
@@ -268,27 +344,37 @@ class _Simplex:
             if pivot_cols.size:
                 j = int(pivot_cols[0])
                 w = self.Binv @ self.A[:, j]
-                self._apply_pivot(j, 1, 0.0, r, w)
+                self._apply_pivot(j, 0.0, r, w, _AT_LO if w[r] > 0 else _AT_UP)
             # else: redundant row, the artificial stays basic pinned at zero
         self.lo[n_real:] = 0.0
         self.up[n_real:] = 0.0
         self._refactor()
 
-    def solve(self) -> LpSolution:
-        self._crash()
-        ncols = self.A.shape[1]
+    def _phase1(self) -> bool:
+        """Drive the crash's artificials to zero; False when they cannot be."""
+        if not self.nart:
+            return True
+        n_real = self.nstruct + self.m
+        c1 = np.zeros(self.A.shape[1])
+        c1[n_real:] = 1.0
+        self._run(c1, phase=1)
+        if float(self.xB[self.basis >= n_real].sum()) > FEASIBILITY_TOL:
+            return False
+        self._drive_out_artificials()
+        return True
 
-        if self.nart:
-            c1 = np.zeros(ncols)
-            c1[self.nstruct + self.m:] = 1.0
-            self._run(c1, phase=1)
-            art_total = float(self.xB[self.basis >= self.nstruct + self.m].sum())
-            if art_total > FEASIBILITY_TOL:
-                return LpSolution("infeasible", None, math.inf, None, None, self.pivots)
-            self._drive_out_artificials()
-
-        c2 = np.zeros(ncols)
+    def solve(self, basis=None) -> LpSolution:
+        n_real = self.nstruct + self.m
+        if basis is None:
+            self._crash()
+        else:
+            self._load(basis)
+        c2 = np.zeros(self.A.shape[1])
         c2[: self.nstruct] = self.cstruct
+        feasible = self._phase1() if basis is None else self._dual(c2)
+        if not feasible:
+            return LpSolution("infeasible", None, math.inf, None, None, self.pivots)
+
         status = self._run(c2, phase=2)
         if status == "unbounded":
             return LpSolution("unbounded", None, -math.inf, None, None, self.pivots)
@@ -306,4 +392,5 @@ class _Simplex:
             y.copy(),
             reduced[: self.nstruct].copy(),
             self.pivots,
+            None if (self.basis >= n_real).any() else (self.basis.copy(), self.status[:n_real].copy()),
         )

@@ -60,10 +60,12 @@ def solve_lp(
 def solve_milp(model: MilpModel, *, node_limit: int = 100_000) -> Solution:
     """Best-bound branch and bound to an absolute gap of ``OPTIMALITY_GAP``.
 
-    Branches on the most fractional binary.  Deterministic: Dantzig/Bland
-    simplex below, lowest variable index on all branching ties,
-    sequence-numbered node queue.  Stops with status ``node-limit`` after
-    ``node_limit`` LP solves.
+    Branches on the most fractional binary.  The root LP solves cold; each
+    child starts from its parent's optimal basis (one bound changed) and
+    re-optimises with the dual simplex.  Deterministic: Dantzig/Bland simplex
+    below, lowest variable index on all branching ties, sequence-numbered
+    node queue.  Stops with status ``node-limit`` after ``node_limit`` LP
+    solves.
     """
     if node_limit < 1:
         raise ValueError("node_limit must be >= 1")
@@ -78,8 +80,10 @@ def solve_milp(model: MilpModel, *, node_limit: int = 100_000) -> Solution:
     best_bound = math.inf  # min bound of any unexplored region at stop time
     status = "optimal"
 
-    open_nodes: list[tuple[float, int, np.ndarray, np.ndarray]] = [
-        (-math.inf, 0, a.lower.copy(), a.upper.copy())
+    # (parent bound, sequence, lower, upper, parent basis); siblings share
+    # the parent's basis tuple
+    open_nodes: list[tuple[float, int, np.ndarray, np.ndarray, tuple | None]] = [
+        (-math.inf, 0, a.lower.copy(), a.upper.copy(), None)
     ]
     seq = 0
 
@@ -88,7 +92,7 @@ def solve_milp(model: MilpModel, *, node_limit: int = 100_000) -> Solution:
             status = "node-limit"
             best_bound = open_nodes[0][0]  # heap order: the smallest open bound
             break
-        bound, _, lo, up = heapq.heappop(open_nodes)
+        bound, _, lo, up, basis = heapq.heappop(open_nodes)
         if incumbent is not None and bound >= inc_obj - OPTIMALITY_GAP:
             # heap is bound-ordered: every remaining node is prunable too
             best_bound = bound
@@ -96,7 +100,7 @@ def solve_milp(model: MilpModel, *, node_limit: int = 100_000) -> Solution:
             break
 
         nodes += 1
-        rel = solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, lo, up)
+        rel = solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, lo, up, basis=basis)
         pivots += rel.pivots
         if rel.status == "infeasible":
             continue
@@ -120,9 +124,9 @@ def solve_milp(model: MilpModel, *, node_limit: int = 100_000) -> Solution:
         lo1, up1 = lo.copy(), up.copy()
         lo1[j] = 1.0
         seq += 1
-        heapq.heappush(open_nodes, (rel.objective, seq, lo0, up0))
+        heapq.heappush(open_nodes, (rel.objective, seq, lo0, up0, rel.basis))
         seq += 1
-        heapq.heappush(open_nodes, (rel.objective, seq, lo1, up1))
+        heapq.heappush(open_nodes, (rel.objective, seq, lo1, up1, rel.basis))
     else:
         best_bound = inc_obj  # search exhausted: the incumbent is proven
 

@@ -141,6 +141,8 @@ class TestSolve:
         pytest.param(lambda p: {**p, "airborne_cost": math.nan},
                      "[non-finite-airborne-cost]", id="nan-airborne-cost"),
         pytest.param(lambda p: [p], "params.json: expected a JSON object, got list", id="list"),
+        pytest.param(lambda p: {**p, "num_slots": 8.9},
+                     "params.json: num_slots 8.9 is not a whole number", id="fractional-num-slots"),
     ])
     def test_malformed_params_exits_2(self, bundle, capsys, edit, message):
         params = bundle / "params.json"

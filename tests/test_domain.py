@@ -65,6 +65,11 @@ class TestValidateSchedule:
         assert [v.code for v in gh.validate_schedule(ground)] == ["non-finite-ground-cost"]
         assert [v.code for v in gh.validate_schedule(airborne)] == ["non-finite-airborne-cost"]
 
+    def test_cost_beyond_float_range(self):
+        # float(10**400) raises OverflowError; validation still only reports
+        sched = gh.FlightSchedule(gh.TimeHorizon(2), (gh.Flight("f1", "A", 1, 10**400),), (), 2.0)
+        assert [v.code for v in gh.validate_schedule(sched)] == ["non-finite-ground-cost"]
+
 
 class TestCapacityDistribution:
     def test_sorts_support(self):

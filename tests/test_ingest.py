@@ -188,8 +188,10 @@ class TestBundleIO:
         ({"num_slots": math.inf, "airborne_cost": 5.0}, "params.json: num_slots inf is not a number"),
         ({"num_slots": 4, "airborne_cost": None}, "params.json: airborne_cost None is not a number"),
         ({"num_slots": 4, "airborne_cost": [5]}, r"params.json: airborne_cost \[5\] is not a number"),
+        ({"num_slots": 8.9, "airborne_cost": 5.0}, "params.json: num_slots 8.9 is not a whole number"),
+        ({"num_slots": True, "airborne_cost": 5.0}, "params.json: num_slots True is not a whole number"),
     ], ids=["no-num-slots", "no-airborne-cost", "null-num-slots", "inf-num-slots",
-            "null-airborne-cost", "list-airborne-cost"])
+            "null-airborne-cost", "list-airborne-cost", "fractional-num-slots", "bool-num-slots"])
     def test_malformed_params_rejected(self, tmp_path, fields, message):
         d = tmp_path / "inst"
         d.mkdir()
@@ -197,6 +199,15 @@ class TestBundleIO:
         (d / "schedule.csv").write_text(SCHEDULE_TEXT)
         with pytest.raises(gh.IngestError, match=message):
             gh.load_instance(d)
+
+    @pytest.mark.parametrize("num_slots", [4, 4.0, "4"], ids=["int", "integral-float", "string"])
+    def test_whole_num_slots_accepted(self, tmp_path, num_slots):
+        d = tmp_path / "inst"
+        d.mkdir()
+        (d / "params.json").write_text(json.dumps(
+            {"schema": "ghp-instance/1", "num_slots": num_slots, "airborne_cost": 5.0}))
+        (d / "schedule.csv").write_text(SCHEDULE_TEXT)
+        assert gh.load_instance(d).schedule.horizon.num_slots == 4
 
     def test_params_not_an_object_rejected(self, tmp_path):
         d = tmp_path / "inst"

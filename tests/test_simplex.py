@@ -185,6 +185,82 @@ class TestPeriodicRefactorization:
         assert sol.objective == pytest.approx(ref.fun + a.offset, abs=1e-6)
 
 
+def _warm(a, lo, up, basis):
+    return simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, lo, up, basis=basis)
+
+
+class TestWarmStart:
+    def test_dual_simplex_proves_infeasibility(self):
+        # min x1 + 2 x2  s.t.  x1 + x2 >= 1.5,  0 <= x <= 1: the root has
+        # x1 = 1, x2 = 0.5; with x2 fixed to 0 nothing can lift x1 + x2
+        model = _lp([1.0, 2.0], [([(0, 1.0), (1, 1.0)], gh.SENSE_GE, 1.5)], [(0.0, 1.0)] * 2)
+        a = model.to_arrays()
+        root = gh.solve_lp(model)
+        assert root.values == pytest.approx([1.0, 0.5])
+        up = a.upper.copy()
+        up[1] = 0.0
+        child = _warm(a, a.lower, up, root.basis)
+        assert child.status == "infeasible"
+        assert child.pivots == 0  # the bound row alone proves it: no phase 1
+
+    def test_status_on_a_lost_bound_falls_back(self):
+        # x1 sits at its upper bound in the root basis; without that bound
+        # the warm start puts it at its lower bound and still finds the optimum
+        model = _lp([1.0, 2.0], [([(0, 1.0), (1, 1.0)], gh.SENSE_GE, 1.5)], [(0.0, 1.0)] * 2)
+        a = model.to_arrays()
+        root = gh.solve_lp(model)
+        up = a.upper.copy()
+        up[0] = math.inf
+        child = _warm(a, a.lower, up, root.basis)
+        assert child.status == "optimal"
+        assert child.objective == pytest.approx(1.5)
+        assert child.values == pytest.approx([1.5, 0.0])
+
+    def test_long_warm_solve_refactors(self, monkeypatch):
+        # a 40-flight dr-SAGHP with every flight pushed off the slot its root
+        # LP prefers: the warm solve takes over 100 pivots, so the basis
+        # inverse is rebuilt mid-solve, and it ends where a cold solve does
+        inst = gh.synth_instance(gh.SynthParams(num_flights=40, horizon=16), 1)
+        empirical = inst.capacities["AP0"]
+        amb = gh.AmbiguitySpec(empirical, 0.5, gh.default_support_grid(empirical))
+        model = gh.build_dr_saghp(inst.schedule, amb)
+        a = model.to_arrays()
+        root = gh.solve_lp(model)
+        up = a.upper.copy()
+        for f in inst.schedule.flights:
+            cols = [model.index.x[f.id, t] for t in inst.schedule.available_slots(f)]
+            if len(cols) > 1:
+                up[max(cols, key=lambda col: root.values[col])] = 0.0
+        cold = simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, a.lower, up)
+
+        rebuilt_after = []
+        refactor = simplex._Simplex._refactor
+
+        def spy(self):
+            rebuilt_after.append(self._since_refactor)
+            refactor(self)
+
+        certificate_pivots = []
+        run = simplex._Simplex._run
+
+        def run_spy(self, cvec, phase):
+            before = self.pivots
+            status = run(self, cvec, phase)
+            certificate_pivots.append(self.pivots - before)
+            return status
+
+        monkeypatch.setattr(simplex._Simplex, "_refactor", spy)
+        monkeypatch.setattr(simplex._Simplex, "_run", run_spy)
+        warm = _warm(a, a.lower, up, root.basis)
+        assert warm.status == cold.status == "optimal"
+        assert warm.pivots > 100
+        assert max(rebuilt_after) >= simplex._REFACTOR_EVERY
+        # the dual ratio test kept every reduced cost's sign, so the primal
+        # phase 2 only confirms optimality
+        assert certificate_pivots == [0]
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+
+
 class TestOptimalityCertificates:
     @pytest.mark.parametrize("seed", range(60))
     def test_duals_and_reduced_costs(self, seed):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import groundhold as gh
-from groundhold import solver
+from groundhold import simplex, solver
 from helpers import one_flight_ambiguity, one_flight_schedule, random_instance, two_flight_schedule
 
 
@@ -193,6 +193,109 @@ class TestSolveMilp:
             if sol.status == "optimal":
                 assert sol.objective >= sol.best_bound - 1e-9
                 assert sol.objective - sol.best_bound <= solver.OPTIMALITY_GAP + 1e-9
+
+
+def _with_repeated_row(model):
+    """A copy of ``model`` holding its first equality row twice: one redundant row."""
+    row = next(i for i, con in enumerate(model.constraints) if con.sense == gh.SENSE_EQ)
+    copy = gh.MilpModel()
+    refs = [copy.add_variable(v) for v in model.variables]
+    for j, ref in enumerate(refs):
+        copy.add_objective_term(ref, model.objective_coefficient(j))
+    copy.add_objective_offset(model.objective_offset)
+    for con in model.constraints + (model.constraints[row],):
+        copy.add_constraint(con)
+    return copy.freeze(model.index)
+
+
+def _record_bases(monkeypatch):
+    """The ``basis`` argument of every LP that ``solve_milp`` solves, in order."""
+    bases = []
+    solve_lp_arrays = solver.solve_lp_arrays
+
+    def spy(*args, basis=None):
+        bases.append(basis)
+        return solve_lp_arrays(*args, basis=basis)
+
+    monkeypatch.setattr(solver, "solve_lp_arrays", spy)
+    return bases
+
+
+def _branching_instance():
+    """A seeded 6-flight, 5-slot sp model whose search takes about 20 nodes
+    and whose 1,200 assignments enumerate_small can walk."""
+    inst = gh.synth_instance(gh.SynthParams(num_flights=6, horizon=5, connection_density=0.5), 19)
+    return gh.build_s_saghp(inst.schedule, inst.capacities["AP0"]), inst.schedule
+
+
+class TestWarmStart:
+    def test_children_match_cold_solves(self):
+        # fixing the root's most fractional binary to 0 and to 1: the solve
+        # started from the root basis reaches the cold solve's answer
+        rng = random.Random(4242)
+        models = [_random_model(rng)[0] for _ in range(10)]
+        models += [_knapsack_model(rng) for _ in range(10)]
+        warm_pivots = cold_pivots = 0
+        for model in models:
+            a = model.to_arrays()
+            root = simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, a.lower, a.upper)
+            assert root.status == "optimal" and root.basis is not None
+            bins = np.flatnonzero(a.is_binary)
+            frac = np.abs(root.values[bins] - np.round(root.values[bins]))
+            j = int(bins[np.argmax(frac)])
+            for fixed in (0.0, 1.0):
+                lo, up = a.lower.copy(), a.upper.copy()
+                lo[j] = up[j] = fixed
+                cold = simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, lo, up)
+                warm = simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, lo, up,
+                                               basis=root.basis)
+                assert warm.status == cold.status
+                if cold.status == "optimal":
+                    assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+                    assert np.all(warm.values >= lo - 1e-7) and np.all(warm.values <= up + 1e-7)
+                warm_pivots += warm.pivots
+                cold_pivots += cold.pivots
+        # the dual simplex does pivot, and far less than a cold phase 1 and 2
+        assert 0 < warm_pivots < cold_pivots / 4
+
+    def test_redundant_row_keeps_a_basis(self):
+        # phase 1 leaves an artificial basic on the repeated row; the
+        # drive-out swaps in that row's fixed slack, so children still warm-start
+        model, sched = _branching_instance()
+        model = _with_repeated_row(model)
+        assert gh.solve_lp(model).basis is not None
+        sol = gh.solve_milp(model)
+        ref = gh.enumerate_small(model, sched)
+        assert sol.nodes > 1
+        assert sol.status == ref.status == "optimal"
+        assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
+
+    def test_artificial_left_basic_solves_children_cold(self, monkeypatch):
+        # an artificial that stays basic is not a column a warm start can
+        # load: the solve reports no basis and its children solve cold
+        def keep_artificials(self):
+            self.lo[self.nstruct + self.m:] = 0.0
+            self.up[self.nstruct + self.m:] = 0.0
+            self._refactor()
+
+        monkeypatch.setattr(simplex._Simplex, "_drive_out_artificials", keep_artificials)
+        model, sched = _branching_instance()
+        model = _with_repeated_row(model)
+        assert gh.solve_lp(model).basis is None
+
+        bases = _record_bases(monkeypatch)
+        sol = gh.solve_milp(model)
+        assert sol.nodes > 1 and bases[:3] == [None] * 3  # the root and its two children
+        ref = gh.enumerate_small(model, sched)
+        assert sol.status == ref.status == "optimal"
+        assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
+
+    def test_children_start_from_the_parent_basis(self, monkeypatch):
+        bases = _record_bases(monkeypatch)
+        model, _ = _branching_instance()
+        sol = gh.solve_milp(model)
+        assert sol.nodes > 1
+        assert bases[0] is None and all(b is not None for b in bases[1:])
 
 
 class TestEnumerateSmall:

@@ -222,10 +222,15 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "table.csv").write_text(result.to_table())
+    bodies: dict[tuple[float, ...], str] = {}  # rows with one policy share a body
     for row in result.rows:
         if row.status != "optimal":
             continue
-        body = "cost\n" + "".join(f"{c!r}\n" for c in row.per_sample_costs)
+        costs = row.per_sample_costs
+        body = bodies.get(costs)
+        if body is None:
+            line = {c: f"{c!r}\n" for c in set(costs)}
+            body = bodies[costs] = "cost\n" + "".join(map(line.__getitem__, costs))
         (out / f"samples_{row.label()}_{row.sample_size}.csv").write_text(body)
     print(f"wrote sweep results to {out}")
     return EXIT_OK

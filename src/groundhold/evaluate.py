@@ -3,8 +3,12 @@
 The second stage has a closed form: with a fixed landing plan, the cheapest
 airborne-queue response to a realized capacity is the greedy recursion
 ``y_t = max(0, y_{t-1} + arrivals_t - capacity)``, so policies are scored
-without invoking the LP engine.  All sampling flows from an explicit seed;
-identical seeds give identical results at any parallelism.
+without invoking the LP engine.  A policy's cost depends on the sample only
+through the capacity, so each policy is scored once per distinct capacity in
+the draw, and a sweep scores each distinct policy once per sample size; the
+per-sample lists are filled by lookup, so every float, and every byte of
+sweep output, is what a per-sample loop gives.  All sampling flows from an
+explicit seed; identical seeds give identical results at any parallelism.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .domain import (
     AmbiguitySpec,
@@ -104,22 +108,37 @@ class PolicyEvaluation:
         costs = self.per_sample_costs
         if len(costs) != self.sample_size:
             raise ValueError("sample_size disagrees with per_sample_costs")
-        mean = sum(costs) / len(costs)
-        var = sum((c - mean) ** 2 for c in costs) / len(costs)
-        if abs(mean - self.mean) > 1e-9 or abs(math.sqrt(var) - self.std_dev) > 1e-9:
+        mean, std_dev = _mean_std(costs)
+        if abs(mean - self.mean) > 1e-9 or abs(std_dev - self.std_dev) > 1e-9:
             raise ValueError("mean/std_dev inconsistent with per_sample_costs")
 
     @classmethod
     def from_costs(cls, costs: Sequence[float]) -> "PolicyEvaluation":
         costs = tuple(float(c) for c in costs)
-        mean = sum(costs) / len(costs)
-        var = sum((c - mean) ** 2 for c in costs) / len(costs)
-        return cls(costs, mean, math.sqrt(var), len(costs))
+        return cls(costs, *_mean_std(costs), len(costs))
 
 
-def _policy_cost(policy: GroundHoldingPolicy, schedule: FlightSchedule, capacity: int) -> float:
+def _mean_std(costs: tuple[float, ...]) -> tuple[float, float]:
+    """Mean and population std dev, summed in sample order.
+
+    Each squared deviation is computed once per distinct cost; the sums run
+    over the samples in order, so the result is bit-for-bit that of
+    ``sum((c - mean) ** 2 for c in costs)``.
+    """
+    mean = sum(costs) / len(costs)
+    square = {c: (c - mean) ** 2 for c in set(costs)}
+    return mean, math.sqrt(sum(map(square.__getitem__, costs)) / len(costs))
+
+
+def _costs_by_capacity(
+    policy: GroundHoldingPolicy,
+    schedule: FlightSchedule,
+    capacities: Iterable[int],
+) -> dict[int, float]:
+    """Total cost (ground + airborne) of the policy at each capacity given."""
     arrivals = arrivals_from_policy(policy, schedule)
-    return policy.ground_cost + second_stage_cost(arrivals, capacity, schedule.airborne_cost)
+    return {k: policy.ground_cost + second_stage_cost(arrivals, k, schedule.airborne_cost)
+            for k in capacities}
 
 
 def _require_single_airport(schedule: FlightSchedule) -> None:
@@ -132,12 +151,17 @@ def evaluate_policy(
     schedule: FlightSchedule,
     samples: Sequence[int],
 ) -> PolicyEvaluation:
-    """Total cost (ground + airborne) of a fixed policy on sampled capacities."""
+    """Total cost (ground + airborne) of a fixed policy on sampled capacities.
+
+    The cost is computed once per distinct capacity in ``samples`` and
+    looked up for each sample, in sample order.
+    """
     _require_single_airport(schedule)
     problems = check_policy(policy, schedule)
     if problems:
         raise ValueError("policy does not fit schedule: " + "; ".join(str(v) for v in problems))
-    return PolicyEvaluation.from_costs([_policy_cost(policy, schedule, k) for k in samples])
+    cost = _costs_by_capacity(policy, schedule, set(samples))
+    return PolicyEvaluation.from_costs([cost[k] for k in samples])
 
 
 def expected_policy_cost(
@@ -151,7 +175,8 @@ def expected_policy_cost(
     optima carry no Monte Carlo noise.
     """
     _require_single_airport(schedule)
-    costs = [_policy_cost(policy, schedule, xi) for xi in dist.support_points]
+    cost = _costs_by_capacity(policy, schedule, dist.support_points)
+    costs = [cost[xi] for xi in dist.support_points]
     mean = sum(p * c for p, c in zip(dist.probabilities, costs))
     var = sum(p * (c - mean) ** 2 for p, c in zip(dist.probabilities, costs))
     return mean, math.sqrt(var)
@@ -221,13 +246,17 @@ def epsilon_sweep(
     The deterministic model uses the rounded mean empirical capacity; one
     robust model is solved per radius in ``omegas``.  Every policy is
     evaluated on the same ``sample_capacities(eval_dist, n, seed)`` draw per
-    sample size.  A solve that ends without an optimum (infeasible or
-    ``node_limit`` reached) annotates its rows with that status and the sweep
-    continues; an error raised by a solve or by policy extraction
-    (``NumericalInstabilityError``, ``PolicyExtractionError``) ends the
-    sweep.  ``jobs`` fans the independent solves out over a thread pool;
-    every cell is a pure function of its inputs and results merge in request
-    order, so the output is identical at any setting.
+    sample size.  Radii often share a policy, so each distinct policy is
+    scored once per sample size and its rows share that ``PolicyEvaluation``;
+    within a scoring, each distinct capacity is costed once.  The rows are
+    identical to scoring every row on its own.  A solve that ends without an
+    optimum (infeasible or ``node_limit`` reached) annotates its rows with
+    that status and the sweep continues; an error raised by a solve or by
+    policy extraction (``NumericalInstabilityError``,
+    ``PolicyExtractionError``) ends the sweep.  ``jobs`` fans the independent
+    solves out over a thread pool; every cell is a pure function of its
+    inputs and results merge in request order, so the output is identical at
+    any setting.
     """
     if not omegas:
         raise ValueError("omega grid must be nonempty")
@@ -257,15 +286,19 @@ def epsilon_sweep(
         solved = [run(spec) for spec in specs]
 
     samples_by_size = {n: sample_capacities(eval_dist, n, seed) for n in sample_sizes}
+    evaluations: dict[tuple[str, int], PolicyEvaluation] = {}
     rows: list[SweepRow] = []
     for model_name, eps, status, policy in solved:
         for n in sample_sizes:
             if policy is None:
                 rows.append(SweepRow(model_name, eps, n, status, None, None, ""))
                 continue
-            ev = evaluate_policy(policy, schedule, samples_by_size[n])
+            summary = policy.summary()
+            ev = evaluations.get((summary, n))
+            if ev is None:
+                ev = evaluations[summary, n] = evaluate_policy(policy, schedule, samples_by_size[n])
             rows.append(SweepRow(
                 model_name, eps, n, status, ev.mean, ev.std_dev,
-                policy.summary(), ev.per_sample_costs,
+                summary, ev.per_sample_costs,
             ))
     return SweepResult(tuple(rows))

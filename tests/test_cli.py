@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import math
@@ -199,6 +200,36 @@ class TestSweep:
 
     def test_requires_out(self, bundle):
         assert main(["sweep", str(bundle), "--omega", "0", "--sizes", "4"]) == 2
+
+    # sha256 over the sorted file names and bytes of the output directory,
+    # recorded before sweeps scored each distinct policy and capacity once
+    GOLDEN = "685f104286d15f7e50dbad51f8fdec2bbcb4767e58f8651f84b834d007ed9fd0"
+
+    @staticmethod
+    def _tree_digest(path):
+        h = hashlib.sha256()
+        for p in sorted(path.iterdir()):
+            h.update(p.name.encode() + b"\0" + p.read_bytes() + b"\0")
+        return h.hexdigest()
+
+    def test_golden_bytes_at_any_jobs(self, tmp_path):
+        inst = tmp_path / "inst"
+        assert main(["gen", "--flights", "8", "--horizon", "8", "--seed", "2",
+                     "--out", str(inst)]) == 0
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["sweep", str(inst), "--sizes", "50,300", "--seed", "3",
+                         "--jobs", jobs, "--out", str(out)]) == 0
+            assert self._tree_digest(out) == self.GOLDEN
+
+        rows = [line.split(",") for line in (out / "table.csv").read_text().splitlines()[2:]]
+        by_policy = {}
+        for model, eps, size, _, mean, std, policy in rows:
+            label = model if not eps else f"{model}_eps{eps}"
+            body = (out / f"samples_{label}_{size}.csv").read_bytes()
+            by_policy.setdefault((policy, size), set()).add((mean, std, body))
+        assert len(by_policy) < len(rows)  # some radii share a policy
+        assert all(len(scored) == 1 for scored in by_policy.values())
 
 
 class TestEvaluate:

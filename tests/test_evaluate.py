@@ -2,9 +2,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import groundhold as gh
+from groundhold import evaluate
 from helpers import one_flight_schedule, two_flight_schedule
 
 
@@ -123,6 +124,47 @@ class TestEvaluatePolicy:
             gh.PolicyEvaluation((1.0, 3.0), 5.0, 1.0, 2)
 
 
+def scored_sample_by_sample(policy, schedule, samples):
+    """Reference scoring: one recursion per sample, stats by plain sums."""
+    costs = []
+    for k in samples:
+        arrivals = gh.arrivals_from_policy(policy, schedule)
+        costs.append(policy.ground_cost + gh.second_stage_cost(arrivals, k, schedule.airborne_cost))
+    mean = sum(costs) / len(costs)
+    var = sum((c - mean) ** 2 for c in costs) / len(costs)
+    return tuple(costs), mean, math.sqrt(var)
+
+
+@st.composite
+def policies_with_repeated_samples(draw):
+    """A random policy on a small schedule and a draw from 1-3 capacities."""
+    T = draw(st.integers(1, 6))
+    cost = st.floats(0.01, 9.0, allow_nan=False, allow_infinity=False)
+    flights = tuple(gh.Flight(f"f{i}", "A", draw(st.integers(1, T)), draw(cost))
+                    for i in range(draw(st.integers(1, 5))))
+    schedule = gh.FlightSchedule(gh.TimeHorizon(T), flights, (), draw(cost))
+    slots = {f.id: draw(st.integers(f.scheduled_arrival, T)) for f in flights}
+    pool = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True))
+    samples = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=120))
+    return gh.policy_from_assignments(slots, schedule), schedule, samples
+
+
+class TestScoringMatchesSampleBySample:
+    _schedule = two_flight_schedule(airborne_cost=0.7)
+
+    @settings(max_examples=200, deadline=None)
+    @given(policies_with_repeated_samples())
+    @example((gh.policy_from_assignments({"f1": 1, "f2": 2}, _schedule), _schedule, [0] * 97))
+    def test_bit_identical(self, case):
+        policy, schedule, samples = case
+        costs, mean, std_dev = scored_sample_by_sample(policy, schedule, samples)
+        ev = gh.evaluate_policy(policy, schedule, samples)
+        assert ev.per_sample_costs == costs
+        assert ev.mean == mean
+        assert ev.std_dev == std_dev
+        assert ev.sample_size == len(samples)
+
+
 class TestExpectedPolicyCost:
     def test_worked_instance_hold_vs_land(self):
         sched = one_flight_schedule()  # airborne cost 2
@@ -213,6 +255,26 @@ class TestEpsilonSweep:
         threaded = gh.epsilon_sweep(sched, empirical, [0.0, 0.5, 2.0], empirical, [7], seed=5, jobs=4)
         assert serial.to_table() == threaded.to_table()
         assert serial == threaded
+
+    def test_each_distinct_policy_scored_once_per_size(self, monkeypatch):
+        # looked up as the module-level name, so a wrapper sees every scoring
+        calls = []
+        original = evaluate.evaluate_policy
+
+        def counting(policy, schedule, samples):
+            calls.append((policy.summary(), len(samples)))
+            return original(policy, schedule, samples)
+
+        monkeypatch.setattr(evaluate, "evaluate_policy", counting)
+        sched, empirical = self._instance()
+        result = gh.epsilon_sweep(sched, empirical, [0.0, 0.5, 2.0, 50.0], empirical, [7, 30], seed=5)
+        scored = {}
+        for r in result.rows:
+            scored.setdefault((r.policy_summary, r.sample_size), set()).add(
+                (r.per_sample_costs, r.mean_cost, r.std_dev))
+        assert sorted(calls) == sorted(scored)
+        assert len(calls) < len(result.rows)
+        assert all(len(v) == 1 for v in scored.values())
 
     def test_table_is_stable(self):
         sched, empirical = self._instance()

@@ -1,14 +1,20 @@
-"""Bounded-variable revised simplex: primal two-phase cold, dual warm.
+"""Bounded-variable revised simplex: a dual simplex to feasibility, then primal.
 
 Revised simplex over the standard form ``A x + s = b`` with sense-dependent
 slack bounds; free variables are handled natively (nonbasic at zero) rather
-than split.  A cold solve crashes a slack basis and runs the two-phase primal
-simplex.  A warm solve starts from a previous optimal basis of the same
-arrays under new variable bounds (a branch-and-bound child): that basis is
-still dual feasible, so a bounded dual simplex restores primal feasibility
-and the phase-2 primal loop then certifies optimality.  Pricing is Dantzig
-with a permanent-for-the-run Bland's-rule fallback after a run of 1000
-degenerate pivots; all ties break deterministically, so solves repeat.
+than split.  Every solve first reaches a primal-feasible basis with a bounded
+dual simplex, which needs a dual-feasible start:
+
+* a cold solve starts from the all-slack basis and runs the dual simplex
+  under zero costs, where every basis is dual feasible;
+* a warm solve starts from a previous optimal basis of the same arrays under
+  new variable bounds (a branch-and-bound child), which is still dual
+  feasible under the true costs.
+
+The primal phase 2 then finds (cold) or certifies (warm) the optimum.
+Pricing is Dantzig with a permanent-for-the-run Bland's-rule fallback after
+a run of 1000 degenerate pivots; all ties break deterministically, so
+solves repeat.
 
 The basis inverse is maintained explicitly with product-form updates and
 periodic refactorization.  Adequate at desk scale (hundreds of rows), which
@@ -32,7 +38,7 @@ _PIVOT_FLOOR = 1e-10   # below this a pivot is reported as numerical trouble
 _DEGEN_TOL = 1e-9      # step sizes at or below this count as degenerate
 _BLAND_AFTER = 1000    # consecutive degenerate pivots before Bland's rule
 _REFACTOR_EVERY = 100  # pivots between basis refactorizations
-FEASIBILITY_TOL = 1e-7  # bound violation a slack or phase-1 total may carry
+FEASIBILITY_TOL = 1e-7  # bound violation a basic variable may carry
 
 
 class NumericalInstabilityError(RuntimeError):
@@ -56,7 +62,7 @@ class LpSolution:
     pivots: int = 0                    # primal and dual pivots together
     # (basic columns, statuses over the n + m structural and slack columns)
     # of an optimal solve, to warm-start a solve under other bounds; None
-    # when an artificial stays basic on a redundant row
+    # only when the solve is infeasible or unbounded
     basis: tuple[np.ndarray, np.ndarray] | None = None
 
 
@@ -76,7 +82,7 @@ def solve_lp_arrays(
     ``senses`` holds -1 for ``<=``, 0 for ``=``, +1 for ``>=`` per row.
     ``basis`` is the ``LpSolution.basis`` of an earlier optimal solve of the
     same ``c``, ``A``, ``senses`` and ``b`` under other bounds; the solve then
-    starts from it with a dual simplex instead of a cold phase 1.
+    starts from it instead of from the all-slack basis.
     """
     return _Simplex(c, offset, A, senses, b, lower, upper).solve(basis)
 
@@ -114,36 +120,11 @@ class _Simplex:
         return vals
 
     def _crash(self) -> None:
-        """Slack basis where the slack value is in bounds, artificials elsewhere."""
+        """All-slack basis; every structural sits at its initial bound."""
         m, n = self.m, self.nstruct
         self.status = self._initial_status(n + m)
-        resid = self.b - self.A @ self._nonbasic_values()
-
-        self.basis = np.empty(m, dtype=int)
-        self.xB = np.zeros(m)
-        art_rows: list[int] = []
-        for i in range(m):
-            s = n + i
-            if self.lo[s] - FEASIBILITY_TOL <= resid[i] <= self.up[s] + FEASIBILITY_TOL:
-                self.basis[i] = s
-                self.status[s] = _BASIC
-                self.xB[i] = resid[i]
-            else:
-                art_rows.append(i)
-
-        self.nart = len(art_rows)
-        if self.nart:
-            art = np.zeros((m, self.nart))
-            for k, i in enumerate(art_rows):
-                sign = 1.0 if resid[i] >= 0.0 else -1.0
-                art[i, k] = sign
-                col = n + m + k
-                self.basis[i] = col
-                self.xB[i] = abs(resid[i])
-            self.A = np.hstack([self.A, art])
-            self.lo = np.concatenate([self.lo, np.zeros(self.nart)])
-            self.up = np.concatenate([self.up, np.full(self.nart, np.inf)])
-            self.status = np.concatenate([self.status, np.full(self.nart, _BASIC, dtype=np.int8)])
+        self.basis = np.arange(n, n + m)
+        self.status[self.basis] = _BASIC
         self._refactor()
 
     def _load(self, basis) -> None:
@@ -156,7 +137,6 @@ class _Simplex:
                 | ((self.status == _AT_UP) & ~np.isfinite(self.up))
                 | ((self.status == _FREE) & (np.isfinite(self.lo) | np.isfinite(self.up))))
         self.status[lost] = self._initial_status(self.nstruct + self.m)[lost]
-        self.nart = 0
         self._refactor()
 
     # -- linear algebra --------------------------------------------------------
@@ -169,6 +149,9 @@ class _Simplex:
         vals = self._nonbasic_values()
         self.xB = self.Binv @ (self.b - self.A @ vals)
         self._since_refactor = 0
+
+    def _reduced_costs(self, cvec: np.ndarray) -> np.ndarray:
+        return cvec - (cvec[self.basis] @ self.Binv) @ self.A
 
     # -- pivoting ----------------------------------------------------------------
 
@@ -248,7 +231,7 @@ class _Simplex:
 
     # -- main loop ------------------------------------------------------------
 
-    def _run(self, cvec: np.ndarray, phase: int) -> str:
+    def _run(self, cvec: np.ndarray) -> str:
         degen_run = 0
         limit = 2000 + 200 * (self.m + self.A.shape[1])
         retried_after_refactor = False
@@ -257,8 +240,7 @@ class _Simplex:
                 raise NumericalInstabilityError("pivot limit exceeded, presumed cycling")
             if self._since_refactor >= _REFACTOR_EVERY:
                 self._refactor()
-            y = cvec[self.basis] @ self.Binv
-            d = cvec - y @ self.A
+            d = self._reduced_costs(cvec)
             j, direction = self._choose_entering(d, bland=degen_run >= _BLAND_AFTER)
             if j is None:
                 return "optimal"
@@ -272,8 +254,6 @@ class _Simplex:
                 continue
             retried_after_refactor = False
             if math.isinf(delta):
-                if phase == 1:  # pragma: no cover - defensive
-                    raise NumericalInstabilityError("phase-1 objective reported unbounded")
                 return "unbounded"
             if r < 0:
                 # bound flip: the entering variable crosses to its other bound
@@ -289,27 +269,31 @@ class _Simplex:
 
     def _dual(self, cvec: np.ndarray) -> bool:
         """Bounded dual simplex from a dual-feasible basis to a primal-feasible
-        one.  Returns False when a row proves the bounds infeasible.
+        one.  Returns False when a row proves the bounds infeasible.  Under
+        zero costs every basis is dual feasible.
 
         The leaving row is the most bound-violating basic variable (lowest
         row on ties), which leaves at the bound it violates.  The entering
         column minimises ``|d_j| / |alpha_j|`` over the nonbasics that can
         move it there (largest ``|alpha_j|``, then lowest index, on ties), so
-        every reduced cost keeps its sign.
+        every reduced cost keeps its sign.  The reduced costs are updated in
+        place after each pivot and recomputed after each refactorization.
         """
         limit = 2000 + 200 * (self.m + self.A.shape[1])
         movable = self.up > self.lo
+        d = self._reduced_costs(cvec)
         while True:
             if self.pivots > limit:  # pragma: no cover - defensive
                 raise NumericalInstabilityError("pivot limit exceeded, presumed cycling")
             if self._since_refactor >= _REFACTOR_EVERY:
                 self._refactor()
+                d = self._reduced_costs(cvec)
             below = self.lo[self.basis] - self.xB
             above = self.xB - self.up[self.basis]
             violation = np.maximum(below, above)
-            r = int(np.argmax(violation))
-            if violation[r] <= FEASIBILITY_TOL:
+            if violation.max(initial=0.0) <= FEASIBILITY_TOL:
                 return True
+            r = int(np.argmax(violation))
             rise = below[r] > 0.0  # the leaving variable climbs to its lower bound
             alpha = self.Binv[r] @ self.A
             # push_j < 0: raising x_j moves x_B[r] toward its violated bound
@@ -320,9 +304,9 @@ class _Simplex:
             if not eligible.any():
                 if self._since_refactor:
                     self._refactor()  # rule out drift in Binv before concluding
+                    d = self._reduced_costs(cvec)
                     continue
                 return False
-            d = cvec - (cvec[self.basis] @ self.Binv) @ self.A
             ratios = np.full(alpha.shape, math.inf)
             ratios[eligible] = np.abs(d[eligible]) / np.abs(alpha[eligible])
             cand = np.flatnonzero(ratios <= ratios.min() + 1e-12)
@@ -331,51 +315,23 @@ class _Simplex:
             leaving = self.basis[r]
             target = self.lo[leaving] if rise else self.up[leaving]
             self._apply_pivot(j, (self.xB[r] - target) / w[r], r, w, _AT_LO if rise else _AT_UP)
+            d -= (d[j] / alpha[j]) * alpha
             self.pivots += 1
             self._since_refactor += 1
 
-    def _drive_out_artificials(self) -> None:
-        n_real = self.nstruct + self.m
-        for r in range(self.m):
-            if self.basis[r] < n_real:
-                continue
-            row = self.Binv[r] @ self.A[:, :n_real]
-            pivot_cols = np.flatnonzero((np.abs(row) > 1e-7) & (self.status[:n_real] != _BASIC))
-            if pivot_cols.size:
-                j = int(pivot_cols[0])
-                w = self.Binv @ self.A[:, j]
-                self._apply_pivot(j, 0.0, r, w, _AT_LO if w[r] > 0 else _AT_UP)
-            # else: redundant row, the artificial stays basic pinned at zero
-        self.lo[n_real:] = 0.0
-        self.up[n_real:] = 0.0
-        self._refactor()
-
-    def _phase1(self) -> bool:
-        """Drive the crash's artificials to zero; False when they cannot be."""
-        if not self.nart:
-            return True
-        n_real = self.nstruct + self.m
-        c1 = np.zeros(self.A.shape[1])
-        c1[n_real:] = 1.0
-        self._run(c1, phase=1)
-        if float(self.xB[self.basis >= n_real].sum()) > FEASIBILITY_TOL:
-            return False
-        self._drive_out_artificials()
-        return True
-
     def solve(self, basis=None) -> LpSolution:
-        n_real = self.nstruct + self.m
-        if basis is None:
-            self._crash()
-        else:
-            self._load(basis)
         c2 = np.zeros(self.A.shape[1])
         c2[: self.nstruct] = self.cstruct
-        feasible = self._phase1() if basis is None else self._dual(c2)
+        if basis is None:
+            self._crash()
+            feasible = self._dual(np.zeros_like(c2))
+        else:
+            self._load(basis)
+            feasible = self._dual(c2)
         if not feasible:
             return LpSolution("infeasible", None, math.inf, None, None, self.pivots)
 
-        status = self._run(c2, phase=2)
+        status = self._run(c2)
         if status == "unbounded":
             return LpSolution("unbounded", None, -math.inf, None, None, self.pivots)
 
@@ -392,5 +348,5 @@ class _Simplex:
             y.copy(),
             reduced[: self.nstruct].copy(),
             self.pivots,
-            None if (self.basis >= n_real).any() else (self.basis.copy(), self.status[:n_real].copy()),
+            (self.basis.copy(), self.status.copy()),
         )

@@ -201,7 +201,7 @@ class TestWarmStart:
         up[1] = 0.0
         child = _warm(a, a.lower, up, root.basis)
         assert child.status == "infeasible"
-        assert child.pivots == 0  # the bound row alone proves it: no phase 1
+        assert child.pivots == 0  # the bound row alone proves it, without a pivot
 
     def test_status_on_a_lost_bound_falls_back(self):
         # x1 sits at its upper bound in the root basis; without that bound
@@ -215,6 +215,25 @@ class TestWarmStart:
         assert child.status == "optimal"
         assert child.objective == pytest.approx(1.5)
         assert child.values == pytest.approx([1.5, 0.0])
+
+    def test_restart_from_own_basis_takes_no_pivot(self):
+        # every optimal solve reports a basis, and loading it under the same
+        # bounds lands on the same vertex at once; seeds 1027 and 1055 are
+        # row-less LPs
+        restarted = 0
+        for seed in range(1000, 1120):
+            c, rows, bounds = _random_lp(random.Random(seed))
+            a = _lp(c, rows, bounds).to_arrays()
+            sol = simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, a.lower, a.upper)
+            if sol.status != "optimal":
+                continue
+            again = _warm(a, a.lower, a.upper, sol.basis)
+            assert again.pivots == 0, seed
+            assert again.status == sol.status
+            assert again.objective == sol.objective
+            assert np.array_equal(again.values, sol.values)
+            restarted += 1
+        assert restarted == 27  # the rest are infeasible or unbounded
 
     def test_long_warm_solve_refactors(self, monkeypatch):
         # a 40-flight dr-SAGHP with every flight pushed off the slot its root
@@ -243,9 +262,9 @@ class TestWarmStart:
         certificate_pivots = []
         run = simplex._Simplex._run
 
-        def run_spy(self, cvec, phase):
+        def run_spy(self, cvec):
             before = self.pivots
-            status = run(self, cvec, phase)
+            status = run(self, cvec)
             certificate_pivots.append(self.pivots - before)
             return status
 

@@ -255,38 +255,18 @@ class TestWarmStart:
                     assert np.all(warm.values >= lo - 1e-7) and np.all(warm.values <= up + 1e-7)
                 warm_pivots += warm.pivots
                 cold_pivots += cold.pivots
-        # the dual simplex does pivot, and far less than a cold phase 1 and 2
+        # the dual simplex does pivot, and far less than a cold solve
         assert 0 < warm_pivots < cold_pivots / 4
 
     def test_redundant_row_keeps_a_basis(self):
-        # phase 1 leaves an artificial basic on the repeated row; the
-        # drive-out swaps in that row's fixed slack, so children still warm-start
+        # a repeated equality row leaves one of its two fixed slacks basic
+        # at zero; the root still reports a basis, so children warm-start
         model, sched = _branching_instance()
         model = _with_repeated_row(model)
         assert gh.solve_lp(model).basis is not None
         sol = gh.solve_milp(model)
         ref = gh.enumerate_small(model, sched)
         assert sol.nodes > 1
-        assert sol.status == ref.status == "optimal"
-        assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
-
-    def test_artificial_left_basic_solves_children_cold(self, monkeypatch):
-        # an artificial that stays basic is not a column a warm start can
-        # load: the solve reports no basis and its children solve cold
-        def keep_artificials(self):
-            self.lo[self.nstruct + self.m:] = 0.0
-            self.up[self.nstruct + self.m:] = 0.0
-            self._refactor()
-
-        monkeypatch.setattr(simplex._Simplex, "_drive_out_artificials", keep_artificials)
-        model, sched = _branching_instance()
-        model = _with_repeated_row(model)
-        assert gh.solve_lp(model).basis is None
-
-        bases = _record_bases(monkeypatch)
-        sol = gh.solve_milp(model)
-        assert sol.nodes > 1 and bases[:3] == [None] * 3  # the root and its two children
-        ref = gh.enumerate_small(model, sched)
         assert sol.status == ref.status == "optimal"
         assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
 

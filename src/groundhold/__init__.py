@@ -73,10 +73,8 @@ from .models import (
     policy_from_assignments,
 )
 from .solver import (
-    CombinatorialLimitError,
     LpSolution,
     NumericalInstabilityError,
-    enumerate_small,
     solve_lp,
     solve_milp,
 )

@@ -1,45 +1,31 @@
-"""MILP engine: LP interface, branch and bound, and a brute-force oracle.
+"""MILP engine: LP interface and branch and bound.
 
 ``solve_milp`` runs branch and bound on the binary variables over the
-bounded-variable simplex in :mod:`groundhold.simplex`.  ``enumerate_small``
-is the independent test oracle: it enumerates every first-stage slot
-assignment and solves the residual LP for each, so it shares no search logic
-with the branch-and-bound path.
+bounded-variable simplex in :mod:`groundhold.simplex`.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import time
 
 import numpy as np
 
-from .domain import FlightSchedule
-from .milp import MilpModel, ModelError, Solution
-from .simplex import FEASIBILITY_TOL, LpSolution, NumericalInstabilityError, solve_lp_arrays
+from .milp import MilpModel, Solution
+from .simplex import LpSolution, NumericalInstabilityError, solve_lp_arrays
 
 __all__ = [
     "LpSolution",
     "NumericalInstabilityError",
-    "CombinatorialLimitError",
     "solve_lp",
     "solve_milp",
-    "enumerate_small",
 ]
 
 INTEGRALITY_TOL = 1e-6  # distance from 0/1 at which a binary counts as integral
 # absolute, since desk-scale objectives can sit near zero where a relative
 # gap would be meaningless
 OPTIMALITY_GAP = 1e-6
-
-# assignment combinations enumerate_small is willing to walk
-ENUMERATION_LIMIT = 10 ** 6
-
-
-class CombinatorialLimitError(RuntimeError):
-    """The instance has too many first-stage assignments to enumerate."""
 
 
 def solve_lp(
@@ -136,100 +122,3 @@ def solve_milp(model: MilpModel, *, node_limit: int = 100_000) -> Solution:
             return Solution("node-limit", None, math.inf, best_bound, nodes, pivots, wall)
         return Solution("infeasible", None, math.inf, math.inf, nodes, pivots, wall)
     return Solution(status, incumbent, inc_obj, min(best_bound, inc_obj), nodes, pivots, wall)
-
-
-def enumerate_small(model: MilpModel, schedule: FlightSchedule) -> Solution:
-    """Exact optimum by brute force over first-stage assignments.
-
-    Walks every combination of per-flight landing slots, fixes the ``x``
-    binaries accordingly and solves the residual LP in the continuous
-    variables.  Refuses instances with more than ``ENUMERATION_LIMIT``
-    combinations.
-    """
-    t0 = time.perf_counter()
-    a = model.to_arrays()
-
-    xcol = {} if model.index is None else model.index.x
-    foreign = sorted(set(np.flatnonzero(a.is_binary).tolist()) - set(xcol.values()))
-    if foreign:
-        name = model.variables[foreign[0]].name
-        raise ModelError(f"binary {name!r} is not an assignment variable x[f,t]")
-
-    slot_choices: list[list[tuple[int, int]]] = []  # per flight: (slot, column)
-    combos = 1
-    for f in schedule.flights:
-        choices = []
-        for t in schedule.available_slots(f):
-            col = xcol.get((f.id, t))
-            if col is None:
-                raise ModelError(f"model has no variable x[{f.id},{t}]")
-            choices.append((t, col))
-        if not choices:
-            return Solution("infeasible", None, math.inf, math.inf, 0, 0, 0.0)
-        combos *= len(choices)
-        if combos > ENUMERATION_LIMIT:
-            raise CombinatorialLimitError(
-                f"{combos}+ assignment combinations exceed the {ENUMERATION_LIMIT} limit")
-        slot_choices.append(choices)
-
-    bin_cols = np.flatnonzero(a.is_binary)
-    cont_cols = np.flatnonzero(~a.is_binary)
-    bin_pos = {int(col): k for k, col in enumerate(bin_cols)}
-    A_bin = a.A[:, bin_cols]
-    A_cont = a.A[:, cont_cols]
-    c_bin = a.c[bin_cols]
-    c_cont = a.c[cont_cols]
-    lo_cont = a.lower[cont_cols]
-    up_cont = a.upper[cont_cols]
-    lp_rows = np.flatnonzero(np.any(A_cont != 0.0, axis=1)) if A_cont.size else np.array([], dtype=int)
-    const_rows = np.setdiff1d(np.arange(a.A.shape[0]), lp_rows)
-    A_lp = A_cont[lp_rows]
-    senses_lp = a.senses[lp_rows]
-    ftol = FEASIBILITY_TOL
-
-    best_obj = math.inf
-    best_values: np.ndarray | None = None
-    pivots = 0
-    tried = 0
-
-    for combo in itertools.product(*slot_choices):
-        tried += 1
-        xbin = np.zeros(len(bin_cols))
-        for _, col in combo:
-            xbin[bin_pos[col]] = 1.0
-        b_res = a.b - (A_bin @ xbin if A_bin.size else 0.0)
-
-        ok = True
-        for i in const_rows:
-            s = a.senses[i]
-            if (s < 0 and b_res[i] < -ftol) or (s > 0 and b_res[i] > ftol) or (s == 0 and abs(b_res[i]) > ftol):
-                ok = False
-                break
-        if not ok:
-            continue
-
-        total = float(a.offset + c_bin @ xbin)
-        cont_values: np.ndarray | None = np.zeros(0)
-        if cont_cols.size:
-            lp = solve_lp_arrays(c_cont, 0.0, A_lp, senses_lp, b_res[lp_rows], lo_cont, up_cont)
-            pivots += lp.pivots
-            if lp.status == "infeasible":
-                continue
-            if lp.status == "unbounded":
-                return Solution("unbounded", None, -math.inf, -math.inf, tried, pivots,
-                                time.perf_counter() - t0)
-            total += lp.objective
-            cont_values = lp.values
-
-        if total < best_obj - 1e-12:
-            best_obj = total
-            values = np.zeros(model.num_variables)
-            values[bin_cols] = xbin
-            if cont_cols.size:
-                values[cont_cols] = cont_values
-            best_values = values
-
-    wall = time.perf_counter() - t0
-    if best_values is None:
-        return Solution("infeasible", None, math.inf, math.inf, tried, pivots, wall)
-    return Solution("optimal", best_values, best_obj, best_obj, tried, pivots, wall)

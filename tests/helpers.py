@@ -71,3 +71,19 @@ def random_distribution(rng: random.Random, max_atoms: int = 4, span: int = 9) -
     counts = [rng.randint(1, 5) for _ in values]
     total = sum(counts)
     return gh.CapacityDistribution(tuple(values), tuple(c / total for c in counts))
+
+
+def split_network(
+    rng: random.Random,
+    schedule: gh.FlightSchedule,
+    dist: gh.CapacityDistribution,
+) -> gh.NetworkInstance:
+    """``schedule``'s flights spread over airports A and B; A keeps ``dist``,
+    B draws its own distribution, and each draws its own radius."""
+    flights = tuple(gh.Flight(f.id, rng.choice("AB"), f.scheduled_arrival, f.ground_cost)
+                    for f in schedule.flights)
+    split = gh.FlightSchedule(schedule.horizon, flights, schedule.connections, schedule.airborne_cost)
+    ambiguities = {}
+    for z, d in (("A", dist), ("B", random_distribution(rng, span=4))):
+        ambiguities[z] = gh.AmbiguitySpec(d, rng.choice([0.0, 0.3, 1.0]), gh.default_support_grid(d))
+    return gh.NetworkInstance(("A", "B"), split, ambiguities)

@@ -8,10 +8,13 @@ suite is deterministic end to end.
 import random
 import time
 
+import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import groundhold as gh
-from helpers import one_flight_ambiguity, one_flight_schedule, random_instance
+from closed_form import brute_force, robust_term, slot_counts
+from helpers import one_flight_ambiguity, one_flight_schedule, random_instance, split_network
 
 
 def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -63,6 +66,7 @@ def test_criterion_2_strong_duality(radius_zero_runs):
     cases.append((sched, amb, model, gh.solve_milp(model)))
 
     worst_gap = 0.0
+    worst_closed = 0.0
     worst_excess = 0.0
     checked = 0
     for sched, amb, model, sol in cases:
@@ -71,12 +75,18 @@ def test_criterion_2_strong_duality(radius_zero_runs):
         diag = gh.dr_diagnostics(model, sol, amb, sched)
         plan, expected_cost = gh.worst_case_distribution(diag.second_stage_costs, amb)
         worst_gap = max(worst_gap, abs(expected_cost - diag.dual_term))
+        policy = gh.extract_policy(model, sol, sched)
+        arrivals = slot_counts(policy.assignments.values(), sched.horizon.num_slots)
+        closed = robust_term(arrivals, amb, sched.airborne_cost)
+        worst_closed = max(worst_closed, abs(closed - diag.dual_term))
         distance = gh.wasserstein_distance(plan.marginal(), amb.empirical)
         worst_excess = max(worst_excess, distance - amb.radius)
         checked += 1
-    ok = checked >= 40 and worst_gap <= 1e-6 and worst_excess <= 1e-9
-    _report(2, "worst-case expected cost equals eps*alpha + sum p*beta, marginal in ball",
-            ok, f"{checked} solves, gap {worst_gap:.2e}, ball excess {worst_excess:.2e}")
+    ok = checked >= 40 and worst_gap <= 1e-6 and worst_closed <= 1e-6 and worst_excess <= 1e-9
+    _report(2, "worst-case expected cost and closed-form dual both equal eps*alpha + sum p*beta, "
+               "marginal in ball",
+            ok, f"{checked} solves, gap {worst_gap:.2e}, closed-form gap {worst_closed:.2e}, "
+                f"ball excess {worst_excess:.2e}")
 
 
 def test_criterion_3_support_monotonicity():
@@ -137,40 +147,44 @@ def test_criterion_4_radius_monotonicity_and_in_sample_ordering():
 
 
 def _second_stage_lp(arrivals, capacity, airborne_cost) -> float:
-    m = gh.MilpModel()
-    y = [m.add_continuous(f"q{t}") for t in range(len(arrivals))]
-    for t in range(len(arrivals)):
-        terms = [(y[t], -1.0)]
-        if t >= 1:
-            terms.append((y[t - 1], 1.0))
-        m.add_row(terms, gh.SENSE_LE, capacity - arrivals[t])
-        m.add_objective_term(y[t], airborne_cost)
-    sol = gh.solve_lp(m.freeze())
-    return sol.objective
+    # y_{t-1} - y_t <= capacity - a_t, y >= 0, minimizing C_h sum_t y_t
+    T = len(arrivals)
+    A = -np.eye(T) + np.eye(T, k=-1)
+    b = capacity - np.asarray(arrivals, dtype=float)
+    res = linprog(np.full(T, airborne_cost), A_ub=A, b_ub=b, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
 
 
 def test_criterion_5_oracle_equivalence():
     rng = random.Random(13_000)
     worst_obj = 0.0
     ok = True
+    kinds = set()
     for _ in range(100):
+        kind = rng.choice(["det", "sp", "dr", "dr-maghp"])
         sched, dist = random_instance(rng, max_flights=3, max_slots=4, max_atoms=3)
-        kind = rng.choice(["det", "sp", "dr"])
         if kind == "det":
-            model = gh.build_d_saghp(sched, rng.randint(0, 4))
+            inputs = rng.randint(0, 4)
+            model = gh.build_d_saghp(sched, inputs)
         elif kind == "sp":
+            inputs = dist
             model = gh.build_s_saghp(sched, dist)
+        elif kind == "dr":
+            inputs = gh.AmbiguitySpec(dist, rng.choice([0.0, 0.3, 1.0]),
+                                      gh.default_support_grid(dist))
+            model = gh.build_dr_saghp(sched, inputs)
         else:
-            amb = gh.AmbiguitySpec(dist, rng.choice([0.0, 0.3, 1.0]),
-                                   gh.default_support_grid(dist))
-            model = gh.build_dr_saghp(sched, amb)
+            net = split_network(rng, sched, dist)
+            sched, inputs, model = net.schedule, net.ambiguities, gh.build_dr_maghp(net)
         bb = gh.solve_milp(model)
-        en = gh.enumerate_small(model, sched)
-        if bb.status != en.status:
+        objective, assignments = brute_force(sched, kind, inputs)
+        if bb.status != ("optimal" if assignments else "infeasible"):
             ok = False
             break
         if bb.status == "optimal":
-            worst_obj = max(worst_obj, abs(bb.objective - en.objective))
+            worst_obj = max(worst_obj, abs(bb.objective - objective))
+            kinds.add(kind)
 
     worst_ss = 0.0
     for _ in range(200):
@@ -181,8 +195,9 @@ def test_criterion_5_oracle_equivalence():
         closed = gh.second_stage_cost(arrivals, capacity, airborne)
         worst_ss = max(worst_ss, abs(closed - _second_stage_lp(arrivals, capacity, airborne)))
 
-    ok = ok and worst_obj <= 1e-6 and worst_ss <= 1e-7
-    _report(5, "solve_milp matches enumeration (100x); closed-form second stage matches LP (200x)",
+    ok = ok and len(kinds) == 4 and worst_obj <= 1e-6 and worst_ss <= 1e-7
+    _report(5, "solve_milp matches the closed-form brute force (100x, four models); "
+               "closed-form second stage matches LP (200x)",
             ok, f"worst milp gap {worst_obj:.2e}, worst recourse gap {worst_ss:.2e}")
 
 

@@ -425,21 +425,13 @@ def _library_exceptions() -> list[type]:
     return sorted(found, key=lambda cls: cls.__name__)
 
 
-# Exception classes no subcommand can raise, with the reason.
-_NOT_REACHABLE_FROM_CLI = {
-    "CombinatorialLimitError": "only enumerate_small raises it, and no subcommand calls it",
-}
-
-
 class TestExitCodeContract:
     def test_discovery_finds_the_known_errors(self):
         names = {cls.__name__ for cls in _library_exceptions()}
-        assert {"IngestError", "ModelError", "NumericalInstabilityError", "PolicyExtractionError",
-                *_NOT_REACHABLE_FROM_CLI} <= names
+        assert {"IngestError", "ModelError", "NumericalInstabilityError",
+                "PolicyExtractionError"} <= names
 
-    @pytest.mark.parametrize("error", [
-        cls for cls in _library_exceptions() if cls.__name__ not in _NOT_REACHABLE_FROM_CLI
-    ], ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("error", _library_exceptions(), ids=lambda cls: cls.__name__)
     def test_every_library_error_has_an_exit_code(self, bundle, capsys, monkeypatch, error):
         monkeypatch.setattr("groundhold.cli.load_instance", _raise(error("boom")))
         code = main(["solve", str(bundle), "--model", "sp"])

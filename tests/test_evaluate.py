@@ -84,7 +84,7 @@ class TestEvaluatePolicy:
     def _delayed_policy(self):
         sched = two_flight_schedule()
         model = gh.build_d_saghp(sched, 1)
-        return gh.extract_policy(model, gh.enumerate_small(model, sched), sched), sched
+        return gh.extract_policy(model, gh.solve_milp(model), sched), sched
 
     def test_zero_delay_ample_capacity(self):
         sched = two_flight_schedule()

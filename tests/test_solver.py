@@ -5,23 +5,42 @@ import random
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 import groundhold as gh
+from closed_form import brute_force
 from groundhold import simplex, solver
-from helpers import one_flight_ambiguity, one_flight_schedule, random_instance, two_flight_schedule
+from helpers import (one_flight_ambiguity, one_flight_schedule, random_instance, split_network,
+                     two_flight_schedule)
 
 
-def _random_model(rng, max_flights=3, max_slots=4, max_atoms=3):
-    """One of the three builder families on a random tiny instance."""
+def _random_model(rng, max_flights=3, max_slots=4, max_atoms=3, kinds=("det", "sp", "dr")):
+    """One of the builders in ``kinds`` on a random tiny instance."""
     sched, dist = random_instance(rng, max_flights, max_slots, max_atoms)
-    kind = rng.choice(["det", "sp", "dr"])
+    return _build(rng, rng.choice(kinds), sched, dist)
+
+
+def _build(rng, kind, sched, dist):
+    """The ``kind`` model on ``sched`` and ``dist``, drawing its remaining
+    inputs from ``rng``, as ``(model, schedule, kind, inputs)``."""
     if kind == "det":
-        return gh.build_d_saghp(sched, rng.randint(0, 4)), sched
+        capacity = rng.randint(0, 4)
+        return gh.build_d_saghp(sched, capacity), sched, kind, capacity
     if kind == "sp":
-        return gh.build_s_saghp(sched, dist), sched
+        return gh.build_s_saghp(sched, dist), sched, kind, dist
+    if kind == "dr-maghp":
+        net = split_network(rng, sched, dist)
+        return gh.build_dr_maghp(net), net.schedule, kind, net.ambiguities
     eps = rng.choice([0.0, 0.1, 0.5, 1.0, 3.0])
     amb = gh.AmbiguitySpec(dist, eps, gh.default_support_grid(dist))
-    return gh.build_dr_saghp(sched, amb), sched
+    return gh.build_dr_saghp(sched, amb), sched, kind, amb
+
+
+def _agrees_with_closed_form(sol, sched, kind, inputs):
+    objective, assignments = brute_force(sched, kind, inputs)
+    assert sol.status == ("optimal" if assignments else "infeasible")
+    if assignments:
+        assert sol.objective == pytest.approx(objective, abs=1e-6)
 
 
 def _knapsack_model(rng, n=6):
@@ -80,7 +99,7 @@ def _reference_search(model, node_order, branching):
 
 class TestSolverOptions:
     def test_defaults(self):
-        assert solver.FEASIBILITY_TOL == 1e-7
+        assert simplex.FEASIBILITY_TOL == 1e-7
         assert solver.INTEGRALITY_TOL == 1e-6
         assert solver.OPTIMALITY_GAP == 1e-6
         for fn in (gh.solve_milp, gh.epsilon_sweep):
@@ -147,12 +166,8 @@ class TestSolveMilp:
     def test_search_agrees_with_enumeration(self):
         rng = random.Random(4242)
         for _ in range(10):
-            model, sched = _random_model(rng)
-            sol = gh.solve_milp(model)
-            ref = gh.enumerate_small(model, sched)
-            assert sol.status == ref.status
-            if sol.status == "optimal":
-                assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
+            model, sched, kind, inputs = _random_model(rng)
+            _agrees_with_closed_form(gh.solve_milp(model), sched, kind, inputs)
 
     @pytest.mark.parametrize("branching", ["most-fractional", "lowest-index"])
     @pytest.mark.parametrize("node_order", ["best-bound", "depth-first"])
@@ -173,7 +188,7 @@ class TestSolveMilp:
 
     def test_determinism(self):
         rng = random.Random(31337)
-        model, sched = _random_model(rng)
+        model, sched, _, _ = _random_model(rng)
         a = gh.solve_milp(model)
         b = gh.solve_milp(model)
         assert a.status == b.status
@@ -188,7 +203,7 @@ class TestSolveMilp:
     def test_incumbent_within_gap_of_bound(self):
         rng = random.Random(777)
         for _ in range(20):
-            model, _ = _random_model(rng)
+            model = _random_model(rng)[0]
             sol = gh.solve_milp(model)
             if sol.status == "optimal":
                 assert sol.objective >= sol.best_bound - 1e-9
@@ -223,9 +238,11 @@ def _record_bases(monkeypatch):
 
 def _branching_instance():
     """A seeded 6-flight, 5-slot sp model whose search takes about 20 nodes
-    and whose 1,200 assignments enumerate_small can walk."""
+    and whose 1,200 assignments the closed form can walk, as
+    ``(model, schedule, distribution)``."""
     inst = gh.synth_instance(gh.SynthParams(num_flights=6, horizon=5, connection_density=0.5), 19)
-    return gh.build_s_saghp(inst.schedule, inst.capacities["AP0"]), inst.schedule
+    dist = inst.capacities["AP0"]
+    return gh.build_s_saghp(inst.schedule, dist), inst.schedule, dist
 
 
 class TestWarmStart:
@@ -261,74 +278,65 @@ class TestWarmStart:
     def test_redundant_row_keeps_a_basis(self):
         # a repeated equality row leaves one of its two fixed slacks basic
         # at zero; the root still reports a basis, so children warm-start
-        model, sched = _branching_instance()
+        model, sched, dist = _branching_instance()
         model = _with_repeated_row(model)
         assert gh.solve_lp(model).basis is not None
         sol = gh.solve_milp(model)
-        ref = gh.enumerate_small(model, sched)
         assert sol.nodes > 1
-        assert sol.status == ref.status == "optimal"
-        assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(brute_force(sched, "sp", dist)[0], abs=1e-6)
 
     def test_children_start_from_the_parent_basis(self, monkeypatch):
         bases = _record_bases(monkeypatch)
-        model, _ = _branching_instance()
+        model = _branching_instance()[0]
         sol = gh.solve_milp(model)
         assert sol.nodes > 1
         assert bases[0] is None and all(b is not None for b in bases[1:])
-
-
-class TestEnumerateSmall:
-    def test_counts_nine_assignments(self):
-        model = gh.build_d_saghp(two_flight_schedule(), 1)
-        sol = gh.enumerate_small(model, two_flight_schedule())
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(1.0)
-        assert sol.nodes == 9  # 3 slots x 3 slots
-
-    def test_dr_worked_instance(self):
-        sched = one_flight_schedule()
-        model = gh.build_dr_saghp(sched, one_flight_ambiguity(0.4))
-        sol = gh.enumerate_small(model, sched)
-        assert sol.objective == pytest.approx(1.6)
-
-    def test_infeasible_coupling(self):
-        # successor has no room to absorb the predecessor's forced delay
-        sched = gh.FlightSchedule(
-            gh.TimeHorizon(2),
-            (gh.Flight("f1", "A", 1, 1.0), gh.Flight("f2", "A", 1, 1.0),
-             gh.Flight("f3", "A", 2, 1.0)),
-            (gh.ConnectionPair("f3", "f1", 0),),
-            2.0,
-        )
-        model = gh.build_d_saghp(sched, 1)
-        assert gh.enumerate_small(model, sched).status == "infeasible"
-        assert gh.solve_milp(model).status == "infeasible"
-
-    def test_combinatorial_limit(self):
-        T = 101
-        flights = tuple(gh.Flight(f"f{i}", "A", 1, 1.0) for i in range(3))
-        sched = gh.FlightSchedule(gh.TimeHorizon(T), flights, (), 2.0)
-        model = gh.build_d_saghp(sched, 3)
-        with pytest.raises(gh.CombinatorialLimitError):
-            gh.enumerate_small(model, sched)
-
-    def test_rejects_foreign_binaries(self):
-        m = gh.MilpModel()
-        m.add_binary("pick")
-        m.freeze()
-        with pytest.raises(gh.ModelError, match="assignment"):
-            gh.enumerate_small(m, two_flight_schedule())
 
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("seed", range(40))
     def test_branch_and_bound_matches_enumeration(self, seed):
         rng = random.Random(9000 + seed)
-        model, sched = _random_model(rng)
+        model, sched, kind, inputs = _random_model(rng)
         bb = gh.solve_milp(model)
-        en = gh.enumerate_small(model, sched)
-        assert bb.status == en.status
+        _agrees_with_closed_form(bb, sched, kind, inputs)
         if bb.status == "optimal":
-            assert bb.objective == pytest.approx(en.objective, abs=1e-6)
             assert gh.is_feasible(model, bb.values)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_network_matches_enumeration(self, seed):
+        rng = random.Random(9500 + seed)
+        model, sched, kind, inputs = _random_model(rng, kinds=["dr-maghp"])
+        bb = gh.solve_milp(model)
+        _agrees_with_closed_form(bb, sched, kind, inputs)
+        if bb.status == "optimal":
+            assert gh.is_feasible(model, bb.values)
+
+
+def _highs(model):
+    """``(status, objective)`` of ``scipy.optimize.milp`` on ``model.to_arrays()``."""
+    a = model.to_arrays()
+    rows = LinearConstraint(a.A, np.where(a.senses >= 0, a.b, -np.inf), np.where(a.senses <= 0, a.b, np.inf))
+    res = milp(a.c, constraints=rows, integrality=a.is_binary.astype(int),
+               bounds=Bounds(a.lower, a.upper), options={"mip_rel_gap": 0.0})
+    assert res.status in (0, 2), res.message  # optimal or infeasible
+    return ("optimal", res.fun + a.offset) if res.status == 0 else ("infeasible", math.inf)
+
+
+class TestAgainstHighs:
+    @pytest.mark.parametrize("kind", ["det", "sp", "dr", "dr-maghp"])
+    def test_objective_matches_highs(self, kind):
+        # generated instances of up to 10 flights x 8 slots, too many
+        # assignments for the closed form to walk
+        rng = random.Random(9700)
+        for _ in range(12):
+            params = gh.SynthParams(num_flights=rng.randint(6, 10), horizon=rng.randint(5, 8),
+                                    connection_density=0.4)
+            inst = gh.synth_instance(params, rng.randrange(10 ** 6))
+            model = _build(rng, kind, inst.schedule, inst.capacities["AP0"])[0]
+            sol = gh.solve_milp(model)
+            status, objective = _highs(model)
+            assert sol.status == status
+            if status == "optimal":
+                assert sol.objective == pytest.approx(objective, abs=1e-6)

@@ -2,16 +2,12 @@
 
 Revised simplex over the standard form ``A x + s = b`` with sense-dependent
 slack bounds; free variables are handled natively (nonbasic at zero) rather
-than split.  Every solve first reaches a primal-feasible basis with a bounded
-dual simplex, which needs a dual-feasible start:
-
-* a cold solve starts from the all-slack basis and runs the dual simplex
-  under zero costs, where every basis is dual feasible;
-* a warm solve starts from a previous optimal basis of the same arrays under
-  new variable bounds (a branch-and-bound child), which is still dual
-  feasible under the true costs.
-
-The primal phase 2 then finds (cold) or certifies (warm) the optimum.
+than split.  Every solve loads a basis (a previous optimal basis of the same
+arrays under new bounds, as for a branch-and-bound child, or the all-slack
+one), shifts the cost of each column with a wrong-signed reduced cost so
+that it is zero (the cost-modification dual phase 1), runs a bounded dual
+simplex to a primal-feasible basis, then the primal simplex under the true
+costs.  Where nothing was shifted the primal only certifies the optimum.
 Pricing is Dantzig with a permanent-for-the-run Bland's-rule fallback after
 a run of 1000 degenerate pivots; all ties break deterministically, so
 solves repeat.
@@ -82,7 +78,7 @@ def solve_lp_arrays(
     ``senses`` holds -1 for ``<=``, 0 for ``=``, +1 for ``>=`` per row.
     ``basis`` is the ``LpSolution.basis`` of an earlier optimal solve of the
     same ``c``, ``A``, ``senses`` and ``b`` under other bounds; the solve then
-    starts from it instead of from the all-slack basis.
+    starts from it.  ``None`` starts from the all-slack basis.
     """
     return _Simplex(c, offset, A, senses, b, lower, upper).solve(basis)
 
@@ -107,11 +103,10 @@ class _Simplex:
 
     # -- setup ---------------------------------------------------------------
 
-    def _initial_status(self, ncols: int) -> np.ndarray:
-        status = np.full(ncols, _FREE, dtype=np.int8)
-        status[np.isfinite(self.lo[:ncols])] = _AT_LO
-        at_up = ~np.isfinite(self.lo[:ncols]) & np.isfinite(self.up[:ncols])
-        status[at_up] = _AT_UP
+    def _initial_status(self) -> np.ndarray:
+        status = np.full(self.A.shape[1], _FREE, dtype=np.int8)
+        status[np.isfinite(self.lo)] = _AT_LO
+        status[~np.isfinite(self.lo) & np.isfinite(self.up)] = _AT_UP
         return status
 
     def _nonbasic_values(self) -> np.ndarray:
@@ -119,24 +114,21 @@ class _Simplex:
         vals[self.status == _BASIC] = 0.0
         return vals
 
-    def _crash(self) -> None:
-        """All-slack basis; every structural sits at its initial bound."""
-        m, n = self.m, self.nstruct
-        self.status = self._initial_status(n + m)
-        self.basis = np.arange(n, n + m)
-        self.status[self.basis] = _BASIC
-        self._refactor()
-
     def _load(self, basis) -> None:
-        """Start from a stored basis; a nonbasic status whose bound the new
-        box no longer has falls back to the crash's choice."""
+        """Start from a stored basis, or from the all-slack one when ``basis``
+        is None; a nonbasic status whose bound the new box no longer has
+        falls back to its initial one."""
+        initial = self._initial_status()
+        if basis is None:
+            basis = (np.arange(self.nstruct, self.nstruct + self.m), initial)
         cols, status = basis
         self.basis = np.array(cols, dtype=int)
         self.status = status.copy()
+        self.status[self.basis] = _BASIC
         lost = (((self.status == _AT_LO) & ~np.isfinite(self.lo))
                 | ((self.status == _AT_UP) & ~np.isfinite(self.up))
                 | ((self.status == _FREE) & (np.isfinite(self.lo) | np.isfinite(self.up))))
-        self.status[lost] = self._initial_status(self.nstruct + self.m)[lost]
+        self.status[lost] = initial[lost]
         self._refactor()
 
     # -- linear algebra --------------------------------------------------------
@@ -155,12 +147,16 @@ class _Simplex:
 
     # -- pivoting ----------------------------------------------------------------
 
-    def _choose_entering(self, d: np.ndarray, bland: bool):
+    def _wrong_sign(self, d: np.ndarray) -> np.ndarray:
+        """Nonbasic, unfixed columns whose reduced cost has the wrong sign for
+        their status beyond ``_ENTER_TOL``: the primal's entering candidates."""
         not_fixed = self.up > self.lo
-        can_lo = (self.status == _AT_LO) & (d < -_ENTER_TOL) & not_fixed
-        can_up = (self.status == _AT_UP) & (d > _ENTER_TOL) & not_fixed
-        can_fr = (self.status == _FREE) & (np.abs(d) > _ENTER_TOL)
-        eligible = can_lo | can_up | can_fr
+        return (((self.status == _AT_LO) & (d < -_ENTER_TOL) & not_fixed)
+                | ((self.status == _AT_UP) & (d > _ENTER_TOL) & not_fixed)
+                | ((self.status == _FREE) & (np.abs(d) > _ENTER_TOL)))
+
+    def _choose_entering(self, d: np.ndarray, bland: bool):
+        eligible = self._wrong_sign(d)
         if not eligible.any():
             return None, 0
         if bland:
@@ -168,9 +164,7 @@ class _Simplex:
         else:
             score = np.where(eligible, np.abs(d), 0.0)
             j = int(np.argmax(score))
-        if can_lo[j] or (can_fr[j] and d[j] < 0.0):
-            return j, 1
-        return j, -1
+        return j, 1 if d[j] < 0.0 else -1
 
     def _ratio_test(self, j: int, direction: int, w: np.ndarray):
         """Largest step for entering column ``j``; returns (delta, leaving_row).
@@ -268,9 +262,13 @@ class _Simplex:
             degen_run = degen_run + 1 if delta <= _DEGEN_TOL else 0
 
     def _dual(self, cvec: np.ndarray) -> bool:
-        """Bounded dual simplex from a dual-feasible basis to a primal-feasible
-        one.  Returns False when a row proves the bounds infeasible.  Under
-        zero costs every basis is dual feasible.
+        """Bounded dual simplex from the loaded basis to a primal-feasible one.
+        Returns False when a row proves the bounds infeasible.
+
+        On entry the cost of every column in ``_wrong_sign`` is shifted by its
+        reduced cost, which makes the basis dual feasible; the shifted costs
+        are kept, so the reduced costs recomputed after a refactorization
+        match.  The caller's primal phase prices with the true costs again.
 
         The leaving row is the most bound-violating basic variable (lowest
         row on ties), which leaves at the bound it violates.  The entering
@@ -282,6 +280,9 @@ class _Simplex:
         limit = 2000 + 200 * (self.m + self.A.shape[1])
         movable = self.up > self.lo
         d = self._reduced_costs(cvec)
+        shift = np.where(self._wrong_sign(d), d, 0.0)
+        cvec = cvec - shift
+        d -= shift
         while True:
             if self.pivots > limit:  # pragma: no cover - defensive
                 raise NumericalInstabilityError("pivot limit exceeded, presumed cycling")
@@ -322,13 +323,8 @@ class _Simplex:
     def solve(self, basis=None) -> LpSolution:
         c2 = np.zeros(self.A.shape[1])
         c2[: self.nstruct] = self.cstruct
-        if basis is None:
-            self._crash()
-            feasible = self._dual(np.zeros_like(c2))
-        else:
-            self._load(basis)
-            feasible = self._dual(c2)
-        if not feasible:
+        self._load(basis)
+        if not self._dual(c2):
             return LpSolution("infeasible", None, math.inf, None, None, self.pivots)
 
         status = self._run(c2)

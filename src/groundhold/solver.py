@@ -46,12 +46,12 @@ def solve_lp(
 def solve_milp(model: MilpModel, *, node_limit: int = 100_000) -> Solution:
     """Best-bound branch and bound to an absolute gap of ``OPTIMALITY_GAP``.
 
-    Branches on the most fractional binary.  The root LP solves cold; each
-    child starts from its parent's optimal basis (one bound changed) and
-    re-optimises with the dual simplex.  Deterministic: Dantzig/Bland simplex
-    below, lowest variable index on all branching ties, sequence-numbered
-    node queue.  Stops with status ``node-limit`` after ``node_limit`` LP
-    solves.
+    Branches on the most fractional binary.  The root LP starts from the
+    all-slack basis; each child starts from its parent's optimal basis (one
+    bound changed) and re-optimises with the dual simplex.  Deterministic:
+    Dantzig/Bland simplex below, lowest variable index on all branching
+    ties, sequence-numbered node queue.  Stops with status ``node-limit``
+    after ``node_limit`` LP solves.
     """
     if node_limit < 1:
         raise ValueError("node_limit must be >= 1")

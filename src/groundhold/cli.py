@@ -107,9 +107,21 @@ def _network(inst: Instance, epsilon: float, grid_spec: str | None) -> NetworkIn
     return NetworkInstance(airports, inst.schedule, ambiguities)
 
 
+# The model flags each model reads; passing any other is a usage error.
+_MODEL_FLAGS = {
+    "det": ("airport", "capacity"),
+    "sp": ("airport",),
+    "dr": ("epsilon", "support", "airport"),
+    "dr-maghp": ("epsilon", "support"),
+}
+
+
 def _build_model(inst: Instance, args):
     """Model, the schedule it covers, and the fields it adds to the result document."""
     kind = args.model
+    for flag in ("epsilon", "support", "airport", "capacity"):
+        if getattr(args, flag) is not None and flag not in _MODEL_FLAGS[kind]:
+            raise ValueError(f"--{flag} does nothing for model {kind!r}")
     if kind in ("dr", "dr-maghp") and args.epsilon is None:
         raise ValueError(f"--epsilon is required for model {kind!r}")
     if kind == "dr-maghp":

@@ -13,8 +13,12 @@ a run of 1000 degenerate pivots; all ties break deterministically, so
 solves repeat.
 
 The basis inverse is maintained explicitly with product-form updates and
-periodic refactorization.  Adequate at desk scale (hundreds of rows), which
-is the regime every ground holding model here lives in.
+refactorized every 100 pivots.  An answer (optimal, unbounded, infeasible,
+or a pivot too small to take) is given only from a fresh factorization: if
+a pivot has happened since the last one, the basis is refactorized and the
+loop looks again, so the values, duals and reduced costs returned all come
+from a fresh inverse.  Adequate at desk scale (hundreds of rows), which is
+the regime every ground holding model here lives in.
 """
 
 from __future__ import annotations
@@ -89,7 +93,6 @@ class _Simplex:
         self.m, self.nstruct = A.shape
         m = self.m
         self.offset = float(offset)
-        self.cstruct = np.asarray(c, dtype=float)
         self.b = np.asarray(b, dtype=float)
 
         slack_lo = np.where(senses > 0, -np.inf, 0.0)
@@ -97,7 +100,10 @@ class _Simplex:
         self.A = np.hstack([A, np.eye(m)])
         self.lo = np.concatenate([np.asarray(lower, dtype=float), slack_lo])
         self.up = np.concatenate([np.asarray(upper, dtype=float), slack_up])
-
+        # true costs of all n + m columns; ``cost`` is the vector priced
+        self.c = np.concatenate([np.asarray(c, dtype=float), np.zeros(m)])
+        self.cost = self.c
+        self.limit = 2000 + 200 * (m + self.A.shape[1])
         self.pivots = 0
         self._since_refactor = 0
 
@@ -110,9 +116,8 @@ class _Simplex:
         return status
 
     def _nonbasic_values(self) -> np.ndarray:
-        vals = np.where(self.status == _AT_UP, self.up, np.where(self.status == _AT_LO, self.lo, 0.0))
-        vals[self.status == _BASIC] = 0.0
-        return vals
+        """Each column at its nonbasic value: a bound, or zero (free or basic)."""
+        return np.where(self.status == _AT_UP, self.up, np.where(self.status == _AT_LO, self.lo, 0.0))
 
     def _load(self, basis) -> None:
         """Start from a stored basis, or from the all-slack one when ``basis``
@@ -138,33 +143,53 @@ class _Simplex:
             self.Binv = np.linalg.inv(self.A[:, self.basis])
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise NumericalInstabilityError("singular basis") from exc
-        vals = self._nonbasic_values()
-        self.xB = self.Binv @ (self.b - self.A @ vals)
+        self.xB = self.Binv @ (self.b - self.A @ self._nonbasic_values())
         self._since_refactor = 0
+        self._price()
 
-    def _reduced_costs(self, cvec: np.ndarray) -> np.ndarray:
-        return cvec - (cvec[self.basis] @ self.Binv) @ self.A
+    def _price(self) -> None:
+        """Duals ``y`` and reduced costs ``d`` of the basis under ``cost``."""
+        self.y = self.cost[self.basis] @ self.Binv
+        self.d = self.cost - self.y @ self.A
+
+    def _count(self) -> None:
+        """Book a pivot or bound flip; refactorize every ``_REFACTOR_EVERY``."""
+        self.pivots += 1
+        if self.pivots > self.limit:  # pragma: no cover - defensive
+            raise NumericalInstabilityError("pivot limit exceeded, presumed cycling")
+        self._since_refactor += 1
+        if self._since_refactor >= _REFACTOR_EVERY:
+            self._refactor()
+
+    def _fresh(self) -> bool:
+        """Whether no pivot has happened since the last refactorization; if
+        one has, refactorize instead, so the caller looks again."""
+        if self._since_refactor == 0:
+            return True
+        self._refactor()
+        return False
 
     # -- pivoting ----------------------------------------------------------------
 
     def _wrong_sign(self, d: np.ndarray) -> np.ndarray:
-        """Nonbasic, unfixed columns whose reduced cost has the wrong sign for
-        their status beyond ``_ENTER_TOL``: the primal's entering candidates."""
+        """Nonbasic, unfixed columns whose ``d`` has the wrong sign for their
+        status beyond ``_ENTER_TOL``: the primal's entering candidates under
+        reduced costs, the dual's under a pivot row."""
         not_fixed = self.up > self.lo
         return (((self.status == _AT_LO) & (d < -_ENTER_TOL) & not_fixed)
                 | ((self.status == _AT_UP) & (d > _ENTER_TOL) & not_fixed)
                 | ((self.status == _FREE) & (np.abs(d) > _ENTER_TOL)))
 
-    def _choose_entering(self, d: np.ndarray, bland: bool):
-        eligible = self._wrong_sign(d)
+    def _choose_entering(self, bland: bool):
+        eligible = self._wrong_sign(self.d)
         if not eligible.any():
             return None, 0
         if bland:
             j = int(np.flatnonzero(eligible)[0])
         else:
-            score = np.where(eligible, np.abs(d), 0.0)
+            score = np.where(eligible, np.abs(self.d), 0.0)
             j = int(np.argmax(score))
-        return j, 1 if d[j] < 0.0 else -1
+        return j, 1 if self.d[j] < 0.0 else -1
 
     def _ratio_test(self, j: int, direction: int, w: np.ndarray):
         """Largest step for entering column ``j``; returns (delta, leaving_row).
@@ -197,17 +222,10 @@ class _Simplex:
         r = int(cand[np.argmin(self.basis[cand])])
         return max(rmin, 0.0), r
 
-    def _value_of(self, j: int) -> float:
-        if self.status[j] == _AT_LO:
-            return self.lo[j]
-        if self.status[j] == _AT_UP:
-            return self.up[j]
-        return 0.0
-
     def _apply_pivot(self, j, step, r, w, leave_status) -> None:
         """Column ``j`` moves by ``step`` and replaces the variable basic in
         row ``r``, which leaves with ``leave_status``."""
-        enter_val = self._value_of(j) + step
+        enter_val = self._nonbasic_values()[j] + step
         self.xB -= step * w
         leaving = self.basis[r]
         self.status[leaving] = leave_status
@@ -223,31 +241,26 @@ class _Simplex:
         others[r] = 0.0
         self.Binv -= np.outer(others, self.Binv[r])
 
-    # -- main loop ------------------------------------------------------------
+    # -- main loops -----------------------------------------------------------
 
-    def _run(self, cvec: np.ndarray) -> str:
+    def _primal(self) -> str:
+        """Primal simplex under the true costs from a primal-feasible basis;
+        returns "optimal" or "unbounded"."""
         degen_run = 0
-        limit = 2000 + 200 * (self.m + self.A.shape[1])
-        retried_after_refactor = False
+        self._price()
         while True:
-            if self.pivots > limit:  # pragma: no cover - defensive
-                raise NumericalInstabilityError("pivot limit exceeded, presumed cycling")
-            if self._since_refactor >= _REFACTOR_EVERY:
-                self._refactor()
-            d = self._reduced_costs(cvec)
-            j, direction = self._choose_entering(d, bland=degen_run >= _BLAND_AFTER)
+            j, direction = self._choose_entering(bland=degen_run >= _BLAND_AFTER)
             if j is None:
-                return "optimal"
+                if self._fresh():
+                    return "optimal"
+                continue
             w = self.Binv @ self.A[:, j]
             delta, r = self._ratio_test(j, direction, w)
-            if delta is None:
-                if retried_after_refactor:
+            if delta is None or math.isinf(delta):
+                if not self._fresh():
+                    continue
+                if delta is None:
                     raise NumericalInstabilityError("pivot magnitude below 1e-10 after refactorization")
-                self._refactor()
-                retried_after_refactor = True
-                continue
-            retried_after_refactor = False
-            if math.isinf(delta):
                 return "unbounded"
             if r < 0:
                 # bound flip: the entering variable crosses to its other bound
@@ -257,92 +270,74 @@ class _Simplex:
                 # the leaving variable stops at the bound it ran into
                 self._apply_pivot(j, direction * delta, r, w,
                                   _AT_LO if direction * w[r] > 0 else _AT_UP)
-            self.pivots += 1
-            self._since_refactor += 1
+            self._count()
+            if self._since_refactor:  # a refactorization has priced already
+                self._price()
             degen_run = degen_run + 1 if delta <= _DEGEN_TOL else 0
 
-    def _dual(self, cvec: np.ndarray) -> bool:
+    def _dual(self) -> bool:
         """Bounded dual simplex from the loaded basis to a primal-feasible one.
         Returns False when a row proves the bounds infeasible.
 
         On entry the cost of every column in ``_wrong_sign`` is shifted by its
-        reduced cost, which makes the basis dual feasible; the shifted costs
-        are kept, so the reduced costs recomputed after a refactorization
-        match.  The caller's primal phase prices with the true costs again.
+        reduced cost, which makes the basis dual feasible; ``cost`` keeps the
+        shifted costs until the basis is primal feasible, so a refactorization
+        prices with them, and then returns to the true costs.
 
         The leaving row is the most bound-violating basic variable (lowest
         row on ties), which leaves at the bound it violates.  The entering
         column minimises ``|d_j| / |alpha_j|`` over the nonbasics that can
         move it there (largest ``|alpha_j|``, then lowest index, on ties), so
         every reduced cost keeps its sign.  The reduced costs are updated in
-        place after each pivot and recomputed after each refactorization.
+        place after each pivot and priced afresh at each refactorization.
         """
-        limit = 2000 + 200 * (self.m + self.A.shape[1])
-        movable = self.up > self.lo
-        d = self._reduced_costs(cvec)
-        shift = np.where(self._wrong_sign(d), d, 0.0)
-        cvec = cvec - shift
-        d -= shift
+        shift = np.where(self._wrong_sign(self.d), self.d, 0.0)
+        self.cost = self.c - shift
+        self.d -= shift
         while True:
-            if self.pivots > limit:  # pragma: no cover - defensive
-                raise NumericalInstabilityError("pivot limit exceeded, presumed cycling")
-            if self._since_refactor >= _REFACTOR_EVERY:
-                self._refactor()
-                d = self._reduced_costs(cvec)
             below = self.lo[self.basis] - self.xB
             above = self.xB - self.up[self.basis]
             violation = np.maximum(below, above)
             if violation.max(initial=0.0) <= FEASIBILITY_TOL:
+                self.cost = self.c
                 return True
             r = int(np.argmax(violation))
             rise = below[r] > 0.0  # the leaving variable climbs to its lower bound
             alpha = self.Binv[r] @ self.A
-            # push_j < 0: raising x_j moves x_B[r] toward its violated bound
-            push = alpha if rise else -alpha
-            eligible = movable & (((self.status == _AT_LO) & (push < -_PIVOT_TOL))
-                                  | ((self.status == _AT_UP) & (push > _PIVOT_TOL))
-                                  | ((self.status == _FREE) & (np.abs(alpha) > _PIVOT_TOL)))
+            # raising x_j moves x_B[r] toward its violated bound where the
+            # signed row (alpha if rise else -alpha) is negative
+            eligible = self._wrong_sign(alpha if rise else -alpha)
             if not eligible.any():
-                if self._since_refactor:
-                    self._refactor()  # rule out drift in Binv before concluding
-                    d = self._reduced_costs(cvec)
-                    continue
-                return False
+                if self._fresh():
+                    return False
+                continue
             ratios = np.full(alpha.shape, math.inf)
-            ratios[eligible] = np.abs(d[eligible]) / np.abs(alpha[eligible])
+            ratios[eligible] = np.abs(self.d[eligible]) / np.abs(alpha[eligible])
             cand = np.flatnonzero(ratios <= ratios.min() + 1e-12)
             j = int(cand[np.argmax(np.abs(alpha[cand]))])
             w = self.Binv @ self.A[:, j]
             leaving = self.basis[r]
             target = self.lo[leaving] if rise else self.up[leaving]
             self._apply_pivot(j, (self.xB[r] - target) / w[r], r, w, _AT_LO if rise else _AT_UP)
-            d -= (d[j] / alpha[j]) * alpha
-            self.pivots += 1
-            self._since_refactor += 1
+            self.d -= (self.d[j] / alpha[j]) * alpha
+            self._count()
 
     def solve(self, basis=None) -> LpSolution:
-        c2 = np.zeros(self.A.shape[1])
-        c2[: self.nstruct] = self.cstruct
         self._load(basis)
-        if not self._dual(c2):
+        if not self._dual():
             return LpSolution("infeasible", None, math.inf, None, None, self.pivots)
-
-        status = self._run(c2)
-        if status == "unbounded":
+        if self._primal() == "unbounded":
             return LpSolution("unbounded", None, -math.inf, None, None, self.pivots)
 
-        self._refactor()
+        n = self.nstruct
         full = self._nonbasic_values()
         full[self.basis] = self.xB
-        y = c2[self.basis] @ self.Binv
-        reduced = c2 - y @ self.A
-        objective = float(self.cstruct @ full[: self.nstruct] + self.offset)
         return LpSolution(
             "optimal",
-            full[: self.nstruct].copy(),
-            objective,
-            y.copy(),
-            reduced[: self.nstruct].copy(),
+            full[:n].copy(),
+            float(self.c[:n] @ full[:n] + self.offset),
+            self.y.copy(),
+            self.d[:n].copy(),
             self.pivots,
             (self.basis.copy(), self.status.copy()),
         )

@@ -316,6 +316,29 @@ class TestRemovedFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+# (model, flag, value) for each model flag the model does not read
+_IGNORED_MODEL_FLAGS = [
+    ("det", "--epsilon", "0.5"), ("sp", "--epsilon", "0.5"),
+    ("det", "--support", "0:4"), ("sp", "--support", "0:4"),
+    ("sp", "--capacity", "2"), ("dr", "--capacity", "2"), ("dr-maghp", "--capacity", "2"),
+    ("dr-maghp", "--airport", "AP0"),
+]
+
+
+class TestModelFlags:
+    @pytest.mark.parametrize("command", ("solve", "export-mps"))
+    @pytest.mark.parametrize("model, flag, value", _IGNORED_MODEL_FLAGS)
+    def test_flag_the_model_ignores_exits_2(self, bundle, tmp_path, capsys, command, model, flag, value):
+        argv = [command, str(bundle), "--model", model]
+        if model in ("dr", "dr-maghp"):
+            argv += ["--epsilon", "0.5"]
+        assert main(argv + ["--out", str(tmp_path / "without")]) == 0
+        capsys.readouterr()
+        assert main(argv + [flag, value, "--out", str(tmp_path / "with")]) == 2
+        assert capsys.readouterr().err == f"error: {flag} does nothing for model {model!r}\n"
+        assert not (tmp_path / "with").exists()
+
+
 def _raise(error):
     def fail(*args, **kwargs):
         raise error

@@ -286,16 +286,16 @@ class TestWarmStart:
             refactor(self)
 
         certificate_pivots = []
-        run = simplex._Simplex._run
+        primal = simplex._Simplex._primal
 
-        def run_spy(self, cvec):
+        def primal_spy(self):
             before = self.pivots
-            status = run(self, cvec)
+            status = primal(self)
             certificate_pivots.append(self.pivots - before)
             return status
 
         monkeypatch.setattr(simplex._Simplex, "_refactor", spy)
-        monkeypatch.setattr(simplex._Simplex, "_run", run_spy)
+        monkeypatch.setattr(simplex._Simplex, "_primal", primal_spy)
         warm = _warm(a, a.lower, up, root.basis)
         assert warm.status == cold.status == "optimal"
         assert warm.pivots > 100
@@ -312,15 +312,15 @@ class TestCostShift:
         # the slack basis is dual feasible under the true costs: nothing is
         # shifted, and the dual simplex reaches the optimum by itself
         primal_pivots = []
-        run = simplex._Simplex._run
+        primal = simplex._Simplex._primal
 
-        def run_spy(self, cvec):
+        def primal_spy(self):
             before = self.pivots
-            status = run(self, cvec)
+            status = primal(self)
             primal_pivots.append(self.pivots - before)
             return status
 
-        monkeypatch.setattr(simplex._Simplex, "_run", run_spy)
+        monkeypatch.setattr(simplex._Simplex, "_primal", primal_spy)
         statuses = []
         for seed in range(1, 13):
             inst = gh.synth_instance(gh.SynthParams(num_flights=16, horizon=12), seed)
@@ -331,6 +331,43 @@ class TestCostShift:
         # the dual phase before the primal runs
         assert statuses.count("optimal") == 22
         assert primal_pivots == [0] * 22
+
+
+def _check_certificate(a, sol):
+    """The duals price the returned basis at its costs, and the reduced costs
+    are ``c - yA``: both come from the basis the solve returns."""
+    m = len(a.b)
+    full = np.hstack([a.A, np.eye(m)])
+    c_ext = np.concatenate([a.c, np.zeros(m)])
+    cols = sol.basis[0]
+    y = sol.dual_values
+    np.testing.assert_allclose(y @ full[:, cols], c_ext[cols], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(sol.reduced_costs, a.c - y @ a.A, rtol=0, atol=1e-9)
+
+
+class TestCertificateMatchesBasis:
+    def test_random_lps(self):
+        optimal = 0
+        for seed in range(1000, 1120):
+            c, rows, bounds = _random_lp(random.Random(seed))
+            a = _lp(c, rows, bounds).to_arrays()
+            sol = simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, a.lower, a.upper)
+            if sol.status == "optimal":
+                _check_certificate(a, sol)
+                optimal += 1
+        assert optimal == 27
+
+    def test_dr_root_lp(self):
+        # over 100 pivots, so the basis inverse is updated in product form
+        # between refactorizations before the answer is given
+        inst = gh.synth_instance(gh.SynthParams(num_flights=20, horizon=16), 1)
+        empirical = inst.capacities["AP0"]
+        amb = gh.AmbiguitySpec(empirical, 0.5, gh.default_support_grid(empirical))
+        a = gh.build_dr_saghp(inst.schedule, amb).to_arrays()
+        sol = simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, a.lower, a.upper)
+        assert sol.status == "optimal"
+        assert sol.pivots > simplex._REFACTOR_EVERY
+        _check_certificate(a, sol)
 
 
 class TestOptimalityCertificates:

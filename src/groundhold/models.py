@@ -119,15 +119,18 @@ def _finish(model: MilpModel, schedule: FlightSchedule,
 
 def _add_coupling_rows(model: MilpModel, schedule: FlightSchedule,
                        x: dict[tuple[str, int], VariableRef]) -> None:
-    # delay(f1) - slack <= delay(f2), written on the time-weighted assignments
+    # f2 landed by t => f1 landed by t + d, with d = r1 - r2 + slack, for
+    # every slot t of f2; rows with t + d >= T are implied by assign[f1]
+    T = schedule.horizon.num_slots
     by_id = schedule.flight_by_id
     for c in schedule.connections:
         f1 = by_id[c.predecessor]
         f2 = by_id[c.successor]
-        terms = [(x[f1.id, t], float(t)) for t in schedule.available_slots(f1)]
-        terms += [(x[f2.id, t], -float(t)) for t in schedule.available_slots(f2)]
-        rhs = f1.scheduled_arrival - f2.scheduled_arrival + c.slack
-        model.add_row(terms, SENSE_LE, rhs, name=f"couple[{f1.id},{f2.id}]")
+        d = f1.scheduled_arrival - f2.scheduled_arrival + c.slack
+        for t in range(f2.scheduled_arrival, min(T + 1, T - d)):
+            terms = [(x[f2.id, u], 1.0) for u in range(f2.scheduled_arrival, t + 1)]
+            terms += [(x[f1.id, u], -1.0) for u in range(f1.scheduled_arrival, t + d + 1)]
+            model.add_row(terms, SENSE_LE, 0.0, name=f"couple[{f1.id},{f2.id},{t}]")
 
 
 def _add_queue_block(model: MilpModel, schedule: FlightSchedule, x: dict[tuple[str, int], VariableRef],

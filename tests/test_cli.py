@@ -91,16 +91,18 @@ class TestSolve:
         assert _read_json(out)["status"] == "infeasible"
 
     def test_node_limit_exits_3(self, tmp_path):
-        code = main(["gen", "--flights", "6", "--horizon", "5", "--density", "0.4",
-                     "--seed", "6", "--out", str(tmp_path / "inst")])
+        # a bundle whose dr solve still branches (25 nodes) on the by-time
+        # connection rows
+        code = main(["gen", "--flights", "16", "--horizon", "12",
+                     "--seed", "4", "--out", str(tmp_path / "inst")])
         assert code == 0
         out = tmp_path / "res.json"
         full = main(["solve", str(tmp_path / "inst"), "--model", "dr",
-                     "--epsilon", "0.7", "--out", str(out)])
+                     "--epsilon", "0.5", "--out", str(out)])
         assert full == 0
         assert _read_json(out)["stats"]["nodes"] > 1
         limited = main(["solve", str(tmp_path / "inst"), "--model", "dr",
-                        "--epsilon", "0.7", "--node-limit", "1", "--out", str(out)])
+                        "--epsilon", "0.5", "--node-limit", "1", "--out", str(out)])
         assert limited == 3
         assert _read_json(out)["status"] == "node-limit"
 

@@ -48,6 +48,42 @@ class TestDeterministicModel:
         assert gh.check_policy(policy, sched) == []
 
 
+class TestCouplingRows:
+    # a -> b has d = r_a - r_b + slack = -4, c -> e has d = +2
+    SCHED = gh.FlightSchedule(
+        gh.TimeHorizon(6),
+        (gh.Flight("a", "A", 1, 1.0), gh.Flight("b", "A", 5, 1.0),
+         gh.Flight("c", "A", 2, 1.0), gh.Flight("e", "A", 1, 1.0)),
+        (gh.ConnectionPair("a", "b", 0), gh.ConnectionPair("c", "e", 1)),
+        2.0,
+    )
+
+    @staticmethod
+    def _couple_rows(model):
+        return [con for con in model.constraints if con.name.startswith("couple")]
+
+    def test_one_row_per_successor_slot_until_implied(self):
+        assert [con.name for con in self._couple_rows(gh.build_d_saghp(self.SCHED, 4))] == [
+            "couple[a,b,5]", "couple[a,b,6]",
+            "couple[c,e,1]", "couple[c,e,2]", "couple[c,e,3]"]
+
+    def test_rows_hold_exactly_for_connected_slot_pairs(self):
+        model = gh.build_d_saghp(self.SCHED, 4)
+        rows = self._couple_rows(model)
+        by_id = self.SCHED.flight_by_id
+        T = self.SCHED.horizon.num_slots
+        for c in self.SCHED.connections:
+            f1, f2 = by_id[c.predecessor], by_id[c.successor]
+            for t1 in range(f1.scheduled_arrival, T + 1):
+                for t2 in range(f2.scheduled_arrival, T + 1):
+                    on = {model.index.x[f1.id, t1], model.index.x[f2.id, t2]}
+                    lhs_ok = all(
+                        sum(coef for ref, coef in con.terms if ref.index in on) <= con.rhs
+                        for con in rows)
+                    delay_ok = t1 - f1.scheduled_arrival - c.slack <= t2 - f2.scheduled_arrival
+                    assert lhs_ok == delay_ok, (c, t1, t2)
+
+
 class TestStochasticModel:
     def test_one_flight_half_half(self):
         # hold to t=2: ground 1 + 0.5 * airborne 3 = 2.5 beats landing now (3.0)
@@ -113,7 +149,13 @@ class TestRobustModel:
             n_scen = amb.empirical.size
             assert sum(d.kind == gh.BINARY for d in model.variables) == n_bin
             assert sum(d.kind == gh.CONTINUOUS for d in model.variables) == n_grid * T + 1 + n_scen
-            expected_rows = n_grid * n_scen + len(sched.flights) + n_grid * T + len(sched.connections)
+            # one couple row per slot t of the successor with t + d < T,
+            # d = r_pred - r_succ + slack
+            n_couple = sum(
+                max(0, min(T - sched.flight_by_id[c.successor].scheduled_arrival + 1,
+                           T - sched.flight_by_id[c.predecessor].scheduled_arrival - c.slack))
+                for c in sched.connections)
+            expected_rows = n_grid * n_scen + len(sched.flights) + n_grid * T + n_couple
             assert model.num_constraints == expected_rows
 
 

@@ -314,14 +314,33 @@ class TestOracleEquivalence:
             assert gh.is_feasible(model, bb.values)
 
 
-def _highs(model):
-    """``(status, objective)`` of ``scipy.optimize.milp`` on ``model.to_arrays()``."""
-    a = model.to_arrays()
+def _highs(a, integral=True):
+    """``(status, objective)`` of ``scipy.optimize.milp`` on the arrays ``a``;
+    ``integral=False`` solves the LP relaxation."""
     rows = LinearConstraint(a.A, np.where(a.senses >= 0, a.b, -np.inf), np.where(a.senses <= 0, a.b, np.inf))
-    res = milp(a.c, constraints=rows, integrality=a.is_binary.astype(int),
+    res = milp(a.c, constraints=rows, integrality=a.is_binary.astype(int) * integral,
                bounds=Bounds(a.lower, a.upper), options={"mip_rel_gap": 0.0})
     assert res.status in (0, 2), res.message  # optimal or infeasible
     return ("optimal", res.fun + a.offset) if res.status == 0 else ("infeasible", math.inf)
+
+
+def _aggregated_rows(model, sched):
+    """One row per connection, sum_t t*x[f1,t] - sum_t t*x[f2,t] <= r1 - r2 + slack,
+    built from the column index and the schedule alone."""
+    A = np.zeros((len(sched.connections), model.num_variables))
+    b = np.zeros(len(sched.connections))
+    for i, c in enumerate(sched.connections):
+        for (fid, t), j in model.index.x.items():
+            A[i, j] = t * ((fid == c.predecessor) - (fid == c.successor))
+        b[i] = (sched.flight_by_id[c.predecessor].scheduled_arrival
+                - sched.flight_by_id[c.successor].scheduled_arrival + c.slack)
+    return A, b
+
+
+def _with_rows(a, keep, A, b):
+    """``a`` restricted to the rows in ``keep`` plus the ``<=`` rows ``A x <= b``."""
+    return a._replace(A=np.vstack([a.A[keep], A]), b=np.concatenate([a.b[keep], b]),
+                      senses=np.concatenate([a.senses[keep], np.full(len(b), -1, dtype=np.int8)]))
 
 
 class TestAgainstHighs:
@@ -336,7 +355,28 @@ class TestAgainstHighs:
             inst = gh.synth_instance(params, rng.randrange(10 ** 6))
             model = _build(rng, kind, inst.schedule, inst.capacities["AP0"])[0]
             sol = gh.solve_milp(model)
-            status, objective = _highs(model)
+            status, objective = _highs(model.to_arrays())
             assert sol.status == status
             if status == "optimal":
                 assert sol.objective == pytest.approx(objective, abs=1e-6)
+
+    @pytest.mark.parametrize("flights,horizon,seed",
+                             [(20, 16, 1), (20, 16, 2), (20, 16, 3), (30, 20, 1), (30, 20, 2), (30, 20, 3)])
+    def test_by_time_coupling_rows_against_the_aggregated_row(self, flights, horizon, seed):
+        # the one-row-per-connection form of the coupling, written here from
+        # the schedule: both forms must admit the same integer points, and
+        # the by-time rows must imply it in the LP relaxation
+        inst = gh.synth_instance(gh.SynthParams(num_flights=flights, horizon=horizon), seed)
+        sched, dist = inst.schedule, inst.capacities["AP0"]
+        amb = gh.AmbiguitySpec(dist, 0.5, gh.default_support_grid(dist))
+        for model in (gh.build_s_saghp(sched, dist), gh.build_dr_saghp(sched, amb)):
+            a = model.to_arrays()
+            A, b = _aggregated_rows(model, sched)
+            uncoupled = np.array([not con.name.startswith("couple[") for con in model.constraints])
+            aggregated = _with_rows(a, uncoupled, A, b)
+            both = _with_rows(a, np.ones(len(a.b), dtype=bool), A, b)
+
+            assert _highs(aggregated)[1] == pytest.approx(gh.solve_milp(model).objective, abs=1e-6)
+            cumulative_lp = _highs(a, integral=False)[1]
+            assert _highs(both, integral=False)[1] == pytest.approx(cumulative_lp, abs=1e-6)
+            assert cumulative_lp >= _highs(aggregated, integral=False)[1] - 1e-6

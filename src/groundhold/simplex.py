@@ -12,13 +12,31 @@ Pricing is Dantzig with a permanent-for-the-run Bland's-rule fallback after
 a run of 1000 degenerate pivots; all ties break deterministically, so
 solves repeat.
 
-The basis inverse is maintained explicitly with product-form updates and
-refactorized every 100 pivots.  An answer (optimal, unbounded, infeasible,
-or a pivot too small to take) is given only from a fresh factorization: if
-a pivot has happened since the last one, the basis is refactorized and the
-loop looks again, so the values, duals and reduced costs returned all come
-from a fresh inverse.  Adequate at desk scale (hundreds of rows), which is
-the regime every ground holding model here lives in.
+The matrix is kept as structural columns only, each as its row indices and
+values (numpy arrays built once per solve from the dense ``A``); slack
+column ``n + i`` is the unit vector e_i and is never stored.  Pricing
+``y @ [A | I]``, the dual's pivot row ``Binv[r] @ [A | I]``, the entering
+column ``Binv @ a_j`` and ``A @ x_N`` each touch only the stored nonzeros,
+so a product costs in proportion to them and not to m * (n + m).
+
+The basis inverse is kept explicitly as a dense m x m array.  A
+refactorization inverts only the bump: each basic slack e_i covers row i,
+and what is inverted is the block of basic structural columns on the rows
+no slack covers.  The all-slack basis, where every solve without a stored
+basis starts, therefore has the identity as its inverse and inverts
+nothing.  Between refactorizations (every 100 pivots) each pivot is a
+rank-1 update of only the rows of the inverse where the entering column is
+nonzero, which gives the same bits as updating every row.  An answer
+(optimal, unbounded, infeasible, or a pivot too small to take) is given
+only from a fresh factorization: if a pivot has happened since the last
+one, the basis is refactorized and the loop looks again, so the values,
+duals and reduced costs returned all come from a fresh inverse.
+
+The dense inverse sets the limit.  On the dr-SAGHP root of ``gen
+--flights 60 --horizon 32 --seed 3`` (2,841 rows, 1,138 columns; one BLAS
+thread, 2-vCPU VM) a pivot takes about 50 ms, most of it the rank-1 update
+of about 2,000 touched rows, and the solve about 66 s.  The benchmark's
+root LPs (up to 421 rows) take about 0.3 ms per pivot.
 """
 
 from __future__ import annotations
@@ -95,22 +113,27 @@ class _Simplex:
         self.offset = float(offset)
         self.b = np.asarray(b, dtype=float)
 
+        # structural column j holds vals[ptr[j]:ptr[j+1]] in rows
+        # rows[ptr[j]:ptr[j+1]]; entry k lies in column cols[k]
+        self.cols, self.rows = np.nonzero(A.T)
+        self.vals = A[self.rows, self.cols]
+        self.ptr = np.searchsorted(self.cols, np.arange(self.nstruct + 1))
+
         slack_lo = np.where(senses > 0, -np.inf, 0.0)
         slack_up = np.where(senses < 0, np.inf, 0.0)
-        self.A = np.hstack([A, np.eye(m)])
         self.lo = np.concatenate([np.asarray(lower, dtype=float), slack_lo])
         self.up = np.concatenate([np.asarray(upper, dtype=float), slack_up])
         # true costs of all n + m columns; ``cost`` is the vector priced
         self.c = np.concatenate([np.asarray(c, dtype=float), np.zeros(m)])
         self.cost = self.c
-        self.limit = 2000 + 200 * (m + self.A.shape[1])
+        self.limit = 2000 + 200 * (2 * m + self.nstruct)
         self.pivots = 0
         self._since_refactor = 0
 
     # -- setup ---------------------------------------------------------------
 
     def _initial_status(self) -> np.ndarray:
-        status = np.full(self.A.shape[1], _FREE, dtype=np.int8)
+        status = np.full(self.nstruct + self.m, _FREE, dtype=np.int8)
         status[np.isfinite(self.lo)] = _AT_LO
         status[~np.isfinite(self.lo) & np.isfinite(self.up)] = _AT_UP
         return status
@@ -138,19 +161,57 @@ class _Simplex:
 
     # -- linear algebra --------------------------------------------------------
 
+    def _row_times(self, u: np.ndarray) -> np.ndarray:
+        """``u @ [A | I]``: one entry per structural and slack column."""
+        return np.concatenate([
+            np.bincount(self.cols, weights=u[self.rows] * self.vals, minlength=self.nstruct), u])
+
+    def _column(self, j: int) -> np.ndarray:
+        """``Binv @ a_j`` for a structural or slack column ``j``."""
+        if j >= self.nstruct:
+            return self.Binv[:, j - self.nstruct].copy()
+        k = slice(self.ptr[j], self.ptr[j + 1])
+        return self.Binv[:, self.rows[k]] @ self.vals[k]
+
     def _refactor(self) -> None:
-        try:
-            self.Binv = np.linalg.inv(self.A[:, self.basis])
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise NumericalInstabilityError("singular basis") from exc
-        self.xB = self.Binv @ (self.b - self.A @ self._nonbasic_values())
+        """Invert the basis afresh.  A basic slack e_i covers row i, so only
+        the basic structural columns on the uncovered rows (the bump) are
+        inverted; the all-slack basis inverts nothing."""
+        n, m = self.nstruct, self.m
+        slack = np.flatnonzero(self.basis >= n)
+        covered = self.basis[slack] - n
+        pos = np.flatnonzero(self.basis < n)
+        bump = np.ones(m, dtype=bool)
+        bump[covered] = False
+        # the basic structural columns as a dense m x len(pos) block; k runs
+        # over the stored entries of each in turn
+        start = self.ptr[self.basis[pos]]
+        count = self.ptr[self.basis[pos] + 1] - start
+        k = np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
+        S = np.zeros((m, len(pos)))
+        S[self.rows[k], np.repeat(np.arange(len(pos)), count)] = self.vals[k]
+
+        Binv = np.zeros((m, m))
+        Binv[slack, covered] = 1.0
+        if len(pos):
+            try:
+                inner = np.linalg.inv(S[bump])
+            except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+                raise NumericalInstabilityError("singular basis") from exc
+            Binv[np.ix_(pos, bump)] = inner
+            Binv[np.ix_(slack, bump)] = -(S[covered] @ inner)
+        self.Binv = Binv
+
+        x = self._nonbasic_values()
+        Ax = np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=m) + x[n:]
+        self.xB = Binv @ (self.b - Ax)
         self._since_refactor = 0
         self._price()
 
     def _price(self) -> None:
         """Duals ``y`` and reduced costs ``d`` of the basis under ``cost``."""
         self.y = self.cost[self.basis] @ self.Binv
-        self.d = self.cost - self.y @ self.A
+        self.d = self.cost - self._row_times(self.y)
 
     def _count(self) -> None:
         """Book a pivot or bound flip; refactorize every ``_REFACTOR_EVERY``."""
@@ -237,9 +298,10 @@ class _Simplex:
         if abs(wr) < _PIVOT_FLOOR:
             raise NumericalInstabilityError(f"pivot magnitude {abs(wr):.3e} below 1e-10")
         self.Binv[r] /= wr
-        others = w.copy()
-        others[r] = 0.0
-        self.Binv -= np.outer(others, self.Binv[r])
+        # only the rows where the entering column is nonzero change
+        touched = np.flatnonzero(w)
+        touched = touched[touched != r]
+        self.Binv[touched] -= np.outer(w[touched], self.Binv[r])
 
     # -- main loops -----------------------------------------------------------
 
@@ -254,7 +316,7 @@ class _Simplex:
                 if self._fresh():
                     return "optimal"
                 continue
-            w = self.Binv @ self.A[:, j]
+            w = self._column(j)
             delta, r = self._ratio_test(j, direction, w)
             if delta is None or math.isinf(delta):
                 if not self._fresh():
@@ -303,7 +365,7 @@ class _Simplex:
                 return True
             r = int(np.argmax(violation))
             rise = below[r] > 0.0  # the leaving variable climbs to its lower bound
-            alpha = self.Binv[r] @ self.A
+            alpha = self._row_times(self.Binv[r])
             # raising x_j moves x_B[r] toward its violated bound where the
             # signed row (alpha if rise else -alpha) is negative
             eligible = self._wrong_sign(alpha if rise else -alpha)
@@ -315,7 +377,7 @@ class _Simplex:
             ratios[eligible] = np.abs(self.d[eligible]) / np.abs(alpha[eligible])
             cand = np.flatnonzero(ratios <= ratios.min() + 1e-12)
             j = int(cand[np.argmax(np.abs(alpha[cand]))])
-            w = self.Binv @ self.A[:, j]
+            w = self._column(j)
             leaving = self.basis[r]
             target = self.lo[leaving] if rise else self.up[leaving]
             self._apply_pivot(j, (self.xB[r] - target) / w[r], r, w, _AT_LO if rise else _AT_UP)

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 import groundhold as gh
 from groundhold import simplex
@@ -425,3 +425,176 @@ class TestOptimalityCertificates:
             assert a.objective == b.objective
             assert np.array_equal(a.values, b.values)
             assert a.pivots == b.pivots
+
+
+def _sparse_lp(rng: random.Random, n: int, density: float):
+    """A random LP with ``n`` columns, about ``density`` of its entries
+    nonzero, some columns empty, and rows that hold at a point of the box."""
+    m = rng.randint(n // 4, n // 2)
+    c, bounds = [], []
+    for _ in range(n):
+        # a column unbounded one way costs nothing to hold back that way
+        kind = rng.random()
+        if kind < 0.75:
+            c.append(round(rng.uniform(-2, 2), 3))
+            bounds.append((round(rng.uniform(-1, 0), 3), round(rng.uniform(1, 4), 3)))
+        elif kind < 0.9:
+            c.append(round(rng.uniform(0, 2), 3))
+            bounds.append((0.0, math.inf))
+        else:
+            c.append(round(rng.uniform(-2, 0), 3))
+            bounds.append((-math.inf, round(rng.uniform(0, 3), 3)))
+    point = [lo if math.isfinite(lo) else up for lo, up in bounds]
+    rows = []
+    for _ in range(m):
+        terms = [(j, round(rng.uniform(-2, 2), 3)) for j in range(n) if rng.random() < density]
+        lhs = sum(point[j] * v for j, v in terms)
+        sense = rng.choice([gh.SENSE_LE, gh.SENSE_LE, gh.SENSE_GE, gh.SENSE_EQ])
+        slack = round(rng.uniform(0, 2), 3)
+        rhs = lhs + slack if sense == gh.SENSE_LE else lhs - slack if sense == gh.SENSE_GE else lhs
+        rows.append((terms, sense, round(rhs, 9)))
+    return c, rows, bounds
+
+
+def _assert_matches_highs(c, rows, bounds, lo=None, up=None, basis=None):
+    a = _lp(c, rows, bounds).to_arrays()
+    lo = a.lower if lo is None else lo
+    up = a.upper if up is None else up
+    sol = simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, lo, up, basis=basis)
+    ref = _scipy_reference(c, rows, list(zip(lo, up)))
+    assert ref.status in (0, 2, 3)
+    assert sol.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+    if ref.status == 0:
+        assert sol.objective == pytest.approx(ref.fun, abs=1e-7)
+        _check_certificate(a, sol)
+    return sol
+
+
+class TestColumnStorage:
+    """The simplex keeps only the nonzeros of the structural columns and no
+    slack columns; these cases exercise that bookkeeping against HiGHS."""
+
+    @pytest.mark.parametrize("bounds, status", [((0.0, 2.5), "optimal"),
+                                                ((0.0, math.inf), "unbounded")])
+    def test_column_in_no_row(self, bounds, status):
+        # x1 has a cost but no entry in any row: only its bounds stop it
+        c = [1.0, -3.0, 2.0]
+        rows = [([(0, 1.0), (2, 1.0)], gh.SENSE_GE, 1.0), ([(0, 1.0), (2, -1.0)], gh.SENSE_LE, 0.5)]
+        sol = _assert_matches_highs(c, rows, [(0.0, math.inf), bounds, (0.0, math.inf)])
+        assert sol.status == status
+        if status == "optimal":
+            assert sol.values[1] == 2.5
+
+    def test_row_term_with_zero_coefficient(self):
+        # x1's only term is a stored 0.0, so its column is empty
+        c = [-1.0, -1.0]
+        rows = [([(0, 1.0), (1, 0.0)], gh.SENSE_LE, 2.0), ([(1, 0.0)], gh.SENSE_GE, -1.0)]
+        model = _lp(c, rows, [(0.0, math.inf), (0.0, 4.0)])
+        assert model.constraints[0].terms[1][1] == 0.0
+        sol = _assert_matches_highs(c, rows, [(0.0, math.inf), (0.0, 4.0)])
+        assert sol.values == pytest.approx([2.0, 4.0])
+
+    def test_slack_enters_the_basis(self, monkeypatch):
+        # min -x s.t. x <= 2, x <= 3: x is basic in the first row at the
+        # optimum.  Under x <= 1 the restart must bring that row's slack back
+        # into the basis
+        entered = []
+        column = simplex._Simplex._column
+
+        def spy(self, j):
+            entered.append(j - self.nstruct)
+            return column(self, j)
+
+        monkeypatch.setattr(simplex._Simplex, "_column", spy)
+        c, bounds = [-1.0], [(0.0, math.inf)]
+        rows = [([(0, 1.0)], gh.SENSE_LE, 2.0), ([(0, 1.0)], gh.SENSE_LE, 3.0)]
+        root = _assert_matches_highs(c, rows, bounds)
+        assert root.basis[0].tolist() == [0, 2]
+        entered.clear()
+        child = _assert_matches_highs(c, rows, bounds, np.array([0.0]), np.array([1.0]), root.basis)
+        assert entered == [0]  # slack column n + 0
+        assert child.values == pytest.approx([1.0])
+        assert sorted(child.basis[0].tolist()) == [1, 2]
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_sparse_lps_match_highs(self, seed):
+        rng = random.Random(9000 + seed)
+        n = rng.randint(60, 200)
+        c, rows, bounds = _sparse_lp(rng, n, rng.uniform(0.02, 0.05))
+        a = _lp(c, rows, bounds).to_arrays()
+        assert not a.A.any(axis=0).all()  # at least one empty column
+        _assert_matches_highs(c, rows, bounds)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_sparse_binary_milps_match_highs(self, seed):
+        rng = random.Random(9500 + seed)
+        n = rng.randint(60, 120)
+        density = rng.uniform(0.02, 0.05)
+        m = gh.MilpModel()
+        refs = [m.add_binary(f"x{j}") for j in range(n)]
+        c = [round(rng.uniform(-3, 3), 3) for _ in range(n)]
+        for ref, coef in zip(refs, c):
+            m.add_objective_term(ref, coef)
+        point = [rng.randint(0, 1) for _ in range(n)]
+        for _ in range(rng.randint(n // 4, n // 2)):
+            terms = [(j, float(rng.randint(-3, 3) or 1)) for j in range(n) if rng.random() < density]
+            rhs = sum(point[j] * v for j, v in terms) + rng.randint(0, 1)
+            m.add_row([(refs[j], v) for j, v in terms], gh.SENSE_LE, rhs)
+        model = m.freeze()
+        a = model.to_arrays()
+        ref = milp(a.c, constraints=LinearConstraint(a.A, -np.inf, a.b),
+                   integrality=np.ones(n), bounds=Bounds(0, 1))
+        assert ref.status == 0
+        sol = gh.solve_milp(model)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(ref.fun, abs=1e-6)
+
+
+def _spy_on_inv(monkeypatch):
+    """Record the shape of every matrix the simplex module inverts."""
+    inverted = []
+    inv = simplex.np.linalg.inv
+
+    def spy(matrix):
+        inverted.append(matrix.shape)
+        return inv(matrix)
+
+    monkeypatch.setattr(simplex.np.linalg, "inv", spy)
+    return inverted
+
+
+class TestInversion:
+    def test_cold_lp_optimal_at_the_slack_basis_inverts_nothing(self, monkeypatch):
+        # c >= 0 and every row holds with all columns at their lower bounds,
+        # so the slack basis is optimal: its inverse is the identity, and no
+        # matrix is inverted on entry or before answering
+        inverted = _spy_on_inv(monkeypatch)
+        rng = random.Random(4)
+        n = 80
+        c = [round(rng.uniform(0, 3), 3) for _ in range(n)]
+        rows = []
+        for _ in range(30):
+            terms = [(j, round(rng.uniform(-2, 2), 3)) for j in range(n) if rng.random() < 0.05]
+            rows.append((terms, gh.SENSE_LE, round(rng.uniform(0, 2), 3)))
+        rows.append(([(j, 1.0) for j in range(0, n, 7)], gh.SENSE_GE, -1.0))
+        sol = _assert_matches_highs(c, rows, [(0.0, 5.0)] * n)
+        assert sol.status == "optimal"
+        assert sol.pivots == 0
+        assert inverted == []
+
+    def test_refactorization_inverts_only_the_bump(self, monkeypatch):
+        # the dr root of a 20-flight instance keeps many slacks basic; each
+        # refactorization inverts only the structural columns on the rows
+        # those slacks leave uncovered, and the answer still matches HiGHS
+        inst = gh.synth_instance(gh.SynthParams(num_flights=20, horizon=16), 1)
+        empirical = inst.capacities["AP0"]
+        amb = gh.AmbiguitySpec(empirical, 0.5, gh.default_support_grid(empirical))
+        a = gh.build_dr_saghp(inst.schedule, amb).to_arrays()
+        inverted = _spy_on_inv(monkeypatch)
+        sol = simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, a.lower, a.upper)
+        assert sol.status == "optimal"
+        _check_certificate(a, sol)
+        m = len(a.b)
+        assert inverted
+        assert all(rows == cols < m for rows, cols in inverted)
+        assert (sol.basis[0] >= a.A.shape[1]).sum() == m - inverted[-1][0]

@@ -20,13 +20,14 @@ column ``Binv @ a_j`` and ``A @ x_N`` each touch only the stored nonzeros,
 so a product costs in proportion to them and not to m * (n + m).
 
 The basis inverse is kept explicitly as a dense m x m array.  A
-refactorization inverts only the bump: each basic slack e_i covers row i,
-and what is inverted is the block of basic structural columns on the rows
-no slack covers.  The all-slack basis, where every solve without a stored
-basis starts, therefore has the identity as its inverse and inverts
-nothing.  Between refactorizations (every 100 pivots) each pivot is a
-rank-1 update of only the rows of the inverse where the entering column is
-nonzero, which gives the same bits as updating every row.  An answer
+refactorization builds the basis from the column storage and inverts it.
+A basis of slacks alone, such as the all-slack one every solve without a
+stored basis starts from, is a permutation of the identity: its inverse is
+its transpose, written down without calling an inversion.  Between
+refactorizations (every 100 pivots) each pivot is a rank-1 update of only
+the rows of the inverse where the entering column is nonzero; the other
+rows would subtract zeros, so the values are those of updating every row
+(only the sign of an exact zero can differ).  An answer
 (optimal, unbounded, infeasible, or a pivot too small to take) is given
 only from a fresh factorization: if a pivot has happened since the last
 one, the basis is refactorized and the loop looks again, so the values,
@@ -34,9 +35,10 @@ duals and reduced costs returned all come from a fresh inverse.
 
 The dense inverse sets the limit.  On the dr-SAGHP root of ``gen
 --flights 60 --horizon 32 --seed 3`` (2,841 rows, 1,138 columns; one BLAS
-thread, 2-vCPU VM) a pivot takes about 50 ms, most of it the rank-1 update
-of about 2,000 touched rows, and the solve about 66 s.  The benchmark's
-root LPs (up to 421 rows) take about 0.3 ms per pivot.
+thread, 2-vCPU VM) the solve takes about 95 s, 73 ms per pivot: about 63%
+of it is the rank-1 update of about 2,000 touched rows and 26% the
+inversions of the full basis.  The benchmark's root LPs (up to 421 rows)
+take about 0.5 ms per pivot.
 """
 
 from __future__ import annotations
@@ -174,32 +176,25 @@ class _Simplex:
         return self.Binv[:, self.rows[k]] @ self.vals[k]
 
     def _refactor(self) -> None:
-        """Invert the basis afresh.  A basic slack e_i covers row i, so only
-        the basic structural columns on the uncovered rows (the bump) are
-        inverted; the all-slack basis inverts nothing."""
+        """Invert the basis afresh from the column storage.  A basis of slacks
+        alone is a permutation of the identity and is inverted by transposing
+        it, so the all-slack start calls no inversion."""
         n, m = self.nstruct, self.m
-        slack = np.flatnonzero(self.basis >= n)
-        covered = self.basis[slack] - n
-        pos = np.flatnonzero(self.basis < n)
-        bump = np.ones(m, dtype=bool)
-        bump[covered] = False
-        # the basic structural columns as a dense m x len(pos) block; k runs
-        # over the stored entries of each in turn
-        start = self.ptr[self.basis[pos]]
-        count = self.ptr[self.basis[pos] + 1] - start
-        k = np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
-        S = np.zeros((m, len(pos)))
-        S[self.rows[k], np.repeat(np.arange(len(pos)), count)] = self.vals[k]
-
-        Binv = np.zeros((m, m))
-        Binv[slack, covered] = 1.0
-        if len(pos):
+        if (self.basis >= n).all():
+            Binv = np.zeros((m, m))
+            Binv[np.arange(m), self.basis - n] = 1.0
+        else:
+            at = np.full(n + m, -1)
+            at[self.basis] = np.arange(m)  # the basis position of each basic column
+            B = np.zeros((m, m))
+            e = at[self.cols] >= 0
+            B[self.rows[e], at[self.cols[e]]] = self.vals[e]
+            s = np.flatnonzero(at[n:] >= 0)
+            B[s, at[n + s]] = 1.0
             try:
-                inner = np.linalg.inv(S[bump])
+                Binv = np.linalg.inv(B)
             except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
                 raise NumericalInstabilityError("singular basis") from exc
-            Binv[np.ix_(pos, bump)] = inner
-            Binv[np.ix_(slack, bump)] = -(S[covered] @ inner)
         self.Binv = Binv
 
         x = self._nonbasic_values()
@@ -298,7 +293,8 @@ class _Simplex:
         if abs(wr) < _PIVOT_FLOOR:
             raise NumericalInstabilityError(f"pivot magnitude {abs(wr):.3e} below 1e-10")
         self.Binv[r] /= wr
-        # only the rows where the entering column is nonzero change
+        # only the rows where the entering column is nonzero change; the
+        # rest would subtract zeros
         touched = np.flatnonzero(w)
         touched = touched[touched != r]
         self.Binv[touched] -= np.outer(w[touched], self.Binv[r])

@@ -563,38 +563,42 @@ def _spy_on_inv(monkeypatch):
     return inverted
 
 
+def _optimal_at_slack_basis():
+    """c >= 0 and every row holds with all columns at their lower bounds, so
+    the slack basis is optimal."""
+    rng = random.Random(4)
+    n = 80
+    c = [round(rng.uniform(0, 3), 3) for _ in range(n)]
+    rows = []
+    for _ in range(30):
+        terms = [(j, round(rng.uniform(-2, 2), 3)) for j in range(n) if rng.random() < 0.05]
+        rows.append((terms, gh.SENSE_LE, round(rng.uniform(0, 2), 3)))
+    rows.append(([(j, 1.0) for j in range(0, n, 7)], gh.SENSE_GE, -1.0))
+    return c, rows, [(0.0, 5.0)] * n
+
+
 class TestInversion:
     def test_cold_lp_optimal_at_the_slack_basis_inverts_nothing(self, monkeypatch):
-        # c >= 0 and every row holds with all columns at their lower bounds,
-        # so the slack basis is optimal: its inverse is the identity, and no
-        # matrix is inverted on entry or before answering
+        # the slack basis's inverse is the identity, so no matrix is inverted
+        # on entry or before answering
         inverted = _spy_on_inv(monkeypatch)
-        rng = random.Random(4)
-        n = 80
-        c = [round(rng.uniform(0, 3), 3) for _ in range(n)]
-        rows = []
-        for _ in range(30):
-            terms = [(j, round(rng.uniform(-2, 2), 3)) for j in range(n) if rng.random() < 0.05]
-            rows.append((terms, gh.SENSE_LE, round(rng.uniform(0, 2), 3)))
-        rows.append(([(j, 1.0) for j in range(0, n, 7)], gh.SENSE_GE, -1.0))
-        sol = _assert_matches_highs(c, rows, [(0.0, 5.0)] * n)
+        sol = _assert_matches_highs(*_optimal_at_slack_basis())
         assert sol.status == "optimal"
         assert sol.pivots == 0
         assert inverted == []
 
-    def test_refactorization_inverts_only_the_bump(self, monkeypatch):
-        # the dr root of a 20-flight instance keeps many slacks basic; each
-        # refactorization inverts only the structural columns on the rows
-        # those slacks leave uncovered, and the answer still matches HiGHS
-        inst = gh.synth_instance(gh.SynthParams(num_flights=20, horizon=16), 1)
-        empirical = inst.capacities["AP0"]
-        amb = gh.AmbiguitySpec(empirical, 0.5, gh.default_support_grid(empirical))
-        a = gh.build_dr_saghp(inst.schedule, amb).to_arrays()
+    def test_slack_basis_in_any_order_inverts_nothing(self, monkeypatch):
+        # slacks listed in another order make a permutation of the identity,
+        # whose inverse is its transpose: the restart inverts nothing and
+        # lands on the cold solve's vertex
+        a = _lp(*_optimal_at_slack_basis()).to_arrays()
+        cold = simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, a.lower, a.upper)
+        cols, status = cold.basis
+        assert (cols >= a.A.shape[1]).all()
         inverted = _spy_on_inv(monkeypatch)
-        sol = simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, a.lower, a.upper)
-        assert sol.status == "optimal"
-        _check_certificate(a, sol)
-        m = len(a.b)
-        assert inverted
-        assert all(rows == cols < m for rows, cols in inverted)
-        assert (sol.basis[0] >= a.A.shape[1]).sum() == m - inverted[-1][0]
+        order = np.random.default_rng(5).permutation(len(cols))
+        again = _warm(a, a.lower, a.upper, (cols[order], status))
+        assert inverted == []
+        assert again.pivots == 0
+        assert np.array_equal(again.values, cold.values)
+        assert np.array_equal(again.dual_values, cold.dual_values)

@@ -9,8 +9,9 @@ connection coupling) and differ in how capacity enters:
 * ``build_dr_saghp``   - worst case over a Wasserstein ball of radius
   ``epsilon`` around the empirical distribution, written as its finite
   deterministic equivalent: queue blocks over a discretized capacity grid
-  plus multipliers ``alpha`` (transport budget) and ``beta[s]`` (per-scenario
-  mass), linked by ``alpha * |xi_hat_s - xi| + beta_s >= airborne cost(xi)``;
+  plus nonnegative multipliers ``alpha`` (transport budget) and ``beta[s]``
+  (per-scenario mass), linked by
+  ``alpha * |xi_hat_s - xi| + beta_s >= airborne cost(xi)``;
 * ``build_dr_maghp``   - per-airport copies of the robust blocks with
   connections allowed to span airports.
 
@@ -21,7 +22,6 @@ variable names are only a rendering of it for people and MPS files.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .domain import (
@@ -161,6 +161,12 @@ def _add_robust_block(model: MilpModel, schedule: FlightSchedule, x: dict[tuple[
     Adds a queue block per grid value, ``alpha``, ``beta`` per support point,
     their objective terms and the ``dual`` rows.  ``airport=None`` is the
     single-airport model, whose names carry no airport.
+
+    ``beta`` keeps the default lower bound 0: every support point lies in the
+    grid, so the ``dual[xi_hat, xi_hat]`` row already forces
+    ``beta[xi_hat] >= airborne cost >= 0`` and the bound cuts off nothing.
+    With it every bounded-below column has a nonnegative cost, so the
+    all-slack start of the LP relaxation is dual feasible.
     """
     tag = "" if airport is None else f"{airport},"
     queues: dict[int, list[VariableRef]] = {}
@@ -168,7 +174,7 @@ def _add_robust_block(model: MilpModel, schedule: FlightSchedule, x: dict[tuple[
         queues[xi] = _add_queue_block(model, schedule, x, index, airport, flights, xi)
 
     alpha = model.add_continuous("alpha" if airport is None else f"alpha[{airport}]")
-    beta = {xi_hat: model.add_continuous(f"beta[{tag}{xi_hat}]", -math.inf, math.inf)
+    beta = {xi_hat: model.add_continuous(f"beta[{tag}{xi_hat}]")
             for xi_hat in amb.empirical.support_points}
     index.alpha[airport] = alpha.index
     for xi_hat, ref in beta.items():
@@ -223,8 +229,8 @@ def build_dr_saghp(schedule: FlightSchedule, amb: AmbiguitySpec) -> MilpModel:
     """Distributionally robust model, finite deterministic equivalent.
 
     Variables: assignment binaries, queue block ``y[xi,t]`` per grid value,
-    a transport-budget multiplier ``alpha >= 0`` and free per-scenario
-    multipliers ``beta[s]``.  The objective is ground cost plus
+    a transport-budget multiplier ``alpha >= 0`` and per-scenario
+    multipliers ``beta[s] >= 0``.  The objective is ground cost plus
     ``epsilon * alpha + sum_s p_s * beta[s]``; rows
     ``alpha * |xi_hat_s - xi| + beta[s] >= sum_t C_h y[xi,t]`` for every
     (grid value, scenario) pair bound the worst-case airborne cost over the

@@ -87,3 +87,11 @@ def split_network(
     for z, d in (("A", dist), ("B", random_distribution(rng, span=4))):
         ambiguities[z] = gh.AmbiguitySpec(d, rng.choice([0.0, 0.3, 1.0]), gh.default_support_grid(d))
     return gh.NetworkInstance(("A", "B"), split, ambiguities)
+
+
+def synth_dr_maghp(num_flights: int, horizon: int, seed: int, epsilon: float = 0.5) -> gh.MilpModel:
+    """dr-MAGHP on a two-airport ``synth_instance``, every airport at radius
+    ``epsilon`` on its default grid, as ``solve --model dr-maghp`` builds it."""
+    inst = gh.synth_instance(gh.SynthParams(num_flights=num_flights, horizon=horizon, num_airports=2), seed)
+    return gh.build_dr_maghp(gh.NetworkInstance(inst.schedule.airports, inst.schedule, {
+        z: gh.AmbiguitySpec(d, epsilon, gh.default_support_grid(d)) for z, d in inst.capacities.items()}))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import groundhold as gh
-from helpers import one_flight_ambiguity, one_flight_schedule
+from helpers import one_flight_ambiguity, one_flight_schedule, synth_dr_maghp
 from mpsread import parse_mps
 
 
@@ -127,6 +127,17 @@ class TestMpsExport:
         slots = sum(len(sched.available_slots(f)) for f in sched.flights)
         expected = slots + len(amb.grid) * sched.horizon.num_slots + 1 + amb.empirical.size
         assert parsed.num_cols == expected
+
+    def test_dr_models_write_no_free_bound(self):
+        # beta has the default lower bound 0, so a dr model's BOUNDS section
+        # has no FR line and beta reads back as [0, inf)
+        for model in (gh.build_dr_saghp(one_flight_schedule(), one_flight_ambiguity(0.4)),
+                      synth_dr_maghp(8, 6, 1)):
+            text = gh.export_mps(model)
+            assert not [line for line in text.splitlines() if line.split()[:1] == ["FR"]]
+            parsed = parse_mps(text)
+            for j in model.index.beta.values():
+                assert parsed.bounds(parsed.column_order[j]) == (0.0, math.inf)
 
     def test_fixed_format_field_positions(self):
         m = gh.MilpModel()

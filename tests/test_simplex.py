@@ -7,6 +7,7 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 import groundhold as gh
 from groundhold import simplex
+from helpers import synth_dr_maghp
 
 
 def _lp(c, rows, bounds, offset=0.0):
@@ -152,8 +153,8 @@ class TestAgainstScipy:
 class TestPeriodicRefactorization:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_long_dr_relaxation_matches_highs(self, seed, monkeypatch):
-        # dr-SAGHP relaxations of seeded 20-flight, 16-slot instances take
-        # 260-350 pivots, so the basis inverse is rebuilt mid-solve
+        # dr-SAGHP relaxations of seeded 24-flight, 16-slot instances take
+        # 115-180 pivots, so the basis inverse is rebuilt mid-solve
         rebuilt_after = []
         refactor = simplex._Simplex._refactor
 
@@ -162,7 +163,7 @@ class TestPeriodicRefactorization:
             refactor(self)
 
         monkeypatch.setattr(simplex._Simplex, "_refactor", spy)
-        inst = gh.synth_instance(gh.SynthParams(num_flights=20, horizon=16), seed)
+        inst = gh.synth_instance(gh.SynthParams(num_flights=24, horizon=16), seed)
         empirical = inst.capacities["AP0"]
         amb = gh.AmbiguitySpec(empirical, 0.5, gh.default_support_grid(empirical))
         model = gh.build_dr_saghp(inst.schedule, amb)
@@ -308,11 +309,16 @@ class TestWarmStart:
 
 class TestCostShift:
     def test_cold_lps_with_nonnegative_costs_end_in_the_dual_phase(self, monkeypatch):
-        # d- and s-SAGHP put nonnegative costs on columns bounded below, so
-        # the slack basis is dual feasible under the true costs: nothing is
-        # shifted, and the dual simplex reaches the optimum by itself
-        primal_pivots = []
-        primal = simplex._Simplex._primal
+        # every model the CLI builds puts nonnegative costs on columns bounded
+        # below (dr-SAGHP and dr-MAGHP because beta >= 0), so the slack basis
+        # is dual feasible under the true costs: nothing is shifted, and the
+        # dual simplex reaches the optimum by itself
+        shifted, primal_pivots = [], []
+        dual, primal = simplex._Simplex._dual, simplex._Simplex._primal
+
+        def dual_spy(self):
+            shifted.append(int(self._wrong_sign(self.d).sum()))
+            return dual(self)
 
         def primal_spy(self):
             before = self.pivots
@@ -320,17 +326,23 @@ class TestCostShift:
             primal_pivots.append(self.pivots - before)
             return status
 
+        monkeypatch.setattr(simplex._Simplex, "_dual", dual_spy)
         monkeypatch.setattr(simplex._Simplex, "_primal", primal_spy)
-        statuses = []
+        models = []
         for seed in range(1, 13):
             inst = gh.synth_instance(gh.SynthParams(num_flights=16, horizon=12), seed)
-            for model in (gh.build_s_saghp(inst.schedule, inst.capacities["AP0"]),
-                          gh.build_d_saghp(inst.schedule, 2)):
-                statuses.append(gh.solve_lp(model).status)
+            empirical = inst.capacities["AP0"]
+            models += [gh.build_s_saghp(inst.schedule, empirical), gh.build_d_saghp(inst.schedule, 2)]
+            for eps in (0.0, 0.5, 5.0):
+                amb = gh.AmbiguitySpec(empirical, eps, gh.default_support_grid(empirical))
+                models.append(gh.build_dr_saghp(inst.schedule, amb))
+        models.append(synth_dr_maghp(16, 12, 1))
+        statuses = [gh.solve_lp(model).status for model in models]
         # det at capacity 2 is infeasible for seeds 8 and 9; those stop in
         # the dual phase before the primal runs
-        assert statuses.count("optimal") == 22
-        assert primal_pivots == [0] * 22
+        assert statuses.count("optimal") == 59
+        assert shifted == [0] * 61
+        assert primal_pivots == [0] * 59
 
 
 def _check_certificate(a, sol):
@@ -360,7 +372,7 @@ class TestCertificateMatchesBasis:
     def test_dr_root_lp(self):
         # over 100 pivots, so the basis inverse is updated in product form
         # between refactorizations before the answer is given
-        inst = gh.synth_instance(gh.SynthParams(num_flights=20, horizon=16), 1)
+        inst = gh.synth_instance(gh.SynthParams(num_flights=24, horizon=16), 1)
         empirical = inst.capacities["AP0"]
         amb = gh.AmbiguitySpec(empirical, 0.5, gh.default_support_grid(empirical))
         a = gh.build_dr_saghp(inst.schedule, amb).to_arrays()

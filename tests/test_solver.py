@@ -11,7 +11,7 @@ import groundhold as gh
 from closed_form import brute_force
 from groundhold import simplex, solver
 from helpers import (one_flight_ambiguity, one_flight_schedule, random_instance, split_network,
-                     two_flight_schedule)
+                     synth_dr_maghp, two_flight_schedule)
 
 
 def _random_model(rng, max_flights=3, max_slots=4, max_atoms=3, kinds=("det", "sp", "dr")):
@@ -343,7 +343,35 @@ def _with_rows(a, keep, A, b):
                       senses=np.concatenate([a.senses[keep], np.full(len(b), -1, dtype=np.int8)]))
 
 
+def _beta_bound_model(case, seed):
+    """A dr model on a 16x12 bundle: ``eps<r>`` on the default grid, ``wide``
+    on a grid 0..8 wider than the capacities 1-4, or ``maghp`` on two airports."""
+    if case == "maghp":
+        return synth_dr_maghp(16, 12, seed)
+    inst = gh.synth_instance(gh.SynthParams(num_flights=16, horizon=12), seed)
+    dist = inst.capacities["AP0"]
+    if case == "wide":
+        return gh.build_dr_saghp(inst.schedule, gh.AmbiguitySpec(dist, 0.5, gh.SupportGrid(tuple(range(9)))))
+    eps = float(case[3:])
+    return gh.build_dr_saghp(inst.schedule, gh.AmbiguitySpec(dist, eps, gh.default_support_grid(dist)))
+
+
 class TestAgainstHighs:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("case", ["eps0", "eps0.5", "eps5", "wide", "maghp"])
+    def test_beta_lower_bound_cuts_nothing(self, case, seed):
+        # the builders give every beta the lower bound 0; HiGHS on the same
+        # arrays with beta free must reach the same LP and MILP optimum
+        model = _beta_bound_model(case, seed)
+        a = model.to_arrays()
+        betas = list(model.index.beta.values())
+        assert betas and (a.lower[betas] == 0.0).all()
+        lower = a.lower.copy()
+        lower[betas] = -np.inf
+        free = a._replace(lower=lower)
+        assert gh.solve_lp(model).objective == pytest.approx(_highs(free, integral=False)[1], abs=1e-6)
+        assert gh.solve_milp(model).objective == pytest.approx(_highs(free)[1], abs=1e-6)
+
     @pytest.mark.parametrize("kind", ["det", "sp", "dr", "dr-maghp"])
     def test_objective_matches_highs(self, kind):
         # generated instances of up to 10 flights x 8 slots, too many

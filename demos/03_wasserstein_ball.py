@@ -2,8 +2,11 @@
 
 The ambiguity set is a ball of distributions within transport distance
 epsilon of the empirical one.  Given the cost a policy pays at each capacity
-value, the worst member of the ball is a transportation LP away: move
-probability mass toward expensive capacities until the budget runs out.
+value, the worst member of the ball has a closed form: price the transport
+budget at the smallest alpha that makes it suffice, send each empirical atom
+to a capacity that maximizes cost minus alpha times distance, and move
+probability mass toward the expensive capacities until the budget runs out.
+At most one atom is split.
 """
 
 import groundhold as gh

@@ -165,10 +165,14 @@ class MilpModel:
         self._check_mutable()
         if not 0 <= ref.index < len(self._variables):
             raise ModelError(f"objective references unknown variable #{ref.index}")
+        if not math.isfinite(coef):
+            raise ModelError(f"objective coefficient for {ref.name!r} is not finite")
         self._objective[ref.index] = self._objective.get(ref.index, 0.0) + float(coef)
 
     def add_objective_offset(self, value: float) -> None:
         self._check_mutable()
+        if not math.isfinite(value):
+            raise ModelError(f"objective offset must be finite, got {value}")
         self._offset += float(value)
 
     def freeze(self, index: ModelIndex | None = None) -> "MilpModel":

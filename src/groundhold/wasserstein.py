@@ -2,12 +2,14 @@
 
 The ground metric is the absolute difference between capacity values (the l2
 norm of a scalar), so the distance between two distributions is the area
-between their CDFs.  The worst-case distribution is a transportation LP
-solved with the package's own simplex; the expected cost it recovers must
+between their CDFs.  The worst-case distribution solves a transportation LP
+with one budget row and one mass row per empirical atom; on the line it has a
+closed form (Mohajerin Esfahani & Kuhn 2018; Gao & Kleywegt 2023): its dual
+is convex and piecewise linear in the budget's price ``alpha``, and an
+optimal plan splits at most one atom.  The expected cost it recovers must
 match the ``epsilon * alpha + sum_s p_s beta_s`` term of a solved robust
-model whenever strong duality holds.  Because that LP shares the simplex
-with the models, the test suite also checks the robust term against its
-closed form, which shares no code with either.
+model whenever strong duality holds.  This module imports nothing from the
+MILP engine, so that check compares the engine with code it does not share.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from typing import Mapping
 import numpy as np
 
 from .domain import AmbiguitySpec, CapacityDistribution
-from .milp import SENSE_EQ, SENSE_LE, MilpModel
-from .simplex import solve_lp_arrays
 
 __all__ = [
     "TransportPlan",
@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 _DROP_TOL = 1e-12
+# Relative to the largest |cost|: gains that close tie.  A kink is computed
+# with rounding, and a tie missed there leaves the budget unspent.
+_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,8 +56,8 @@ class TransportPlan:
         """Column-sum distribution over the target values.
 
         Entries at or below ``_DROP_TOL`` are dropped and the remainder is
-        renormalized, so tiny solver residue never produces zero-probability
-        atoms.
+        renormalized, so the rounding of a split atom's two parts never
+        produces a zero-probability atom.
         """
         col = self.mass.sum(axis=0)
         keep = [(v, float(p)) for v, p in zip(self.target_values, col) if p > _DROP_TOL]
@@ -84,35 +87,52 @@ def worst_case_distribution(
     whose rows sum to the empirical probabilities and whose total transport
     cost stays within the radius.  Returns the plan together with its
     expected cost; the plan's marginal is the worst-case capacity
-    distribution.  ``second_stage_costs`` must cover every grid value.
+    distribution.  ``second_stage_costs`` must cover every grid value with
+    a finite cost.
+
+    The plan comes from the LP dual ``min_{alpha >= 0} g(alpha)``, with
+    ``g(alpha) = radius * alpha + sum_s p_s max_xi (cost(xi) - alpha |xi_hat_s - xi|)``
+    convex and piecewise linear.  ``alpha*`` is its smallest minimizer: the
+    first of 0 and the kinks of ``g`` at which sending every atom to its
+    nearest maximizer of ``cost(xi) - alpha* |xi_hat_s - xi|`` fits in the
+    budget.  If ``alpha* > 0`` the budget binds, and atoms move in order to
+    their farthest maximizer until it is spent; at most one atom is split.
     """
     grid = amb.grid.values
-    missing = [xi for xi in grid if xi not in second_stage_costs]
-    if missing:
-        raise ValueError(f"second-stage costs missing for grid values {missing}")
+    cost = np.array([second_stage_costs.get(xi, np.nan) for xi in grid], dtype=float)
+    bad = [xi for xi, c in zip(grid, cost) if not np.isfinite(c)]
+    if bad:
+        raise ValueError(f"second-stage costs missing or not finite for grid values {bad}")
 
-    src = amb.empirical.support_points
-    probs = amb.empirical.probabilities
-    n, k = len(src), len(grid)
+    probs = np.asarray(amb.empirical.probabilities)
+    dist = np.abs(np.subtract.outer(amb.empirical.support_points, grid))
+    rows = np.arange(dist.shape[0])
 
-    model = MilpModel()
-    u = [[model.add_continuous(f"u[{xi_hat},{xi}]") for xi in grid] for xi_hat in src]
-    for s, xi_hat in enumerate(src):
-        for j, xi in enumerate(grid):
-            # maximization written as a minimization
-            model.add_objective_term(u[s][j], -float(second_stage_costs[xi]))
-    budget = [(u[s][j], float(abs(src[s] - grid[j]))) for s in range(n) for j in range(k)]
-    model.add_row(budget, SENSE_LE, amb.radius, name="budget")
-    for s in range(n):
-        model.add_row([(u[s][j], 1.0) for j in range(k)], SENSE_EQ, probs[s], name=f"mass[{src[s]}]")
-    model.freeze()
+    def maximizers(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest and farthest maximizer of each atom's ``cost - alpha * dist``."""
+        gain = cost - alpha * dist
+        tied = gain.max(axis=1, keepdims=True) - gain <= _TIE_TOL * (1.0 + np.abs(cost).max())
+        return np.where(tied, dist, np.inf).argmin(axis=1), np.where(tied, dist, -1).argmax(axis=1)
 
-    a = model.to_arrays()
-    sol = solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, a.lower, a.upper)
-    if sol.status != "optimal":
-        raise RuntimeError(f"worst-case transport LP reported {sol.status}")
+    # g bends only where two lines of one atom cross; a line meets itself at 0
+    run = dist[:, :, None] - dist[:, None, :]
+    kinks = np.divide(np.subtract.outer(cost, cost), run, out=np.zeros(run.shape), where=run != 0)
+    alphas = np.unique(kinks[kinks >= 0])
+    # the nearest plan's cost falls as alpha grows and is 0 from the last kink on
+    lo, hi = 0, alphas.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        fits = probs @ dist[rows, maximizers(alphas[mid])[0]] <= amb.radius
+        lo, hi = (lo, mid) if fits else (mid + 1, hi)
 
-    mass = np.maximum(np.asarray(sol.values).reshape(n, k), 0.0)
+    near, far = maximizers(alphas[lo])
+    # at alpha* = 0 the nearest plan is already optimal and the slack stays unspent
+    step = probs * (dist[rows, far] - dist[rows, near])
+    room = amb.radius - probs @ dist[rows, near] if alphas[lo] > 0 else 0.0
+    frac = np.clip(room - (np.cumsum(step) - step), 0.0, step) / np.where(step > 0, step, 1.0)
+    mass = np.zeros(dist.shape)
+    mass[rows, near] = probs * (1.0 - frac)
+    mass[rows, far] += probs * frac
     mass.setflags(write=False)
-    plan = TransportPlan(src, probs, grid, mass)
-    return plan, -sol.objective
+    plan = TransportPlan(amb.empirical.support_points, amb.empirical.probabilities, grid, mass)
+    return plan, float(mass.sum(axis=0) @ cost)

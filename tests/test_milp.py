@@ -46,6 +46,21 @@ class TestModelBuilding:
         with pytest.raises(gh.ModelError, match="duplicate"):
             m.add_row([(x0, 1.0), (x0, 2.0)], gh.SENSE_LE, 1.0)
 
+    @pytest.mark.parametrize("coef", [math.nan, math.inf, -math.inf])
+    def test_non_finite_objective_coefficient_rejected(self, coef):
+        m = gh.MilpModel()
+        x = m.add_continuous("x", 0.0, 1.0)
+        m.add_row([(x, 1.0)], gh.SENSE_LE, 1.0)
+        with pytest.raises(gh.ModelError, match="not finite"):
+            m.add_objective_term(x, coef)
+
+    @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+    def test_non_finite_objective_offset_rejected(self, offset):
+        m = gh.MilpModel()
+        m.add_continuous("x", 0.0, 1.0)
+        with pytest.raises(gh.ModelError, match="must be finite"):
+            m.add_objective_offset(offset)
+
     def test_frozen_model_rejects_changes(self):
         m = gh.MilpModel()
         m.add_binary("x0")

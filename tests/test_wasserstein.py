@@ -1,9 +1,12 @@
+import ast
+import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import optimize, stats
 
 import groundhold as gh
 from helpers import one_flight_ambiguity, random_distribution
@@ -13,6 +16,19 @@ def scipy_distance(p: gh.CapacityDistribution, q: gh.CapacityDistribution) -> fl
     """Independent oracle: scipy's weighted 1-Wasserstein distance on the line."""
     return stats.wasserstein_distance(p.support_points, q.support_points,
                                       p.probabilities, q.probabilities)
+
+
+def highs_worst_case(costs, amb: gh.AmbiguitySpec) -> float:
+    """Independent oracle: the worst-case transport LP solved by scipy's HiGHS."""
+    src = np.array(amb.empirical.support_points)
+    grid = np.array(amb.grid.values)
+    res = optimize.linprog(
+        -np.tile([costs[xi] for xi in amb.grid.values], src.size),
+        A_ub=np.abs(src[:, None] - grid[None, :]).reshape(1, -1), b_ub=[amb.radius],
+        A_eq=np.kron(np.eye(src.size), np.ones(grid.size)), b_eq=amb.empirical.probabilities,
+        method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
 
 
 dists = st.integers(0, 10 ** 6).map(lambda s: random_distribution(random.Random(s)))
@@ -108,18 +124,27 @@ class TestWorstCase:
 
     def test_missing_grid_cost_rejected(self):
         amb = one_flight_ambiguity(0.4)
-        with pytest.raises(ValueError, match="missing"):
-            gh.worst_case_distribution({0: 4.0}, amb)
+        for costs, bad in (({0: 4.0}, 1), ({0: math.nan, 1: 0.0}, 0),
+                           ({0: math.inf, 1: 0.0}, 0), ({0: 4.0, 1: -math.inf}, 1)):
+            with pytest.raises(ValueError, match=rf"grid values \[{bad}\]"):
+                gh.worst_case_distribution(costs, amb)
 
-    @pytest.mark.parametrize("seed", range(15))
+    @pytest.mark.parametrize("seed", range(40))
     def test_plan_invariants(self, seed):
         rng = random.Random(123 + seed)
-        support = tuple(sorted(rng.sample(range(0, 8), rng.randint(1, 3))))
+        support = tuple(sorted(rng.sample(range(3, 11), rng.randint(1, 3))))
         counts = [rng.randint(1, 4) for _ in support]
         total = sum(counts)
         dist = gh.CapacityDistribution(support, tuple(c / total for c in counts))
-        amb = gh.AmbiguitySpec(dist, rng.choice([0.0, 0.3, 1.5]), gh.default_support_grid(dist))
-        costs = {xi: round(rng.uniform(0, 10), 3) for xi in amb.grid.values}
+        # a grid reaching past the support on either side, as --support lo:hi gives
+        lo, hi = support[0] - rng.randint(0, 3), support[-1] + rng.randint(0, 3)
+        grid = gh.SupportGrid(tuple(range(lo, hi + 1)))
+        # hi - lo + 1 exceeds every transport cost: alpha* = 0 and budget to spare
+        amb = gh.AmbiguitySpec(dist, rng.choice([0.0, 0.3, 1.5, hi - lo + 1.0]), grid)
+        if seed % 2:
+            costs = {xi: float(rng.randint(0, 3)) for xi in grid.values}  # many ties
+        else:
+            costs = {xi: round(rng.uniform(0, 10), 3) for xi in grid.values}
         plan, expected = gh.worst_case_distribution(costs, amb)
 
         assert np.all(plan.mass >= 0.0)
@@ -133,3 +158,19 @@ class TestWorstCase:
                          for s in range(len(support))
                          for j, xi in enumerate(amb.grid.values))
         assert recomputed == pytest.approx(expected, abs=1e-9)
+        assert expected == pytest.approx(highs_worst_case(costs, amb), abs=1e-9)
+
+
+def test_module_imports_no_engine():
+    """The worst case checks the engine's dual term, so it must not share the engine."""
+    tree = ast.parse((Path(gh.__file__).parent / "wasserstein.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    assert ".domain.AmbiguitySpec" in imported, "the guard found no package import at all"
+    engine = {"milp", "simplex", "solver"}
+    assert not [name for name in imported if engine & set(name.strip(".").split("."))]

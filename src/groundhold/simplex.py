@@ -20,10 +20,11 @@ column ``Binv @ a_j`` and ``A @ x_N`` each touch only the stored nonzeros,
 so a product costs in proportion to them and not to m * (n + m).
 
 The basis inverse is kept explicitly as a dense m x m array.  A
-refactorization builds the basis from the column storage and inverts it.
-A basis of slacks alone, such as the all-slack one every solve without a
-stored basis starts from, is a permutation of the identity: its inverse is
-its transpose, written down without calling an inversion.  Between
+refactorization inverts only the bump: each basic slack e_i covers row i,
+so of the basis only the k basic structural columns on the k rows no slack
+covers form a block that needs inverting, and the rest of the inverse
+follows from it in closed form.  The all-slack basis, where every solve
+without a stored basis starts, has k = 0 and inverts nothing.  Between
 refactorizations (every 100 pivots) each pivot is a rank-1 update of only
 the rows of the inverse where the entering column is nonzero; the other
 rows would subtract zeros, so the values are those of updating every row
@@ -35,10 +36,10 @@ duals and reduced costs returned all come from a fresh inverse.
 
 The dense inverse sets the limit.  On the dr-SAGHP root of ``gen
 --flights 60 --horizon 32 --seed 3`` (2,841 rows, 1,138 columns; one BLAS
-thread, 2-vCPU VM) the solve takes about 95 s, 73 ms per pivot: about 63%
-of it is the rank-1 update of about 2,000 touched rows and 26% the
-inversions of the full basis.  The benchmark's root LPs (up to 421 rows)
-take about 0.5 ms per pivot.
+thread, 2-vCPU VM) the solve takes about 148 s over 2,628 pivots, 56 ms per
+pivot: 95% of it is the rank-1 update of the touched rows, and the 27 bump
+inversions take 0.2 s in all.  The benchmark's root LPs (up to 421 rows)
+take about 0.2 ms per pivot.
 """
 
 from __future__ import annotations
@@ -176,25 +177,35 @@ class _Simplex:
         return self.Binv[:, self.rows[k]] @ self.vals[k]
 
     def _refactor(self) -> None:
-        """Invert the basis afresh from the column storage.  A basis of slacks
-        alone is a permutation of the identity and is inverted by transposing
-        it, so the all-slack start calls no inversion."""
+        """Invert the basis afresh from the column storage, inverting only the
+        bump.  A basic slack e_i covers row i, so the basis is nonsingular
+        exactly when the k x k block C[U] of the k basic structural columns
+        C on the k rows U no slack covers is, and only C[U] is inverted.
+        The rest of the inverse is written down: 1 at each slack's own row,
+        ``C[U]^-1`` in the structural positions' U columns,
+        ``-C[S] C[U]^-1`` in the slack positions' U columns (S the covered
+        rows), zero elsewhere.  The all-slack basis has k = 0 and inverts
+        nothing."""
         n, m = self.nstruct, self.m
-        if (self.basis >= n).all():
-            Binv = np.zeros((m, m))
-            Binv[np.arange(m), self.basis - n] = 1.0
-        else:
-            at = np.full(n + m, -1)
-            at[self.basis] = np.arange(m)  # the basis position of each basic column
-            B = np.zeros((m, m))
+        slack = np.flatnonzero(self.basis >= n)  # basis positions of the slacks
+        covered = self.basis[slack] - n
+        struct = np.flatnonzero(self.basis < n)
+        bump = np.ones(m, dtype=bool)
+        bump[covered] = False
+        Binv = np.zeros((m, m))
+        Binv[slack, covered] = 1.0
+        if len(struct):
+            at = np.full(n, -1)
+            at[self.basis[struct]] = np.arange(len(struct))  # each basic structural's column of C
             e = at[self.cols] >= 0
-            B[self.rows[e], at[self.cols[e]]] = self.vals[e]
-            s = np.flatnonzero(at[n:] >= 0)
-            B[s, at[n + s]] = 1.0
+            C = np.zeros((m, len(struct)))
+            C[self.rows[e], at[self.cols[e]]] = self.vals[e]
             try:
-                Binv = np.linalg.inv(B)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+                inner = np.linalg.inv(C[bump])
+            except np.linalg.LinAlgError as exc:
                 raise NumericalInstabilityError("singular basis") from exc
+            Binv[np.ix_(struct, bump)] = inner
+            Binv[np.ix_(slack, bump)] = -(C[covered] @ inner)
         self.Binv = Binv
 
         x = self._nonbasic_values()
@@ -281,7 +292,8 @@ class _Simplex:
     def _apply_pivot(self, j, step, r, w, leave_status) -> None:
         """Column ``j`` moves by ``step`` and replaces the variable basic in
         row ``r``, which leaves with ``leave_status``."""
-        enter_val = self._nonbasic_values()[j] + step
+        s = self.status[j]
+        enter_val = (self.up[j] if s == _AT_UP else self.lo[j] if s == _AT_LO else 0.0) + step
         self.xB -= step * w
         leaving = self.basis[r]
         self.status[leaving] = leave_status

@@ -600,9 +600,8 @@ class TestInversion:
         assert inverted == []
 
     def test_slack_basis_in_any_order_inverts_nothing(self, monkeypatch):
-        # slacks listed in another order make a permutation of the identity,
-        # whose inverse is its transpose: the restart inverts nothing and
-        # lands on the cold solve's vertex
+        # slacks listed in another order leave no bump (k = 0): the restart
+        # inverts nothing and lands on the cold solve's vertex
         a = _lp(*_optimal_at_slack_basis()).to_arrays()
         cold = simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, a.lower, a.upper)
         cols, status = cold.basis
@@ -614,3 +613,36 @@ class TestInversion:
         assert again.pivots == 0
         assert np.array_equal(again.values, cold.values)
         assert np.array_equal(again.dual_values, cold.dual_values)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bump_inverse_matches_the_full_inverse(self, seed, monkeypatch):
+        # an optimal basis of slacks and structurals, loaded again with its
+        # columns in a random order: only the k x k bump of the k basic
+        # structurals is inverted, and the inverse assembled around it is
+        # that of the explicit basis matrix
+        rng = random.Random(9700 + seed)
+        c, rows, bounds = _sparse_lp(rng, rng.randint(60, 120), rng.uniform(0.03, 0.06))
+        a = _lp(c, rows, bounds).to_arrays()
+        cold = simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, a.lower, a.upper)
+        assert cold.status == "optimal"
+        m, n = a.A.shape
+        cols, status = cold.basis
+        cols = cols[np.random.default_rng(seed).permutation(m)]
+        k = int((cols < n).sum())
+        assert 0 < k < m
+        expected = np.linalg.inv(np.hstack([a.A, np.eye(m)])[:, cols])
+        inverted = _spy_on_inv(monkeypatch)
+        lp = simplex._Simplex(a.c, a.offset, a.A, a.senses, a.b, a.lower, a.upper)
+        lp._load((cols, status))
+        assert inverted == [(k, k)]
+        assert np.abs(lp.Binv - expected).max() <= 1e-9
+
+    def test_basis_with_two_equal_columns_is_singular(self):
+        # x0 and x1 have the same column, so a basis holding both is singular
+        c, bounds = [1.0, 2.0, 1.0], [(0.0, 4.0)] * 3
+        rows = [([(0, 1.0), (1, 1.0), (2, 1.0)], gh.SENSE_GE, 1.0),
+                ([(0, 2.0), (1, 2.0), (2, -1.0)], gh.SENSE_LE, 3.0)]
+        a = _lp(c, rows, bounds).to_arrays()
+        status = np.zeros(5, dtype=np.int8)
+        with pytest.raises(simplex.NumericalInstabilityError, match="singular basis"):
+            _warm(a, a.lower, a.upper, (np.array([0, 1]), status))

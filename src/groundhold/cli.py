@@ -9,6 +9,7 @@ flows from ``--seed``; sweep output is byte-identical for a fixed seed at any
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -286,7 +287,10 @@ def cmd_export_mps(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged and every call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="groundhold",
         description="Ground holding models: generate, solve, sweep, evaluate, export.",

@@ -222,11 +222,22 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _solve_to_policy(model, schedule, node_limit) -> tuple[str, GroundHoldingPolicy | None]:
-    sol = solve_milp(model, node_limit=node_limit)
-    if sol.status != "optimal":
-        return sol.status, None
-    return "optimal", extract_policy(model, sol, schedule)
+def _solve_chain(chain, schedule, node_limit):
+    """Solve ``(name, eps, model)`` cells in order and read their policies.
+
+    The models of one chain share ``A``, ``b`` and the bounds, so each root
+    LP starts from the previous cell's optimal root basis, which is still
+    primal feasible under the new cost; after a root with no basis the next
+    starts cold.
+    """
+    solved = []
+    basis = None
+    for name, eps, model in chain:
+        sol = solve_milp(model, node_limit=node_limit, root_basis=basis)
+        basis = sol.root_basis
+        policy = extract_policy(model, sol, schedule) if sol.status == "optimal" else None
+        solved.append((name, eps, sol.status, policy))
+    return solved
 
 
 def epsilon_sweep(
@@ -253,10 +264,17 @@ def epsilon_sweep(
     optimum (infeasible or ``node_limit`` reached) annotates its rows with
     that status and the sweep continues; an error raised by a solve or by
     policy extraction (``NumericalInstabilityError``,
-    ``PolicyExtractionError``) ends the sweep.  ``jobs`` fans the independent
-    solves out over a thread pool; every cell is a pure function of its
-    inputs and results merge in request order, so the output is identical at
-    any setting.
+    ``PolicyExtractionError``) ends the sweep.
+
+    The robust models differ only in the cost of ``alpha`` (the radius), so
+    they are solved as one chain in the order of ``omegas``: each root LP
+    starts from the previous radius's optimal root basis, and only the
+    primal simplex runs.  The chain's start can select another of several
+    tied optima than a cold solve would; the optimal values are the same.
+    ``jobs`` fans the three independent tasks (det, sp and the robust chain)
+    out over a thread pool; each task is a pure function of its inputs and
+    results merge in request order, so the output is identical at any
+    setting.
     """
     if not omegas:
         raise ValueError("omega grid must be nonempty")
@@ -266,24 +284,21 @@ def epsilon_sweep(
         raise ValueError("need at least one sample size")
     grid = grid or default_support_grid(empirical)
 
-    specs: list[tuple[str, float | None, MilpModel]] = [
-        ("det", None, build_d_saghp(schedule, deterministic_capacity(empirical))),
-        ("sp", None, build_s_saghp(schedule, empirical)),
+    chains: list[list[tuple[str, float | None, MilpModel]]] = [
+        [("det", None, build_d_saghp(schedule, deterministic_capacity(empirical)))],
+        [("sp", None, build_s_saghp(schedule, empirical))],
+        [("dr", float(eps), build_dr_saghp(schedule, AmbiguitySpec(empirical, float(eps), grid)))
+         for eps in omegas],
     ]
-    for eps in omegas:
-        amb = AmbiguitySpec(empirical, float(eps), grid)
-        specs.append(("dr", float(eps), build_dr_saghp(schedule, amb)))
 
-    def run(spec):
-        name, eps, model = spec
-        status, policy = _solve_to_policy(model, schedule, node_limit)
-        return name, eps, status, policy
+    def run(chain):
+        return _solve_chain(chain, schedule, node_limit)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            solved = list(pool.map(run, specs))
+            solved = [cell for cells in pool.map(run, chains) for cell in cells]
     else:
-        solved = [run(spec) for spec in specs]
+        solved = [cell for chain in chains for cell in run(chain)]
 
     samples_by_size = {n: sample_capacities(eval_dist, n, seed) for n in sample_sizes}
     evaluations: dict[tuple[str, int], PolicyEvaluation] = {}

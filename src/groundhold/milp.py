@@ -239,7 +239,10 @@ class Solution:
     """Solver output: variable values plus search statistics.
 
     ``values`` is aligned with the model's variable indices and is ``None``
-    when no feasible point was found.
+    when no feasible point was found.  ``root_basis`` is the root LP's
+    optimal basis (``LpSolution.basis``), to start the root of a model with
+    the same ``A``, ``b`` and bounds but another cost; it is ``None`` when
+    the root LP was not optimal.
     """
 
     status: str                       # optimal | infeasible | unbounded | node-limit
@@ -249,6 +252,7 @@ class Solution:
     nodes: int = 0
     pivots: int = 0
     wall_time: float = 0.0
+    root_basis: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def constraint_residuals(model: MilpModel, values: Sequence[float]) -> np.ndarray:

@@ -3,11 +3,14 @@
 Revised simplex over the standard form ``A x + s = b`` with sense-dependent
 slack bounds; free variables are handled natively (nonbasic at zero) rather
 than split.  Every solve loads a basis (a previous optimal basis of the same
-arrays under new bounds, as for a branch-and-bound child, or the all-slack
+``A``, senses and ``b`` under new bounds or a new cost, as for a
+branch-and-bound child or the next radius of a sweep, or the all-slack
 one), shifts the cost of each column with a wrong-signed reduced cost so
 that it is zero (the cost-modification dual phase 1), runs a bounded dual
 simplex to a primal-feasible basis, then the primal simplex under the true
-costs.  Where nothing was shifted the primal only certifies the optimum.
+costs.  Where nothing was shifted the primal only certifies the optimum;
+where only the cost changed the basis is still primal feasible, the dual
+takes no pivot, and the primal does all the work.
 Pricing is Dantzig with a permanent-for-the-run Bland's-rule fallback after
 a run of 1000 degenerate pivots; all ties break deterministically, so
 solves repeat.
@@ -82,8 +85,8 @@ class LpSolution:
     reduced_costs: np.ndarray | None   # structural variables
     pivots: int = 0                    # primal and dual pivots together
     # (basic columns, statuses over the n + m structural and slack columns)
-    # of an optimal solve, to warm-start a solve under other bounds; None
-    # only when the solve is infeasible or unbounded
+    # of an optimal solve, to warm-start a solve under other bounds or
+    # another cost; None only when the solve is infeasible or unbounded
     basis: tuple[np.ndarray, np.ndarray] | None = None
 
 
@@ -102,8 +105,8 @@ def solve_lp_arrays(
 
     ``senses`` holds -1 for ``<=``, 0 for ``=``, +1 for ``>=`` per row.
     ``basis`` is the ``LpSolution.basis`` of an earlier optimal solve of the
-    same ``c``, ``A``, ``senses`` and ``b`` under other bounds; the solve then
-    starts from it.  ``None`` starts from the all-slack basis.
+    same ``A``, ``senses`` and ``b``; its bounds and ``c`` may differ.  The
+    solve then starts from it.  ``None`` starts from the all-slack basis.
     """
     return _Simplex(c, offset, A, senses, b, lower, upper).solve(basis)
 

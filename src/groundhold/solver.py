@@ -43,23 +43,36 @@ def solve_lp(
     return solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, lo, up)
 
 
-def solve_milp(model: MilpModel, *, node_limit: int = 100_000) -> Solution:
+def solve_milp(
+    model: MilpModel,
+    *,
+    node_limit: int = 100_000,
+    root_basis: tuple[np.ndarray, np.ndarray] | None = None,
+) -> Solution:
     """Best-bound branch and bound to an absolute gap of ``OPTIMALITY_GAP``.
 
-    Branches on the most fractional binary.  The root LP starts from the
-    all-slack basis; each child starts from its parent's optimal basis (one
-    bound changed) and re-optimises with the dual simplex.  Deterministic:
-    Dantzig/Bland simplex below, lowest variable index on all branching
-    ties, sequence-numbered node queue.  Stops with status ``node-limit``
-    after ``node_limit`` LP solves.
+    Branches on the most fractional binary.  The root LP starts from
+    ``root_basis`` (the ``Solution.root_basis`` of a model with the same
+    ``A``, ``b`` and bounds; its cost may differ) or, when it is None, from
+    the all-slack basis; each child starts from its parent's optimal basis
+    (one bound changed) and re-optimises with the dual simplex.  The
+    optimum found does not depend on the root's start, but among tied
+    optima the one returned can.  Deterministic: Dantzig/Bland simplex
+    below, lowest variable index on all branching ties, sequence-numbered
+    node queue.  Stops with status ``node-limit`` after ``node_limit`` LP
+    solves.
     """
     if node_limit < 1:
         raise ValueError("node_limit must be >= 1")
     t0 = time.perf_counter()
     a = model.to_arrays()
+    m, n = a.A.shape
+    if root_basis is not None and (len(root_basis[0]) != m or len(root_basis[1]) != n + m):
+        raise ValueError(f"root_basis does not fit a model of {m} rows and {n} columns")
     bin_idx = np.flatnonzero(a.is_binary)
     pivots = 0
     nodes = 0
+    root = None  # the root LP's optimal basis, reported in the Solution
 
     incumbent: np.ndarray | None = None
     inc_obj = math.inf
@@ -69,7 +82,7 @@ def solve_milp(model: MilpModel, *, node_limit: int = 100_000) -> Solution:
     # (parent bound, sequence, lower, upper, parent basis); siblings share
     # the parent's basis tuple
     open_nodes: list[tuple[float, int, np.ndarray, np.ndarray, tuple | None]] = [
-        (-math.inf, 0, a.lower.copy(), a.upper.copy(), None)
+        (-math.inf, 0, a.lower.copy(), a.upper.copy(), root_basis)
     ]
     seq = 0
 
@@ -88,11 +101,13 @@ def solve_milp(model: MilpModel, *, node_limit: int = 100_000) -> Solution:
         nodes += 1
         rel = solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, lo, up, basis=basis)
         pivots += rel.pivots
+        if nodes == 1:
+            root = rel.basis
         if rel.status == "infeasible":
             continue
         if rel.status == "unbounded":
             return Solution("unbounded", None, -math.inf, -math.inf, nodes, pivots,
-                            time.perf_counter() - t0)
+                            time.perf_counter() - t0, root)
         if incumbent is not None and rel.objective >= inc_obj - OPTIMALITY_GAP:
             continue
 
@@ -119,6 +134,6 @@ def solve_milp(model: MilpModel, *, node_limit: int = 100_000) -> Solution:
     wall = time.perf_counter() - t0
     if incumbent is None:
         if status == "node-limit":
-            return Solution("node-limit", None, math.inf, best_bound, nodes, pivots, wall)
-        return Solution("infeasible", None, math.inf, math.inf, nodes, pivots, wall)
-    return Solution(status, incumbent, inc_obj, min(best_bound, inc_obj), nodes, pivots, wall)
+            return Solution("node-limit", None, math.inf, best_bound, nodes, pivots, wall, root)
+        return Solution("infeasible", None, math.inf, math.inf, nodes, pivots, wall, root)
+    return Solution(status, incumbent, inc_obj, min(best_bound, inc_obj), nodes, pivots, wall, root)

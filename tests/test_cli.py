@@ -462,3 +462,26 @@ class TestExitCodeContract:
         code = main(["solve", str(bundle), "--model", "sp"])
         assert code == (2 if issubclass(error, ValueError) else 4)
         assert capsys.readouterr().err == "error: boom\n"
+
+
+class TestParserReuse:
+    def test_one_process_runs_commands_in_turn(self, bundle, tmp_path, capsys):
+        # the parser is built once per process; a failed command leaves
+        # nothing behind that the next one sees
+        from groundhold import cli
+        assert cli._build_parser() is cli._build_parser()
+        capsys.readouterr()
+        assert main(["solve", str(bundle), "--model", "dr", "--epsilon", "nan"]) == 2
+        assert capsys.readouterr().err == "error: radius must be a finite number, got nan\n"
+        assert main(["solve", str(bundle), "--model", "nope"]) == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+        res = tmp_path / "res.json"
+        assert main(["solve", str(bundle), "--model", "sp", "--out", str(res)]) == 0
+        doc = _read_json(res)
+        assert (doc["model"], doc["epsilon"], doc["status"]) == ("sp", None, "optimal")
+
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(bundle), "--omega", "0", "--sizes", "4", "--out", str(out)]) == 0
+        assert capsys.readouterr() == (f"wrote sweep results to {out}\n", "")
+        assert len((out / "table.csv").read_text().splitlines()) == 2 + 3  # det, sp, dr

@@ -249,6 +249,57 @@ class TestEpsilonSweep:
         assert by_model["sp"].status == "optimal"
         assert by_model["dr"].status == "optimal"
 
+    @staticmethod
+    def _record_solves(monkeypatch):
+        """``(model, root_basis, solution)`` of every solve the sweep makes."""
+        solves = []
+        solve_milp = evaluate.solve_milp
+
+        def spy(model, **kwargs):
+            sol = solve_milp(model, **kwargs)
+            solves.append((model, kwargs.get("root_basis"), sol))
+            return sol
+
+        monkeypatch.setattr(evaluate, "solve_milp", spy)
+        return solves
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_radius_chain_matches_cold_solves(self, seed, monkeypatch):
+        # the robust models are solved in the given, unsorted radius order,
+        # each root from the previous radius's root basis; each optimum is
+        # a cold solve's, and the rows do not depend on jobs
+        inst = gh.synth_instance(gh.SynthParams(num_flights=14, horizon=12), seed)
+        sched, empirical = inst.schedule, inst.capacities["AP0"]
+        omegas = (10.0, 0.01, 0.75, 0.0)
+        solves = self._record_solves(monkeypatch)
+        result = gh.epsilon_sweep(sched, empirical, omegas, empirical, [20], seed=4)
+        dr = solves[2:]
+        assert [m.objective_coefficient(m.index.alpha[None]) for m, _, _ in dr] == list(omegas)
+        assert dr[0][1] is None
+        assert all(basis is prev.root_basis is not None
+                   for (_, basis, _), (_, _, prev) in zip(dr[1:], dr))
+        for model, _, sol in dr:
+            cold = gh.solve_milp(model)
+            assert sol.status == cold.status == "optimal"
+            assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
+        assert gh.epsilon_sweep(sched, empirical, omegas, empirical, [20], seed=4, jobs=2) == result
+
+    def test_chain_restarts_cold_after_a_root_without_basis(self, monkeypatch):
+        # the infeasible det model of test_infeasible_model_annotates_row_and_continues
+        # heads a chain: its root leaves no basis, so the next model starts cold
+        sched, _ = self._instance()
+        empirical = gh.CapacityDistribution((0, 1), (0.9, 0.1))
+        grid = gh.default_support_grid(empirical)
+        chain = [("det", None, gh.build_d_saghp(sched, gh.deterministic_capacity(empirical)))]
+        chain += [("dr", eps, gh.build_dr_saghp(sched, gh.AmbiguitySpec(empirical, eps, grid)))
+                  for eps in (0.0, 0.5)]
+        solves = self._record_solves(monkeypatch)
+        solved = evaluate._solve_chain(chain, sched, 100_000)
+        assert [status for _, _, status, _ in solved] == ["infeasible", "optimal", "optimal"]
+        assert solves[0][2].root_basis is None
+        assert solves[1][1] is None
+        assert solves[2][1] is solves[1][2].root_basis is not None
+
     def test_jobs_do_not_change_result(self):
         sched, empirical = self._instance()
         serial = gh.epsilon_sweep(sched, empirical, [0.0, 0.5, 2.0], empirical, [7], seed=5)

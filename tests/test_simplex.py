@@ -262,6 +262,46 @@ class TestWarmStart:
             restarted += 1
         assert restarted == 27  # the rest are infeasible or unbounded
 
+    def test_restart_under_a_new_cost_matches_cold_and_highs(self, monkeypatch):
+        # TestAgainstScipy's optimal LPs, re-solved from their own basis with
+        # every cost moved by up to the costs' own range: the basis is still
+        # primal feasible, so the dual phase takes no pivot, and the primal
+        # ends where a cold solve and HiGHS do (or finds the ray they find)
+        dual_pivots, warm_pivots = [], 0
+        dual = simplex._Simplex._dual
+
+        def dual_spy(self):
+            before = self.pivots
+            feasible = dual(self)
+            dual_pivots.append(self.pivots - before)
+            return feasible
+
+        restarted = 0
+        for seed in range(1000, 1120):
+            rng = random.Random(seed)
+            c, rows, bounds = _random_lp(rng)
+            a = _lp(c, rows, bounds).to_arrays()
+            sol = simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, a.lower, a.upper)
+            if sol.status != "optimal":
+                continue
+            c2 = [round(cj + rng.uniform(-3, 3), 3) for cj in c]
+            a2 = _lp(c2, rows, bounds).to_arrays()
+            cold = simplex.solve_lp_arrays(a2.c, a2.offset, a2.A, a2.senses, a2.b, a2.lower, a2.upper)
+            with monkeypatch.context() as patch:
+                patch.setattr(simplex._Simplex, "_dual", dual_spy)
+                warm = _warm(a2, a2.lower, a2.upper, sol.basis)
+            assert dual_pivots.pop() == 0, seed
+            warm_pivots += warm.pivots
+            assert warm.status == cold.status, seed
+            ref = _scipy_reference(c2, rows, bounds)
+            assert ref.status == {"optimal": 0, "unbounded": 3}[warm.status], seed
+            if warm.status == "optimal":
+                assert warm.objective == pytest.approx(cold.objective, abs=1e-9), seed
+                assert warm.objective == pytest.approx(ref.fun, abs=1e-9), seed
+            restarted += 1
+        assert restarted == 27  # as in test_restart_from_own_basis_takes_no_pivot
+        assert warm_pivots > 0  # some restarts had to move
+
     def test_long_warm_solve_refactors(self, monkeypatch):
         # a 40-flight dr-SAGHP with every flight pushed off the slot its root
         # LP prefers: the warm solve takes over 100 pivots, so the basis

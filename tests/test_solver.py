@@ -293,6 +293,37 @@ class TestWarmStart:
         assert sol.nodes > 1
         assert bases[0] is None and all(b is not None for b in bases[1:])
 
+    def test_root_restarted_from_its_own_basis_takes_no_pivot(self, monkeypatch):
+        model = _branching_instance()[0]
+        cold = gh.solve_milp(model)
+        assert cold.root_basis is not None
+        pivots = []
+        solve_lp_arrays = solver.solve_lp_arrays
+
+        def spy(*args, **kwargs):
+            lp = solve_lp_arrays(*args, **kwargs)
+            pivots.append(lp.pivots)
+            return lp
+
+        monkeypatch.setattr(solver, "solve_lp_arrays", spy)
+        warm = gh.solve_milp(model, root_basis=cold.root_basis)
+        assert pivots[0] == 0
+        # the root lands on the same vertex, so the search repeats after it
+        assert (warm.status, warm.objective, warm.nodes) == (cold.status, cold.objective, cold.nodes)
+        assert np.array_equal(warm.values, cold.values)
+        assert np.array_equal(warm.root_basis[0], cold.root_basis[0])
+
+    def test_no_root_basis_without_an_optimal_root(self):
+        sol = gh.solve_milp(gh.build_d_saghp(two_flight_schedule(horizon=1), 1))
+        assert sol.status == "infeasible"
+        assert sol.root_basis is None
+
+    def test_root_basis_of_another_shape_rejected(self):
+        other = gh.solve_milp(gh.build_d_saghp(two_flight_schedule(), 1))
+        model = _branching_instance()[0]
+        with pytest.raises(ValueError, match="root_basis does not fit"):
+            gh.solve_milp(model, root_basis=other.root_basis)
+
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("seed", range(40))

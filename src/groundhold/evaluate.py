@@ -17,7 +17,7 @@ import math
 import random
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -97,25 +97,20 @@ def sample_capacities(dist: CapacityDistribution, n: int, seed: int) -> list[int
 
 @dataclass(frozen=True)
 class PolicyEvaluation:
-    """Per-sample total costs with their mean and population std dev."""
+    """Per-sample total costs with their mean and population std dev, which
+    are computed once, from the costs, when the evaluation is made."""
 
     per_sample_costs: tuple[float, ...]
-    mean: float
-    std_dev: float
-    sample_size: int
+    mean: float = field(init=False)
+    std_dev: float = field(init=False)
+    sample_size: int = field(init=False)
 
     def __post_init__(self) -> None:
-        costs = self.per_sample_costs
-        if len(costs) != self.sample_size:
-            raise ValueError("sample_size disagrees with per_sample_costs")
+        costs = tuple(map(float, self.per_sample_costs))
         mean, std_dev = _mean_std(costs)
-        if abs(mean - self.mean) > 1e-9 or abs(std_dev - self.std_dev) > 1e-9:
-            raise ValueError("mean/std_dev inconsistent with per_sample_costs")
-
-    @classmethod
-    def from_costs(cls, costs: Sequence[float]) -> "PolicyEvaluation":
-        costs = tuple(float(c) for c in costs)
-        return cls(costs, *_mean_std(costs), len(costs))
+        for name, value in (("per_sample_costs", costs), ("mean", mean), ("std_dev", std_dev),
+                            ("sample_size", len(costs))):
+            object.__setattr__(self, name, value)
 
 
 def _mean_std(costs: tuple[float, ...]) -> tuple[float, float]:
@@ -161,7 +156,7 @@ def evaluate_policy(
     if problems:
         raise ValueError("policy does not fit schedule: " + "; ".join(str(v) for v in problems))
     cost = _costs_by_capacity(policy, schedule, set(samples))
-    return PolicyEvaluation.from_costs([cost[k] for k in samples])
+    return PolicyEvaluation([cost[k] for k in samples])
 
 
 def expected_policy_cost(

@@ -105,16 +105,33 @@ class LinearConstraint:
 
 
 class ModelArrays(NamedTuple):
-    """Dense numeric view of a model, consumed by the solver."""
+    """Numeric view of a model, consumed by the solver.
+
+    The constraint matrix is held only as its structural columns, built once
+    per model by ``MilpModel.to_arrays`` and shared by every LP of a search:
+    column j holds ``vals[ptr[j]:ptr[j+1]]`` in rows ``rows[ptr[j]:ptr[j+1]]``,
+    rows ascending, exact zeros dropped; entry k lies in column ``cols[k]``.
+    """
 
     c: np.ndarray          # objective coefficients, length n
     offset: float          # objective constant
-    A: np.ndarray          # constraint matrix, m x n
     senses: np.ndarray     # per row: -1 for <=, 0 for =, +1 for >=
     b: np.ndarray          # right-hand sides, length m
     lower: np.ndarray      # variable lower bounds
     upper: np.ndarray      # variable upper bounds
     is_binary: np.ndarray  # boolean mask over variables
+    ptr: np.ndarray        # column starts, length n + 1
+    rows: np.ndarray       # row of each stored entry
+    cols: np.ndarray       # column of each stored entry
+    vals: np.ndarray       # value of each stored entry
+
+    @property
+    def A(self) -> np.ndarray:
+        """The dense m x n constraint matrix, built afresh on each access
+        for external solvers; the engine reads only the column storage."""
+        A = np.zeros((len(self.b), len(self.c)))
+        A[self.rows, self.cols] = self.vals
+        return A
 
 
 class MilpModel:
@@ -220,18 +237,24 @@ class MilpModel:
         c = np.zeros(n)
         for j, coef in self._objective.items():
             c[j] = coef
-        A = np.zeros((m, n))
-        senses = np.zeros(m, dtype=np.int8)
-        b = np.zeros(m)
-        for i, con in enumerate(self._constraints):
-            for ref, coef in con.terms:
-                A[i, ref.index] = coef
-            senses[i] = {SENSE_LE: -1, SENSE_EQ: 0, SENSE_GE: 1}[con.sense]
-            b[i] = con.rhs
+        cons = self._constraints
+        code = {SENSE_LE: -1, SENSE_EQ: 0, SENSE_GE: 1}
+        senses = np.array([code[con.sense] for con in cons], dtype=np.int8)
+        b = np.array([con.rhs for con in cons], dtype=float)
+        rows = np.repeat(np.arange(m), [len(con.terms) for con in cons])
+        cols = np.array([ref.index for con in cons for ref, _ in con.terms], dtype=np.intp)
+        vals = np.array([coef for con in cons for _, coef in con.terms], dtype=float)
+        # the terms come row by row, so a stable sort by column leaves the
+        # rows ascending within each column; a constraint names a variable
+        # only once, so no two entries share a (row, column)
+        order = np.argsort(cols, kind="stable")
+        order = order[vals[order] != 0.0]
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        ptr = np.searchsorted(cols, np.arange(n + 1))
         lower = np.array([d.lower for d in self._variables])
         upper = np.array([d.upper for d in self._variables])
         is_binary = np.array([d.kind == BINARY for d in self._variables], dtype=bool)
-        return ModelArrays(c, self._offset, A, senses, b, lower, upper, is_binary)
+        return ModelArrays(c, self._offset, senses, b, lower, upper, is_binary, ptr, rows, cols, vals)
 
 
 @dataclass(frozen=True)
@@ -261,7 +284,7 @@ def constraint_residuals(model: MilpModel, values: Sequence[float]) -> np.ndarra
 
 
 def _residuals(arrays: ModelArrays, v: np.ndarray) -> np.ndarray:
-    lhs = arrays.A @ v if arrays.A.size else np.zeros(len(arrays.b))
+    lhs = np.bincount(arrays.rows, weights=arrays.vals * v[arrays.cols], minlength=len(arrays.b))
     out = np.zeros(len(arrays.b))
     le = arrays.senses < 0
     ge = arrays.senses > 0

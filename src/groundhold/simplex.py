@@ -16,7 +16,9 @@ a run of 1000 degenerate pivots; all ties break deterministically, so
 solves repeat.
 
 The matrix is kept as structural columns only, each as its row indices and
-values (numpy arrays built once per solve from the dense ``A``); slack
+values: the ``ptr``/``rows``/``cols``/``vals`` storage that
+``MilpModel.to_arrays`` builds once per model from the constraint terms,
+read as it is by every LP of a search; no dense ``A`` is built.  Slack
 column ``n + i`` is the unit vector e_i and is never stored.  Pricing
 ``y @ [A | I]``, the dual's pivot row ``Binv[r] @ [A | I]``, the entering
 column ``Binv @ a_j`` and ``A @ x_N`` each touch only the stored nonzeros,
@@ -49,8 +51,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .milp import ModelArrays
 
 __all__ = ["LpSolution", "NumericalInstabilityError", "solve_lp_arrays"]
 
@@ -90,49 +96,39 @@ class LpSolution:
     basis: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def solve_lp_arrays(
-    c: np.ndarray,
-    offset: float,
-    A: np.ndarray,
-    senses: np.ndarray,
-    b: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    *,
-    basis: tuple[np.ndarray, np.ndarray] | None = None,
-) -> LpSolution:
+def solve_lp_arrays(arrays: ModelArrays, lower: np.ndarray, upper: np.ndarray, *,
+                    basis: tuple[np.ndarray, np.ndarray] | None = None) -> LpSolution:
     """Solve ``min c.x + offset`` s.t. ``A x (senses) b``, ``lower <= x <= upper``.
 
-    ``senses`` holds -1 for ``<=``, 0 for ``=``, +1 for ``>=`` per row.
-    ``basis`` is the ``LpSolution.basis`` of an earlier optimal solve of the
-    same ``A``, ``senses`` and ``b``; its bounds and ``c`` may differ.  The
-    solve then starts from it.  ``None`` starts from the all-slack basis.
+    ``arrays`` is a model's ``ModelArrays``: its ``c``, ``offset``,
+    ``senses`` (-1 for ``<=``, 0 for ``=``, +1 for ``>=`` per row), ``b``
+    and the column storage of ``A`` (``ptr``, ``rows``, ``cols``,
+    ``vals``), which is read as it is and shared by every LP of a search;
+    ``lower`` and ``upper`` replace its bounds.  ``basis`` is the
+    ``LpSolution.basis`` of an earlier optimal solve of the same ``A``,
+    ``senses`` and ``b``; its bounds and ``c`` may differ.  The solve then
+    starts from it.  ``None`` starts from the all-slack basis.
     """
-    return _Simplex(c, offset, A, senses, b, lower, upper).solve(basis)
+    return _Simplex(arrays, lower, upper).solve(basis)
 
 
 class _Simplex:
-    def __init__(self, c, offset, A, senses, b, lower, upper):
-        A = np.asarray(A, dtype=float)
-        self.m, self.nstruct = A.shape
-        m = self.m
-        self.offset = float(offset)
-        self.b = np.asarray(b, dtype=float)
-
+    def __init__(self, arrays, lower, upper):
+        self.m, self.nstruct = m, n = len(arrays.b), len(arrays.c)
+        self.offset = float(arrays.offset)
+        self.b = arrays.b
         # structural column j holds vals[ptr[j]:ptr[j+1]] in rows
         # rows[ptr[j]:ptr[j+1]]; entry k lies in column cols[k]
-        self.cols, self.rows = np.nonzero(A.T)
-        self.vals = A[self.rows, self.cols]
-        self.ptr = np.searchsorted(self.cols, np.arange(self.nstruct + 1))
+        self.ptr, self.rows, self.cols, self.vals = arrays.ptr, arrays.rows, arrays.cols, arrays.vals
 
-        slack_lo = np.where(senses > 0, -np.inf, 0.0)
-        slack_up = np.where(senses < 0, np.inf, 0.0)
+        slack_lo = np.where(arrays.senses > 0, -np.inf, 0.0)
+        slack_up = np.where(arrays.senses < 0, np.inf, 0.0)
         self.lo = np.concatenate([np.asarray(lower, dtype=float), slack_lo])
         self.up = np.concatenate([np.asarray(upper, dtype=float), slack_up])
         # true costs of all n + m columns; ``cost`` is the vector priced
-        self.c = np.concatenate([np.asarray(c, dtype=float), np.zeros(m)])
+        self.c = np.concatenate([arrays.c, np.zeros(m)])
         self.cost = self.c
-        self.limit = 2000 + 200 * (2 * m + self.nstruct)
+        self.limit = 2000 + 200 * (2 * m + n)
         self.pivots = 0
         self._since_refactor = 0
 

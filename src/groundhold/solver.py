@@ -40,7 +40,7 @@ def solve_lp(
     a = model.to_arrays()
     lo = a.lower if lower is None else np.asarray(lower, dtype=float)
     up = a.upper if upper is None else np.asarray(upper, dtype=float)
-    return solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, lo, up)
+    return solve_lp_arrays(a, lo, up)
 
 
 def solve_milp(
@@ -66,7 +66,7 @@ def solve_milp(
         raise ValueError("node_limit must be >= 1")
     t0 = time.perf_counter()
     a = model.to_arrays()
-    m, n = a.A.shape
+    m, n = len(a.b), len(a.c)
     if root_basis is not None and (len(root_basis[0]) != m or len(root_basis[1]) != n + m):
         raise ValueError(f"root_basis does not fit a model of {m} rows and {n} columns")
     bin_idx = np.flatnonzero(a.is_binary)
@@ -99,7 +99,7 @@ def solve_milp(
             break
 
         nodes += 1
-        rel = solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, lo, up, basis=basis)
+        rel = solve_lp_arrays(a, lo, up, basis=basis)
         pivots += rel.pivots
         if nodes == 1:
             root = rel.basis

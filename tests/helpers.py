@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import groundhold as gh
@@ -95,3 +96,45 @@ def synth_dr_maghp(num_flights: int, horizon: int, seed: int, epsilon: float = 0
     inst = gh.synth_instance(gh.SynthParams(num_flights=num_flights, horizon=horizon, num_airports=2), seed)
     return gh.build_dr_maghp(gh.NetworkInstance(inst.schedule.airports, inst.schedule, {
         z: gh.AmbiguitySpec(d, epsilon, gh.default_support_grid(d)) for z, d in inst.capacities.items()}))
+
+
+def lp_model(c, rows, bounds, offset=0.0):
+    """Assemble a continuous model from (terms, sense, rhs) rows."""
+    m = gh.MilpModel()
+    refs = [m.add_continuous(f"v{j}", lo, up) for j, (lo, up) in enumerate(bounds)]
+    for j, coef in enumerate(c):
+        if coef:
+            m.add_objective_term(refs[j], coef)
+    m.add_objective_offset(offset)
+    for terms, sense, rhs in rows:
+        m.add_row([(refs[j], coef) for j, coef in terms], sense, rhs)
+    return m.freeze()
+
+
+def sparse_lp(rng: random.Random, n: int, density: float):
+    """A random LP with ``n`` columns, about ``density`` of its entries
+    nonzero, some columns empty, and rows that hold at a point of the box."""
+    m = rng.randint(n // 4, n // 2)
+    c, bounds = [], []
+    for _ in range(n):
+        # a column unbounded one way costs nothing to hold back that way
+        kind = rng.random()
+        if kind < 0.75:
+            c.append(round(rng.uniform(-2, 2), 3))
+            bounds.append((round(rng.uniform(-1, 0), 3), round(rng.uniform(1, 4), 3)))
+        elif kind < 0.9:
+            c.append(round(rng.uniform(0, 2), 3))
+            bounds.append((0.0, math.inf))
+        else:
+            c.append(round(rng.uniform(-2, 0), 3))
+            bounds.append((-math.inf, round(rng.uniform(0, 3), 3)))
+    point = [lo if math.isfinite(lo) else up for lo, up in bounds]
+    rows = []
+    for _ in range(m):
+        terms = [(j, round(rng.uniform(-2, 2), 3)) for j in range(n) if rng.random() < density]
+        lhs = sum(point[j] * v for j, v in terms)
+        sense = rng.choice([gh.SENSE_LE, gh.SENSE_LE, gh.SENSE_GE, gh.SENSE_EQ])
+        slack = round(rng.uniform(0, 2), 3)
+        rhs = lhs + slack if sense == gh.SENSE_LE else lhs - slack if sense == gh.SENSE_GE else lhs
+        rows.append((terms, sense, round(rhs, 9)))
+    return c, rows, bounds

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 
 import groundhold as gh
-from helpers import one_flight_ambiguity, one_flight_schedule, synth_dr_maghp
+from groundhold.cli import main
+from groundhold.milp import ModelArrays
+from helpers import lp_model, one_flight_ambiguity, one_flight_schedule, sparse_lp, synth_dr_maghp
 from mpsread import parse_mps
 
 
@@ -88,6 +91,110 @@ class TestSolutionChecking:
         assert gh.is_feasible(model, sol.values)
         binaries = [v for v, d in zip(sol.values, model.variables) if d.kind == gh.BINARY]
         assert all(min(abs(v), abs(v - 1.0)) <= 1e-6 for v in binaries)
+
+
+def _dense(model):
+    """The constraint matrix written entry by entry from the model's terms."""
+    A = np.zeros((model.num_constraints, model.num_variables))
+    for i, con in enumerate(model.constraints):
+        for ref, coef in con.terms:
+            A[i, ref.index] = coef
+    return A
+
+
+def _zero_coefficients_model():
+    """Rows with ``0.0`` and ``-0.0`` terms, terms out of column order, an
+    empty row, and a column whose every term is zero."""
+    m = gh.MilpModel()
+    x = [m.add_continuous(f"x{j}", -2.0, 3.0) for j in range(4)]
+    m.add_row([(x[1], 2.0), (x[0], 0.0)], gh.SENSE_LE, 4.0)
+    m.add_row([(x[3], -1.5), (x[2], -0.0), (x[0], 1.0)], gh.SENSE_GE, -1.0)
+    m.add_row([], gh.SENSE_LE, 1.0)
+    m.add_row([(x[2], 0.0), (x[1], -1.0), (x[3], 2.5)], gh.SENSE_EQ, 0.5)
+    return m.freeze()
+
+
+def _airborne_free_dr_model():
+    """A dr model whose schedule has ``airborne_cost = 0``: its ``dual``
+    rows carry ``-0.0`` terms."""
+    inst = gh.synth_instance(gh.SynthParams(num_flights=6, horizon=6), 3)
+    dist = inst.capacities["AP0"]
+    sched = dataclasses.replace(inst.schedule, airborne_cost=0.0)
+    model = gh.build_dr_saghp(sched, gh.AmbiguitySpec(dist, 0.5, gh.default_support_grid(dist)))
+    assert any(c == 0.0 and math.copysign(1.0, c) < 0 for con in model.constraints for _, c in con.terms)
+    return model
+
+
+def _rowless_model():
+    m = gh.MilpModel()
+    for j in range(3):
+        m.add_objective_term(m.add_continuous(f"x{j}", 0.0, 1.0), float(j))
+    return m.freeze()
+
+
+_STORAGE_CASES = {
+    "zero-coefficients": _zero_coefficients_model,
+    "airborne-free-dr": _airborne_free_dr_model,
+    **{f"sparse-{seed}": (lambda seed=seed: lp_model(*sparse_lp(random.Random(9000 + seed), 80, 0.03)))
+       for seed in range(3)},
+    "no-rows": _rowless_model,
+}
+
+
+class TestColumnStorage:
+    @pytest.mark.parametrize("case", _STORAGE_CASES)
+    def test_layout_is_that_of_the_dense_matrix(self, case):
+        # by column, rows ascending, exact zeros (either sign) dropped: the
+        # layout np.nonzero gives on the dense matrix's transpose
+        model = _STORAGE_CASES[case]()
+        a = model.to_arrays()
+        dense = _dense(model)
+        cols, rows = np.nonzero(dense.T)
+        for got, want in ((a.cols, cols), (a.rows, rows), (a.vals, dense[rows, cols]),
+                          (a.ptr, np.searchsorted(cols, np.arange(model.num_variables + 1)))):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert np.array_equal(a.A, dense)
+        if case.startswith("sparse"):
+            assert (np.diff(a.ptr) == 0).any()  # at least one empty column
+
+        v = np.random.default_rng(7).uniform(-3.0, 3.0, model.num_variables)
+        lhs = dense @ v
+        expected = np.where(a.senses < 0, lhs - a.b, np.where(a.senses > 0, a.b - lhs, np.abs(lhs - a.b)))
+        np.testing.assert_allclose(gh.constraint_residuals(model, v), expected, rtol=0, atol=1e-9)
+
+
+class TestNoDenseMatrix:
+    """Every engine path reads only the column storage: with ``ModelArrays.A``
+    raising, solves, feasibility checks and the CLI still run."""
+
+    @pytest.fixture(autouse=True)
+    def _refuse_dense(self, monkeypatch):
+        def refuse(arrays):
+            raise AssertionError("the dense A was built")
+
+        monkeypatch.setattr(ModelArrays, "A", property(refuse))
+
+    @pytest.mark.parametrize("kind", ["sp", "dr", "dr-maghp"])
+    def test_solve_milp_and_is_feasible(self, kind):
+        if kind == "dr-maghp":
+            model = synth_dr_maghp(8, 8, 1)
+        else:
+            inst = gh.synth_instance(gh.SynthParams(num_flights=8, horizon=8), 1)
+            dist = inst.capacities["AP0"]
+            model = (gh.build_s_saghp(inst.schedule, dist) if kind == "sp" else
+                     gh.build_dr_saghp(inst.schedule, gh.AmbiguitySpec(dist, 0.5, gh.default_support_grid(dist))))
+        sol = gh.solve_milp(model)
+        assert sol.status == "optimal"
+        assert gh.is_feasible(model, sol.values)
+        assert gh.solve_lp(model).status == "optimal"
+
+    def test_cli_solve_and_sweep(self, tmp_path):
+        inst = tmp_path / "inst"
+        assert main(["gen", "--flights", "8", "--horizon", "8", "--seed", "2", "--out", str(inst)]) == 0
+        for kind in (["sp"], ["dr", "--epsilon", "0.5"]):
+            assert main(["solve", str(inst), "--model", *kind, "--out", str(tmp_path / f"{kind[0]}.json")]) == 0
+        assert main(["sweep", str(inst), "--sizes", "50", "--seed", "3", "--out", str(tmp_path / "sweep")]) == 0
 
 
 def _random_model(rng: random.Random) -> gh.MilpModel:

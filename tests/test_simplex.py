@@ -7,25 +7,12 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 import groundhold as gh
 from groundhold import simplex
-from helpers import synth_dr_maghp
-
-
-def _lp(c, rows, bounds, offset=0.0):
-    """Assemble a continuous model from (terms, sense, rhs) rows."""
-    m = gh.MilpModel()
-    refs = [m.add_continuous(f"v{j}", lo, up) for j, (lo, up) in enumerate(bounds)]
-    for j, coef in enumerate(c):
-        if coef:
-            m.add_objective_term(refs[j], coef)
-    m.add_objective_offset(offset)
-    for terms, sense, rhs in rows:
-        m.add_row([(refs[j], coef) for j, coef in terms], sense, rhs)
-    return m.freeze()
+from helpers import lp_model, sparse_lp, synth_dr_maghp
 
 
 class TestBasics:
     def test_minimize_negative_x(self):
-        model = _lp([-1.0], [([(0, 1.0)], gh.SENSE_LE, 3.0)], [(0.0, math.inf)])
+        model = lp_model([-1.0], [([(0, 1.0)], gh.SENSE_LE, 3.0)], [(0.0, math.inf)])
         sol = gh.solve_lp(model)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(-3.0)
@@ -34,7 +21,7 @@ class TestBasics:
     def test_worked_example_dual_lp(self):
         # the multiplier LP of the hand-checked robust instance at radius 0.4:
         # min 0.4a + b  s.t.  a + b >= 4,  b >= 0,  a >= 0,  b free
-        model = _lp(
+        model = lp_model(
             [0.4, 1.0],
             [([(0, 1.0), (1, 1.0)], gh.SENSE_GE, 4.0), ([(1, 1.0)], gh.SENSE_GE, 0.0)],
             [(0.0, math.inf), (-math.inf, math.inf)],
@@ -45,7 +32,7 @@ class TestBasics:
         assert sol.values == pytest.approx([4.0, 0.0])
 
     def test_infeasible(self):
-        model = _lp(
+        model = lp_model(
             [1.0],
             [([(0, 1.0)], gh.SENSE_LE, 1.0), ([(0, 1.0)], gh.SENSE_GE, 2.0)],
             [(0.0, math.inf)],
@@ -53,12 +40,12 @@ class TestBasics:
         assert gh.solve_lp(model).status == "infeasible"
 
     def test_unbounded(self):
-        model = _lp([-1.0], [], [(0.0, math.inf)])
+        model = lp_model([-1.0], [], [(0.0, math.inf)])
         assert gh.solve_lp(model).status == "unbounded"
 
     def test_free_variable_and_equality(self):
         # min y s.t. x + y = 2, x <= 1 -> y = 1 at x = 1
-        model = _lp(
+        model = lp_model(
             [0.0, 1.0],
             [([(0, 1.0), (1, 1.0)], gh.SENSE_EQ, 2.0)],
             [(0.0, 1.0), (-math.inf, math.inf)],
@@ -139,7 +126,7 @@ class TestAgainstScipy:
     def test_random_lps_match_highs(self, seed):
         rng = random.Random(1000 + seed)
         c, rows, bounds = _random_lp(rng)
-        sol = gh.solve_lp(_lp(c, rows, bounds))
+        sol = gh.solve_lp(lp_model(c, rows, bounds))
         ref = _scipy_reference(c, rows, bounds)
         if ref.status == 0:
             assert sol.status == "optimal", f"expected optimal, got {sol.status}"
@@ -187,14 +174,14 @@ class TestPeriodicRefactorization:
 
 
 def _warm(a, lo, up, basis):
-    return simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, lo, up, basis=basis)
+    return simplex.solve_lp_arrays(a, lo, up, basis=basis)
 
 
 class TestWarmStart:
     def test_dual_simplex_proves_infeasibility(self):
         # min x1 + 2 x2  s.t.  x1 + x2 >= 1.5,  0 <= x <= 1: the root has
         # x1 = 1, x2 = 0.5; with x2 fixed to 0 nothing can lift x1 + x2
-        model = _lp([1.0, 2.0], [([(0, 1.0), (1, 1.0)], gh.SENSE_GE, 1.5)], [(0.0, 1.0)] * 2)
+        model = lp_model([1.0, 2.0], [([(0, 1.0), (1, 1.0)], gh.SENSE_GE, 1.5)], [(0.0, 1.0)] * 2)
         a = model.to_arrays()
         root = gh.solve_lp(model)
         assert root.values == pytest.approx([1.0, 0.5])
@@ -207,7 +194,7 @@ class TestWarmStart:
     def test_status_on_a_lost_bound_falls_back(self):
         # x1 sits at its upper bound in the root basis; without that bound
         # the warm start puts it at its lower bound and still finds the optimum
-        model = _lp([1.0, 2.0], [([(0, 1.0), (1, 1.0)], gh.SENSE_GE, 1.5)], [(0.0, 1.0)] * 2)
+        model = lp_model([1.0, 2.0], [([(0, 1.0), (1, 1.0)], gh.SENSE_GE, 1.5)], [(0.0, 1.0)] * 2)
         a = model.to_arrays()
         root = gh.solve_lp(model)
         up = a.upper.copy()
@@ -227,8 +214,8 @@ class TestWarmStart:
         c, rows, bounds = _random_lp(rng)
         box = [(lo if math.isfinite(lo) else -5.0, up if math.isfinite(up) else 5.0)
                for lo, up in bounds]
-        a = _lp(c, rows, box).to_arrays()
-        sol = simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, a.lower, a.upper)
+        a = lp_model(c, rows, box).to_arrays()
+        sol = simplex.solve_lp_arrays(a, a.lower, a.upper)
         if sol.status != "optimal":
             return
         wide = [(-math.inf if rng.random() < 0.3 else lo, math.inf if rng.random() < 0.3 else up)
@@ -250,8 +237,8 @@ class TestWarmStart:
         restarted = 0
         for seed in range(1000, 1120):
             c, rows, bounds = _random_lp(random.Random(seed))
-            a = _lp(c, rows, bounds).to_arrays()
-            sol = simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, a.lower, a.upper)
+            a = lp_model(c, rows, bounds).to_arrays()
+            sol = simplex.solve_lp_arrays(a, a.lower, a.upper)
             if sol.status != "optimal":
                 continue
             again = _warm(a, a.lower, a.upper, sol.basis)
@@ -280,13 +267,13 @@ class TestWarmStart:
         for seed in range(1000, 1120):
             rng = random.Random(seed)
             c, rows, bounds = _random_lp(rng)
-            a = _lp(c, rows, bounds).to_arrays()
-            sol = simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, a.lower, a.upper)
+            a = lp_model(c, rows, bounds).to_arrays()
+            sol = simplex.solve_lp_arrays(a, a.lower, a.upper)
             if sol.status != "optimal":
                 continue
             c2 = [round(cj + rng.uniform(-3, 3), 3) for cj in c]
-            a2 = _lp(c2, rows, bounds).to_arrays()
-            cold = simplex.solve_lp_arrays(a2.c, a2.offset, a2.A, a2.senses, a2.b, a2.lower, a2.upper)
+            a2 = lp_model(c2, rows, bounds).to_arrays()
+            cold = simplex.solve_lp_arrays(a2, a2.lower, a2.upper)
             with monkeypatch.context() as patch:
                 patch.setattr(simplex._Simplex, "_dual", dual_spy)
                 warm = _warm(a2, a2.lower, a2.upper, sol.basis)
@@ -317,7 +304,7 @@ class TestWarmStart:
             cols = [model.index.x[f.id, t] for t in inst.schedule.available_slots(f)]
             if len(cols) > 1:
                 up[max(cols, key=lambda col: root.values[col])] = 0.0
-        cold = simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, a.lower, up)
+        cold = simplex.solve_lp_arrays(a, a.lower, up)
 
         rebuilt_after = []
         refactor = simplex._Simplex._refactor
@@ -402,8 +389,8 @@ class TestCertificateMatchesBasis:
         optimal = 0
         for seed in range(1000, 1120):
             c, rows, bounds = _random_lp(random.Random(seed))
-            a = _lp(c, rows, bounds).to_arrays()
-            sol = simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, a.lower, a.upper)
+            a = lp_model(c, rows, bounds).to_arrays()
+            sol = simplex.solve_lp_arrays(a, a.lower, a.upper)
             if sol.status == "optimal":
                 _check_certificate(a, sol)
                 optimal += 1
@@ -416,7 +403,7 @@ class TestCertificateMatchesBasis:
         empirical = inst.capacities["AP0"]
         amb = gh.AmbiguitySpec(empirical, 0.5, gh.default_support_grid(empirical))
         a = gh.build_dr_saghp(inst.schedule, amb).to_arrays()
-        sol = simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, a.lower, a.upper)
+        sol = simplex.solve_lp_arrays(a, a.lower, a.upper)
         assert sol.status == "optimal"
         assert sol.pivots > simplex._REFACTOR_EVERY
         _check_certificate(a, sol)
@@ -427,7 +414,7 @@ class TestOptimalityCertificates:
     def test_duals_and_reduced_costs(self, seed):
         rng = random.Random(5000 + seed)
         c, rows, bounds = _random_lp(rng)
-        model = _lp(c, rows, bounds)
+        model = lp_model(c, rows, bounds)
         sol = gh.solve_lp(model)
         if sol.status != "optimal":
             return
@@ -469,7 +456,7 @@ class TestOptimalityCertificates:
     def test_deterministic_repeat(self):
         rng = random.Random(99)
         c, rows, bounds = _random_lp(rng)
-        model = _lp(c, rows, bounds)
+        model = lp_model(c, rows, bounds)
         a = gh.solve_lp(model)
         b = gh.solve_lp(model)
         assert a.status == b.status
@@ -479,40 +466,11 @@ class TestOptimalityCertificates:
             assert a.pivots == b.pivots
 
 
-def _sparse_lp(rng: random.Random, n: int, density: float):
-    """A random LP with ``n`` columns, about ``density`` of its entries
-    nonzero, some columns empty, and rows that hold at a point of the box."""
-    m = rng.randint(n // 4, n // 2)
-    c, bounds = [], []
-    for _ in range(n):
-        # a column unbounded one way costs nothing to hold back that way
-        kind = rng.random()
-        if kind < 0.75:
-            c.append(round(rng.uniform(-2, 2), 3))
-            bounds.append((round(rng.uniform(-1, 0), 3), round(rng.uniform(1, 4), 3)))
-        elif kind < 0.9:
-            c.append(round(rng.uniform(0, 2), 3))
-            bounds.append((0.0, math.inf))
-        else:
-            c.append(round(rng.uniform(-2, 0), 3))
-            bounds.append((-math.inf, round(rng.uniform(0, 3), 3)))
-    point = [lo if math.isfinite(lo) else up for lo, up in bounds]
-    rows = []
-    for _ in range(m):
-        terms = [(j, round(rng.uniform(-2, 2), 3)) for j in range(n) if rng.random() < density]
-        lhs = sum(point[j] * v for j, v in terms)
-        sense = rng.choice([gh.SENSE_LE, gh.SENSE_LE, gh.SENSE_GE, gh.SENSE_EQ])
-        slack = round(rng.uniform(0, 2), 3)
-        rhs = lhs + slack if sense == gh.SENSE_LE else lhs - slack if sense == gh.SENSE_GE else lhs
-        rows.append((terms, sense, round(rhs, 9)))
-    return c, rows, bounds
-
-
 def _assert_matches_highs(c, rows, bounds, lo=None, up=None, basis=None):
-    a = _lp(c, rows, bounds).to_arrays()
+    a = lp_model(c, rows, bounds).to_arrays()
     lo = a.lower if lo is None else lo
     up = a.upper if up is None else up
-    sol = simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, lo, up, basis=basis)
+    sol = simplex.solve_lp_arrays(a, lo, up, basis=basis)
     ref = _scipy_reference(c, rows, list(zip(lo, up)))
     assert ref.status in (0, 2, 3)
     assert sol.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
@@ -541,7 +499,7 @@ class TestColumnStorage:
         # x1's only term is a stored 0.0, so its column is empty
         c = [-1.0, -1.0]
         rows = [([(0, 1.0), (1, 0.0)], gh.SENSE_LE, 2.0), ([(1, 0.0)], gh.SENSE_GE, -1.0)]
-        model = _lp(c, rows, [(0.0, math.inf), (0.0, 4.0)])
+        model = lp_model(c, rows, [(0.0, math.inf), (0.0, 4.0)])
         assert model.constraints[0].terms[1][1] == 0.0
         sol = _assert_matches_highs(c, rows, [(0.0, math.inf), (0.0, 4.0)])
         assert sol.values == pytest.approx([2.0, 4.0])
@@ -572,8 +530,8 @@ class TestColumnStorage:
     def test_random_sparse_lps_match_highs(self, seed):
         rng = random.Random(9000 + seed)
         n = rng.randint(60, 200)
-        c, rows, bounds = _sparse_lp(rng, n, rng.uniform(0.02, 0.05))
-        a = _lp(c, rows, bounds).to_arrays()
+        c, rows, bounds = sparse_lp(rng, n, rng.uniform(0.02, 0.05))
+        a = lp_model(c, rows, bounds).to_arrays()
         assert not a.A.any(axis=0).all()  # at least one empty column
         _assert_matches_highs(c, rows, bounds)
 
@@ -642,8 +600,8 @@ class TestInversion:
     def test_slack_basis_in_any_order_inverts_nothing(self, monkeypatch):
         # slacks listed in another order leave no bump (k = 0): the restart
         # inverts nothing and lands on the cold solve's vertex
-        a = _lp(*_optimal_at_slack_basis()).to_arrays()
-        cold = simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, a.lower, a.upper)
+        a = lp_model(*_optimal_at_slack_basis()).to_arrays()
+        cold = simplex.solve_lp_arrays(a, a.lower, a.upper)
         cols, status = cold.basis
         assert (cols >= a.A.shape[1]).all()
         inverted = _spy_on_inv(monkeypatch)
@@ -661,9 +619,9 @@ class TestInversion:
         # structurals is inverted, and the inverse assembled around it is
         # that of the explicit basis matrix
         rng = random.Random(9700 + seed)
-        c, rows, bounds = _sparse_lp(rng, rng.randint(60, 120), rng.uniform(0.03, 0.06))
-        a = _lp(c, rows, bounds).to_arrays()
-        cold = simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, a.lower, a.upper)
+        c, rows, bounds = sparse_lp(rng, rng.randint(60, 120), rng.uniform(0.03, 0.06))
+        a = lp_model(c, rows, bounds).to_arrays()
+        cold = simplex.solve_lp_arrays(a, a.lower, a.upper)
         assert cold.status == "optimal"
         m, n = a.A.shape
         cols, status = cold.basis
@@ -672,7 +630,7 @@ class TestInversion:
         assert 0 < k < m
         expected = np.linalg.inv(np.hstack([a.A, np.eye(m)])[:, cols])
         inverted = _spy_on_inv(monkeypatch)
-        lp = simplex._Simplex(a.c, a.offset, a.A, a.senses, a.b, a.lower, a.upper)
+        lp = simplex._Simplex(a, a.lower, a.upper)
         lp._load((cols, status))
         assert inverted == [(k, k)]
         assert np.abs(lp.Binv - expected).max() <= 1e-9
@@ -682,7 +640,7 @@ class TestInversion:
         c, bounds = [1.0, 2.0, 1.0], [(0.0, 4.0)] * 3
         rows = [([(0, 1.0), (1, 1.0), (2, 1.0)], gh.SENSE_GE, 1.0),
                 ([(0, 2.0), (1, 2.0), (2, -1.0)], gh.SENSE_LE, 3.0)]
-        a = _lp(c, rows, bounds).to_arrays()
+        a = lp_model(c, rows, bounds).to_arrays()
         status = np.zeros(5, dtype=np.int8)
         with pytest.raises(simplex.NumericalInstabilityError, match="singular basis"):
             _warm(a, a.lower, a.upper, (np.array([0, 1]), status))

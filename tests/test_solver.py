@@ -2,6 +2,7 @@ import heapq
 import inspect
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -255,7 +256,7 @@ class TestWarmStart:
         warm_pivots = cold_pivots = 0
         for model in models:
             a = model.to_arrays()
-            root = simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, a.lower, a.upper)
+            root = simplex.solve_lp_arrays(a, a.lower, a.upper)
             assert root.status == "optimal" and root.basis is not None
             bins = np.flatnonzero(a.is_binary)
             frac = np.abs(root.values[bins] - np.round(root.values[bins]))
@@ -263,9 +264,8 @@ class TestWarmStart:
             for fixed in (0.0, 1.0):
                 lo, up = a.lower.copy(), a.upper.copy()
                 lo[j] = up[j] = fixed
-                cold = simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, lo, up)
-                warm = simplex.solve_lp_arrays(a.c, a.offset, a.A, a.senses, a.b, lo, up,
-                                               basis=root.basis)
+                cold = simplex.solve_lp_arrays(a, lo, up)
+                warm = simplex.solve_lp_arrays(a, lo, up, basis=root.basis)
                 assert warm.status == cold.status
                 if cold.status == "optimal":
                     assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
@@ -369,9 +369,11 @@ def _aggregated_rows(model, sched):
 
 
 def _with_rows(a, keep, A, b):
-    """``a`` restricted to the rows in ``keep`` plus the ``<=`` rows ``A x <= b``."""
-    return a._replace(A=np.vstack([a.A[keep], A]), b=np.concatenate([a.b[keep], b]),
-                      senses=np.concatenate([a.senses[keep], np.full(len(b), -1, dtype=np.int8)]))
+    """The dense pieces ``_highs`` reads of ``a`` restricted to the rows in
+    ``keep`` plus the ``<=`` rows ``A x <= b``."""
+    return SimpleNamespace(c=a.c, offset=a.offset, lower=a.lower, upper=a.upper, is_binary=a.is_binary,
+                           A=np.vstack([a.A[keep], A]), b=np.concatenate([a.b[keep], b]),
+                           senses=np.concatenate([a.senses[keep], np.full(len(b), -1, dtype=np.int8)]))
 
 
 def _beta_bound_model(case, seed):

@@ -71,6 +71,7 @@ from .models import (
     dr_diagnostics,
     extract_policy,
     policy_from_assignments,
+    reprice_dr_saghp,
 )
 from .solver import (
     LpSolution,

@@ -235,15 +235,18 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "table.csv").write_text(result.to_table())
-    bodies: dict[tuple[float, ...], str] = {}  # rows with one policy share a body
+    # rows with one policy and sample size share their costs, so a body;
+    # the key is cheap to hash, unlike the costs themselves
+    bodies: dict[tuple[str, int], str] = {}
     for row in result.rows:
         if row.status != "optimal":
             continue
-        costs = row.per_sample_costs
-        body = bodies.get(costs)
+        key = row.policy_summary, row.sample_size
+        body = bodies.get(key)
         if body is None:
+            costs = row.per_sample_costs
             line = {c: f"{c!r}\n" for c in set(costs)}
-            body = bodies[costs] = "cost\n" + "".join(map(line.__getitem__, costs))
+            body = bodies[key] = "cost\n" + "".join(map(line.__getitem__, costs))
         (out / f"samples_{row.label()}_{row.sample_size}.csv").write_text(body)
     print(f"wrote sweep results to {out}")
     return EXIT_OK

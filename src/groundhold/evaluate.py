@@ -7,8 +7,10 @@ without invoking the LP engine.  A policy's cost depends on the sample only
 through the capacity, so each policy is scored once per distinct capacity in
 the draw, and a sweep scores each distinct policy once per sample size; the
 per-sample lists are filled by lookup, so every float, and every byte of
-sweep output, is what a per-sample loop gives.  All sampling flows from an
-explicit seed; identical seeds give identical results at any parallelism.
+sweep output, is what a per-sample loop gives.  A sweep builds one robust
+model and reprices it per radius, so its rows and column storage are built
+once.  All sampling flows from an explicit seed; identical seeds give
+identical results at any parallelism.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .models import (
     build_s_saghp,
     check_policy,
     extract_policy,
+    reprice_dr_saghp,
 )
 from .solver import solve_milp
 
@@ -261,11 +264,15 @@ def epsilon_sweep(
     policy extraction (``NumericalInstabilityError``,
     ``PolicyExtractionError``) ends the sweep.
 
+    Every radius is checked (``AmbiguitySpec``) before anything is solved.
     The robust models differ only in the cost of ``alpha`` (the radius), so
-    they are solved as one chain in the order of ``omegas``: each root LP
-    starts from the previous radius's optimal root basis, and only the
-    primal simplex runs.  The chain's start can select another of several
-    tied optima than a cold solve would; the optimal values are the same.
+    one is built, and each radius gets a sibling repriced from it
+    (``reprice_dr_saghp``) that shares its rows and column storage; the
+    siblings equal fresh ``build_dr_saghp`` models bit for bit.  They are
+    solved as one chain in the order of ``omegas``: each root LP starts from
+    the previous radius's optimal root basis, and only the primal simplex
+    runs.  The chain's start can select another of several tied optima than
+    a cold solve would; the optimal values are the same.
     ``jobs`` fans the three independent tasks (det, sp and the robust chain)
     out over a thread pool; each task is a pure function of its inputs and
     results merge in request order, so the output is identical at any
@@ -279,11 +286,12 @@ def epsilon_sweep(
         raise ValueError("need at least one sample size")
     grid = grid or default_support_grid(empirical)
 
+    specs = [AmbiguitySpec(empirical, float(eps), grid) for eps in omegas]
+    robust = build_dr_saghp(schedule, specs[0])
     chains: list[list[tuple[str, float | None, MilpModel]]] = [
         [("det", None, build_d_saghp(schedule, deterministic_capacity(empirical)))],
         [("sp", None, build_s_saghp(schedule, empirical))],
-        [("dr", float(eps), build_dr_saghp(schedule, AmbiguitySpec(empirical, float(eps), grid)))
-         for eps in omegas],
+        [("dr", spec.radius, reprice_dr_saghp(robust, spec)) for spec in specs],
     ]
 
     def run(chain):

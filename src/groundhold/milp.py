@@ -11,8 +11,9 @@ code that interprets a solution reads that index, never a name.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -108,9 +109,11 @@ class ModelArrays(NamedTuple):
     """Numeric view of a model, consumed by the solver.
 
     The constraint matrix is held only as its structural columns, built once
-    per model by ``MilpModel.to_arrays`` and shared by every LP of a search:
-    column j holds ``vals[ptr[j]:ptr[j+1]]`` in rows ``rows[ptr[j]:ptr[j+1]]``,
-    rows ascending, exact zeros dropped; entry k lies in column ``cols[k]``.
+    per frozen model by ``MilpModel.to_arrays`` and shared by every LP of a
+    search: column j holds ``vals[ptr[j]:ptr[j+1]]`` in rows
+    ``rows[ptr[j]:ptr[j+1]]``, rows ascending, exact zeros dropped; entry k
+    lies in column ``cols[k]``.  Every array is read-only; a repriced model
+    (``MilpModel.repriced``) shares all of them but ``c``.
     """
 
     c: np.ndarray          # objective coefficients, length n
@@ -138,7 +141,8 @@ class MilpModel:
     """Mutable while building; frozen before hand-off to the solver.
 
     Building is single-owner and not thread safe; a frozen model is immutable
-    and may be shared across threads.
+    and may be shared across threads.  Its arrays are built once, on the
+    first ``to_arrays`` call, and kept.
     """
 
     def __init__(self) -> None:
@@ -148,6 +152,8 @@ class MilpModel:
         self._offset = 0.0
         self._frozen = False
         self._index: ModelIndex | None = None
+        self._arrays: ModelArrays | None = None
+        self._arrays_lock = threading.Lock()  # threads sharing a frozen model build once
 
     # -- building -----------------------------------------------------------
 
@@ -231,7 +237,47 @@ class MilpModel:
     def objective_coefficient(self, index: int) -> float:
         return self._objective.get(index, 0.0)
 
+    def repriced(self, costs: Mapping[int, float]) -> "MilpModel":
+        """A frozen sibling whose objective coefficient of column ``j`` is
+        ``costs[j]``; every other coefficient is this model's.
+
+        The sibling shares this model's variables, constraints, offset and
+        index, and its ``to_arrays`` shares every array of this model's but
+        ``c``.  This model is not changed.
+        """
+        if not self._frozen:
+            raise ModelError("only a frozen model can be repriced")
+        arrays = self._frozen_arrays()
+        objective, c = dict(self._objective), arrays.c.copy()
+        for j, coef in costs.items():
+            if not 0 <= j < len(self._variables):
+                raise ModelError(f"repricing references unknown variable #{j}")
+            if not math.isfinite(coef):
+                raise ModelError(f"objective coefficient for variable #{j} is not finite")
+            objective[j] = c[j] = float(coef) + 0.0  # -0.0 as 0.0, the sum add_objective_term stores
+        c.flags.writeable = False
+        sibling = MilpModel()
+        sibling._variables, sibling._constraints = self._variables, self._constraints
+        sibling._objective, sibling._offset = objective, self._offset
+        sibling._frozen, sibling._index = True, self._index
+        sibling._arrays = arrays._replace(c=c)
+        return sibling
+
     def to_arrays(self) -> ModelArrays:
+        """The model's numeric view, with read-only arrays.  A frozen model
+        builds it once and returns the same object on every call."""
+        return self._frozen_arrays() if self._frozen else self._build_arrays()
+
+    def _frozen_arrays(self) -> ModelArrays:
+        # the cache behind to_arrays; repriced reads it directly, so a
+        # wrapper around to_arrays (bench/tracing.py) sees only the calls
+        # that the solver and other callers make
+        with self._arrays_lock:
+            if self._arrays is None:
+                self._arrays = self._build_arrays()
+            return self._arrays
+
+    def _build_arrays(self) -> ModelArrays:
         n = len(self._variables)
         m = len(self._constraints)
         c = np.zeros(n)
@@ -254,6 +300,8 @@ class MilpModel:
         lower = np.array([d.lower for d in self._variables])
         upper = np.array([d.upper for d in self._variables])
         is_binary = np.array([d.kind == BINARY for d in self._variables], dtype=bool)
+        for array in (c, senses, b, lower, upper, is_binary, ptr, rows, cols, vals):
+            array.flags.writeable = False
         return ModelArrays(c, self._offset, senses, b, lower, upper, is_binary, ptr, rows, cols, vals)
 
 

@@ -42,6 +42,7 @@ __all__ = [
     "build_d_saghp",
     "build_s_saghp",
     "build_dr_saghp",
+    "reprice_dr_saghp",
     "build_dr_maghp",
     "extract_policy",
     "policy_from_assignments",
@@ -180,7 +181,7 @@ def _add_robust_block(model: MilpModel, schedule: FlightSchedule, x: dict[tuple[
     for xi_hat, ref in beta.items():
         index.beta[airport, xi_hat] = ref.index
 
-    model.add_objective_term(alpha, amb.radius)
+    model.add_objective_term(alpha, amb.radius)  # the radius rule; see reprice_dr_saghp
     for xi_hat, p in amb.empirical.atoms():
         model.add_objective_term(beta[xi_hat], p)
 
@@ -242,6 +243,21 @@ def build_dr_saghp(schedule: FlightSchedule, amb: AmbiguitySpec) -> MilpModel:
     model, x, index = _first_stage(schedule)
     _add_robust_block(model, schedule, x, index, None, list(schedule.flights), amb)
     return _finish(model, schedule, x, index)
+
+
+def reprice_dr_saghp(model: MilpModel, amb: AmbiguitySpec) -> MilpModel:
+    """``build_dr_saghp(schedule, amb)``, from a ``model`` that
+    ``build_dr_saghp`` built for the same schedule, empirical distribution
+    and grid at any radius.
+
+    The radius enters the robust model only as the objective cost of
+    ``alpha``, so the result is ``model.repriced`` with that one cost set to
+    ``amb.radius``: it shares ``model``'s rows, bounds and column storage.
+    """
+    index = model.index
+    if index is None or list(index.alpha) != [None]:
+        raise ValueError("reprice_dr_saghp needs a single-airport robust model")
+    return model.repriced({index.alpha[None]: amb.radius})
 
 
 def build_dr_maghp(net: NetworkInstance) -> MilpModel:

@@ -282,6 +282,31 @@ class TestEpsilonSweep:
             assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
         assert gh.epsilon_sweep(sched, empirical, omegas, empirical, [20], seed=4, jobs=2) == result
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_repriced_chain_matches_fresh_builds(self, seed, monkeypatch):
+        # the sweep builds one robust model and reprices it per radius; a
+        # sweep whose radii are each built afresh gives the same result and
+        # the same solves, node for node and pivot for pivot
+        inst = gh.synth_instance(gh.SynthParams(num_flights=14, horizon=12), seed)
+        sched, empirical = inst.schedule, inst.capacities["AP0"]
+        omegas = (*gh.DEFAULT_OMEGA, 0.0)
+        solves = self._record_solves(monkeypatch)
+        result = gh.epsilon_sweep(sched, empirical, omegas, empirical, [20, 50], seed=4)
+        repriced = [(sol.nodes, sol.pivots) for _, _, sol in solves]
+        assert len({id(model.to_arrays().ptr) for model, _, _ in solves[2:]}) == 1
+
+        fresh = []
+
+        def build_afresh(model, amb):
+            fresh.append(amb.radius)
+            return gh.build_dr_saghp(sched, amb)
+
+        monkeypatch.setattr(evaluate, "reprice_dr_saghp", build_afresh)
+        solves.clear()
+        assert gh.epsilon_sweep(sched, empirical, omegas, empirical, [20, 50], seed=4) == result
+        assert fresh == list(omegas)
+        assert [(sol.nodes, sol.pivots) for _, _, sol in solves] == repriced
+
     def test_chain_restarts_cold_after_a_root_without_basis(self, monkeypatch):
         # the infeasible det model of test_infeasible_model_annotates_row_and_continues
         # heads a chain: its root leaves no basis, so the next model starts cold

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -195,6 +197,108 @@ class TestNoDenseMatrix:
         for kind in (["sp"], ["dr", "--epsilon", "0.5"]):
             assert main(["solve", str(inst), "--model", *kind, "--out", str(tmp_path / f"{kind[0]}.json")]) == 0
         assert main(["sweep", str(inst), "--sizes", "50", "--seed", "3", "--out", str(tmp_path / "sweep")]) == 0
+
+
+def _dr_ambiguity(radius: float):
+    inst = gh.synth_instance(gh.SynthParams(num_flights=8, horizon=8), 2)
+    dist = inst.capacities["AP0"]
+    return inst.schedule, gh.AmbiguitySpec(dist, radius, gh.default_support_grid(dist))
+
+
+def _dr_model(radius: float) -> gh.MilpModel:
+    return gh.build_dr_saghp(*_dr_ambiguity(radius))
+
+
+class TestRepriced:
+    """A repriced sibling is the model built at the new cost, sharing every
+    array but ``c`` with the model it came from."""
+
+    @pytest.mark.parametrize("radius", [0.0, 0.5, 100.0, -0.0])
+    def test_equals_a_fresh_build(self, radius):
+        base = _dr_model(0.3)
+        fresh = _dr_model(radius)
+        alpha = base.index.alpha[None]
+        for sibling in (base.repriced({alpha: radius}), gh.reprice_dr_saghp(base, _dr_ambiguity(radius)[1])):
+            assert gh.export_mps(sibling) == gh.export_mps(fresh)
+            assert sibling.to_arrays().c.tobytes() == fresh.to_arrays().c.tobytes()  # -0.0 stored as 0.0
+            assert sibling.index is base.index
+            assert sibling.frozen
+
+    def test_shares_every_array_but_c(self):
+        base = _dr_model(0.3)
+        before = base.to_arrays()
+        c = before.c.copy()
+        alpha = base.index.alpha[None]
+        sibling = base.repriced({alpha: 7.0})
+        a = sibling.to_arrays()
+        assert sibling.to_arrays() is a and base.to_arrays() is before
+        for field in ModelArrays._fields:
+            if field != "c":
+                assert getattr(a, field) is getattr(before, field), field
+        assert a.c is not before.c
+        assert a.c[alpha] == 7.0
+        assert np.array_equal(np.delete(a.c, alpha), np.delete(c, alpha))
+        assert np.array_equal(before.c, c)
+        assert base.objective_coefficient(alpha) == 0.3
+        assert sibling.objective_coefficient(alpha) == 7.0
+        assert sibling.constraints == base.constraints and sibling.variables == base.variables
+        assert sibling.objective_offset == base.objective_offset
+
+    @pytest.mark.parametrize("costs", [{-1: 1.0}, {"n": 1.0}, {0: math.nan}, {0: math.inf}, {0: -math.inf}])
+    def test_rejects_bad_costs(self, costs):
+        base = _dr_model(0.3)
+        costs = {(base.num_variables if j == "n" else j): v for j, v in costs.items()}
+        with pytest.raises(gh.ModelError):
+            base.repriced(costs)
+
+    def test_rejects_an_unfrozen_model(self):
+        m = gh.MilpModel()
+        m.add_continuous("x")
+        with pytest.raises(gh.ModelError, match="frozen"):
+            m.repriced({0: 1.0})
+
+    def test_reprice_dr_saghp_needs_a_single_airport_robust_model(self):
+        inst = gh.synth_instance(gh.SynthParams(num_flights=6, horizon=6), 1)
+        amb = gh.AmbiguitySpec(inst.capacities["AP0"], 0.5, gh.default_support_grid(inst.capacities["AP0"]))
+        for model in (gh.build_s_saghp(inst.schedule, inst.capacities["AP0"]), synth_dr_maghp(6, 6, 1)):
+            with pytest.raises(ValueError, match="single-airport robust"):
+                gh.reprice_dr_saghp(model, amb)
+
+    def test_threads_sharing_a_model_get_one_build(self):
+        # more threads than cores make the first to_arrays call together
+        models = [_dr_model(0.3) for _ in range(20)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for model in models:
+                barrier = threading.Barrier(8)
+                got = []
+
+                def first_call():
+                    barrier.wait(timeout=10)
+                    got.append(model.to_arrays())
+
+                threads = [threading.Thread(target=first_call) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert len(got) == 8 and all(a is got[0] for a in got)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("repriced", [False, True])
+    def test_cached_arrays_are_read_only(self, repriced):
+        model = _dr_model(0.3)
+        if repriced:
+            model = model.repriced({model.index.alpha[None]: 1.0})
+        a = model.to_arrays()
+        for field in ModelArrays._fields:
+            value = getattr(a, field)
+            if isinstance(value, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    value[...] = 0
 
 
 def _random_model(rng: random.Random) -> gh.MilpModel:

@@ -26,6 +26,7 @@ from .ingest import (
     Instance,
     SynthParams,
     empirical_distribution,
+    json_number,
     load_instance,
     parse_capacity_history,
     synth_instance,
@@ -263,10 +264,12 @@ def cmd_evaluate(args) -> int:
     if not saved:
         raise ValueError("result document carries no policy to evaluate")
     try:
-        slots = {fid: int(t) for fid, t in saved["assignments"].items()}
+        assignments = saved["assignments"].items()
     except (AttributeError, KeyError, TypeError):
         raise ValueError(f"result document {args.result}: policy.assignments must map "
                          "flight ids to integer slots") from None
+    slots = {fid: json_number(t, int, f"result document {args.result}: slot of flight {fid!r}")
+             for fid, t in assignments}
     policy = policy_from_assignments(slots, schedule)
 
     eval_dist = _eval_distribution(args, empirical)

@@ -264,7 +264,8 @@ def epsilon_sweep(
     policy extraction (``NumericalInstabilityError``,
     ``PolicyExtractionError``) ends the sweep.
 
-    Every radius is checked (``AmbiguitySpec``) before anything is solved.
+    Every radius (``AmbiguitySpec``) and sample size is checked before
+    anything is solved.
     The robust models differ only in the cost of ``alpha`` (the radius), so
     one is built, and each radius gets a sibling repriced from it
     (``reprice_dr_saghp``) that shares its rows and column storage; the
@@ -284,6 +285,8 @@ def epsilon_sweep(
         raise ValueError("node_limit must be >= 1")
     if not sample_sizes:
         raise ValueError("need at least one sample size")
+    if any(n < 1 for n in sample_sizes):
+        raise ValueError("sample size must be >= 1")
     grid = grid or default_support_grid(empirical)
 
     specs = [AmbiguitySpec(empirical, float(eps), grid) for eps in omegas]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -260,12 +260,17 @@ class SynthParams:
 
 @dataclass(frozen=True)
 class Instance:
-    """A loaded or generated bundle: schedule, per-airport empirical
-    distributions and the raw history records they were counted from."""
+    """A loaded or generated bundle: schedule, per-airport capacity history
+    records, and the empirical distributions counted from them once, when
+    the instance is made, for each airport with records."""
 
     schedule: FlightSchedule
-    capacities: dict[str, CapacityDistribution]
     history: dict[str, list[CapacityHistoryRecord]]
+    capacities: dict[str, CapacityDistribution] = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "capacities", {
+            z: empirical_distribution(records, z) for z, records in self.history.items() if records})
 
 
 def synth_instance(params: SynthParams, seed: int) -> Instance:
@@ -284,7 +289,6 @@ def synth_instance(params: SynthParams, seed: int) -> Instance:
     # empirical distribution per airport from integer observation counts, so
     # a written capacity.csv reproduces the distribution exactly
     history: dict[str, list[CapacityHistoryRecord]] = {}
-    capacities: dict[str, CapacityDistribution] = {}
     max_cap: dict[str, int] = {}
     for z in airports:
         # the top support value is pinned to the range maximum so the packed
@@ -300,7 +304,6 @@ def synth_instance(params: SynthParams, seed: int) -> Instance:
                 records.append(CapacityHistoryRecord(str(slot), z, value))
                 slot += 1
         history[z] = records
-        capacities[z] = empirical_distribution(records, z)
         max_cap[z] = support[-1]
 
     flights: list[Flight] = []
@@ -328,7 +331,7 @@ def synth_instance(params: SynthParams, seed: int) -> Instance:
     if violations:  # pragma: no cover - generator postcondition
         raise RuntimeError("generator produced an invalid schedule: "
                            + "; ".join(str(v) for v in violations))
-    return Instance(schedule, capacities, history)
+    return Instance(schedule, history)
 
 
 def write_instance(path: str | Path, schedule: FlightSchedule,
@@ -349,18 +352,23 @@ def write_instance(path: str | Path, schedule: FlightSchedule,
     (path / "params.json").write_text(json.dumps(params, indent=2, sort_keys=True) + "\n")
 
 
-def _param(params: dict, key: str, kind: type):
-    if key not in params:
-        raise IngestError(f"params.json: missing {key!r}")
-    value = params[key]
+def json_number(value, kind: type, what: str):
+    """``kind(value)`` for a value read from a JSON document; ``what`` names
+    it in the ``IngestError`` raised for anything else."""
     try:
         parsed = kind(value)
     except (OverflowError, TypeError, ValueError):
-        raise IngestError(f"params.json: {key} {value!r} is not a number") from None
+        raise IngestError(f"{what} {value!r} is not a number") from None
     # int() would truncate 8.9 to 8 and read true as 1
     if kind is int and (isinstance(value, bool) or (isinstance(value, float) and parsed != value)):
-        raise IngestError(f"params.json: {key} {value!r} is not a whole number")
+        raise IngestError(f"{what} {value!r} is not a whole number")
     return parsed
+
+
+def _param(params: dict, key: str, kind: type):
+    if key not in params:
+        raise IngestError(f"params.json: missing {key!r}")
+    return json_number(params[key], kind, f"params.json: {key}")
 
 
 def load_instance(path: str | Path) -> Instance:
@@ -387,12 +395,8 @@ def load_instance(path: str | Path) -> Instance:
     )
 
     history: dict[str, list[CapacityHistoryRecord]] = {}
-    capacities: dict[str, CapacityDistribution] = {}
     cap_path = path / "capacity.csv"
     if cap_path.exists():
         records = parse_capacity_history(cap_path.read_text())
-        for z in schedule.airports:
-            history[z] = [r for r in records if r.airport == z]
-            if history[z]:
-                capacities[z] = empirical_distribution(records, z)
-    return Instance(schedule, capacities, history)
+        history = {z: [r for r in records if r.airport == z] for z in schedule.airports}
+    return Instance(schedule, history)

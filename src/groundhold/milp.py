@@ -11,8 +11,7 @@ code that interprets a solution reads that index, never a name.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -109,10 +108,9 @@ class ModelArrays(NamedTuple):
     """Numeric view of a model, consumed by the solver.
 
     The constraint matrix is held only as its structural columns, built once
-    per frozen model by ``MilpModel.to_arrays`` and shared by every LP of a
-    search: column j holds ``vals[ptr[j]:ptr[j+1]]`` in rows
-    ``rows[ptr[j]:ptr[j+1]]``, rows ascending, exact zeros dropped; entry k
-    lies in column ``cols[k]``.  Every array is read-only; a repriced model
+    per model by ``MilpModel.freeze`` and shared by every LP of a search:
+    column j holds ``vals[ptr[j]:ptr[j+1]]`` in rows ``rows[ptr[j]:ptr[j+1]]``,
+    rows ascending, exact zeros dropped; entry k lies in column ``cols[k]``.  Every array is read-only; a repriced model
     (``MilpModel.repriced``) shares all of them but ``c``.
     """
 
@@ -141,8 +139,7 @@ class MilpModel:
     """Mutable while building; frozen before hand-off to the solver.
 
     Building is single-owner and not thread safe; a frozen model is immutable
-    and may be shared across threads.  Its arrays are built once, on the
-    first ``to_arrays`` call, and kept.
+    and may be shared across threads.  ``freeze`` builds its arrays, once.
     """
 
     def __init__(self) -> None:
@@ -150,15 +147,13 @@ class MilpModel:
         self._constraints: list[LinearConstraint] = []
         self._objective: dict[int, float] = {}
         self._offset = 0.0
-        self._frozen = False
         self._index: ModelIndex | None = None
-        self._arrays: ModelArrays | None = None
-        self._arrays_lock = threading.Lock()  # threads sharing a frozen model build once
+        self._arrays: ModelArrays | None = None  # built by freeze; None while mutable
 
     # -- building -----------------------------------------------------------
 
     def _check_mutable(self) -> None:
-        if self._frozen:
+        if self._arrays is not None:
             raise ModelError("model is frozen")
 
     def add_variable(self, defn: VariableDef) -> VariableRef:
@@ -199,16 +194,17 @@ class MilpModel:
         self._offset += float(value)
 
     def freeze(self, index: ModelIndex | None = None) -> "MilpModel":
-        """Stop further edits and record what the columns mean; a second call changes nothing."""
-        if not self._frozen:
-            self._frozen, self._index = True, index
+        """Stop further edits, record what the columns mean and build the
+        arrays; a second call changes nothing."""
+        if self._arrays is None:
+            self._index, self._arrays = index, self._build_arrays()
         return self
 
     # -- inspection ----------------------------------------------------------
 
     @property
     def frozen(self) -> bool:
-        return self._frozen
+        return self._arrays is not None
 
     @property
     def index(self) -> ModelIndex | None:
@@ -242,13 +238,12 @@ class MilpModel:
         ``costs[j]``; every other coefficient is this model's.
 
         The sibling shares this model's variables, constraints, offset and
-        index, and its ``to_arrays`` shares every array of this model's but
-        ``c``.  This model is not changed.
+        index, and its arrays share every array of this model's but ``c``.
+        This model is not changed.
         """
-        if not self._frozen:
+        if self._arrays is None:
             raise ModelError("only a frozen model can be repriced")
-        arrays = self._frozen_arrays()
-        objective, c = dict(self._objective), arrays.c.copy()
+        objective, c = dict(self._objective), self._arrays.c.copy()
         for j, coef in costs.items():
             if not 0 <= j < len(self._variables):
                 raise ModelError(f"repricing references unknown variable #{j}")
@@ -259,23 +254,15 @@ class MilpModel:
         sibling = MilpModel()
         sibling._variables, sibling._constraints = self._variables, self._constraints
         sibling._objective, sibling._offset = objective, self._offset
-        sibling._frozen, sibling._index = True, self._index
-        sibling._arrays = arrays._replace(c=c)
+        sibling._index, sibling._arrays = self._index, self._arrays._replace(c=c)
         return sibling
 
     def to_arrays(self) -> ModelArrays:
-        """The model's numeric view, with read-only arrays.  A frozen model
-        builds it once and returns the same object on every call."""
-        return self._frozen_arrays() if self._frozen else self._build_arrays()
-
-    def _frozen_arrays(self) -> ModelArrays:
-        # the cache behind to_arrays; repriced reads it directly, so a
-        # wrapper around to_arrays (bench/tracing.py) sees only the calls
-        # that the solver and other callers make
-        with self._arrays_lock:
-            if self._arrays is None:
-                self._arrays = self._build_arrays()
-            return self._arrays
+        """The model's numeric view, with read-only arrays, built by
+        ``freeze``: every call returns the same object."""
+        if self._arrays is None:
+            raise ModelError("model is not frozen")
+        return self._arrays
 
     def _build_arrays(self) -> ModelArrays:
         n = len(self._variables)
@@ -382,11 +369,24 @@ def _mps_line(f1: str = "", f2: str = "", f3: str = "", f4: str = "", f5: str = 
     return line
 
 
+def _mps_pairs(lines: list[str], name: str, entries: list[tuple[str, float]]) -> None:
+    for k in range(0, len(entries), 2):
+        fields = [name]
+        for row_name, value in entries[k:k + 2]:
+            fields.extend([row_name, _mps_number(value)])
+        lines.append(_mps_line("", *fields))
+
+
 def export_mps(model: MilpModel) -> str:
-    """Serialize a model as fixed-format MPS text."""
-    n = model.num_variables
+    """Serialize a frozen model as fixed-format MPS text.
+
+    The numbers come from the model's arrays, the names from its variables
+    and constraints.
+    """
+    a = model.to_arrays()
+    n = len(a.c)
     cols = [f"C{j}" for j in range(n)]
-    rows = [f"R{i}" for i in range(model.num_constraints)]
+    rows = [f"R{i}" for i in range(len(a.b))]
 
     lines: list[str] = []
     lines.append("* fixed-format MPS (fields at columns 2/5/15/25/40/50)")
@@ -401,56 +401,32 @@ def export_mps(model: MilpModel) -> str:
 
     lines.append("ROWS")
     lines.append(_mps_line("N", _OBJ_ROW))
-    sense_tag = {SENSE_LE: "L", SENSE_EQ: "E", SENSE_GE: "G"}
-    for i, con in enumerate(model.constraints):
-        lines.append(_mps_line(sense_tag[con.sense], rows[i]))
+    sense_tag = {-1: "L", 0: "E", 1: "G"}
+    for i, sense in enumerate(a.senses.tolist()):
+        lines.append(_mps_line(sense_tag[sense], rows[i]))
 
-    # entries per column, objective first, then rows in index order
-    per_col: list[list[tuple[str, float]]] = [[] for _ in range(n)]
-    for j in range(n):
-        coef = model.objective_coefficient(j)
-        if coef != 0.0:
-            per_col[j].append((_OBJ_ROW, coef))
-    for i, con in enumerate(model.constraints):
-        for ref, coef in con.terms:
-            if coef != 0.0:
-                per_col[ref.index].append((rows[i], coef))
-
+    # entries per column, objective first, then its stored rows, which are
+    # ascending and hold no exact zero
+    c, ptr, col_rows, vals = a.c.tolist(), a.ptr.tolist(), a.rows.tolist(), a.vals.tolist()
     lines.append("COLUMNS")
     for j in range(n):
-        entries = per_col[j]
-        if not entries:
-            # declare otherwise-empty columns so parsers see every variable
-            entries = [(_OBJ_ROW, 0.0)]
-        for k in range(0, len(entries), 2):
-            pair = entries[k:k + 2]
-            fields = [cols[j]]
-            for row_name, coef in pair:
-                fields.extend([row_name, _mps_number(coef)])
-            lines.append(_mps_line("", *fields))
+        entries = [(_OBJ_ROW, c[j])] if c[j] != 0.0 else []
+        entries += [(rows[i], v) for i, v in zip(col_rows[ptr[j]:ptr[j + 1]], vals[ptr[j]:ptr[j + 1]])]
+        # declare otherwise-empty columns so parsers see every variable
+        _mps_pairs(lines, cols[j], entries or [(_OBJ_ROW, 0.0)])
 
     lines.append("RHS")
-    rhs_entries: list[tuple[str, float]] = []
-    if model.objective_offset != 0.0:
-        rhs_entries.append((_OBJ_ROW, -model.objective_offset))
-    for i, con in enumerate(model.constraints):
-        if con.rhs != 0.0:
-            rhs_entries.append((rows[i], con.rhs))
-    for k in range(0, len(rhs_entries), 2):
-        pair = rhs_entries[k:k + 2]
-        fields = ["RHS"]
-        for row_name, value in pair:
-            fields.extend([row_name, _mps_number(value)])
-        lines.append(_mps_line("", *fields))
+    rhs_entries = [(_OBJ_ROW, -a.offset)] if a.offset != 0.0 else []
+    rhs_entries += [(rows[i], v) for i, v in enumerate(a.b.tolist()) if v != 0.0]
+    _mps_pairs(lines, "RHS", rhs_entries)
 
     lines.append("RANGES")
 
     lines.append("BOUNDS")
-    for j, d in enumerate(model.variables):
-        if d.kind == BINARY:
+    for j, (lo, up, binary) in enumerate(zip(a.lower.tolist(), a.upper.tolist(), a.is_binary.tolist())):
+        if binary:
             lines.append(_mps_line("BV", "BND", cols[j]))
             continue
-        lo, up = d.lower, d.upper
         if lo == 0.0 and up == math.inf:
             continue
         if lo == -math.inf and up == math.inf:

@@ -17,7 +17,7 @@ solves repeat.
 
 The matrix is kept as structural columns only, each as its row indices and
 values: the ``ptr``/``rows``/``cols``/``vals`` storage that
-``MilpModel.to_arrays`` builds once per model from the constraint terms,
+``MilpModel.freeze`` builds once per model from the constraint terms,
 read as it is by every LP of a search; no dense ``A`` is built.  Slack
 column ``n + i`` is the unit vector e_i and is never stored.  Pricing
 ``y @ [A | I]``, the dual's pivot row ``Binv[r] @ [A | I]``, the entering

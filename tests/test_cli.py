@@ -203,6 +203,15 @@ class TestSweep:
     def test_requires_out(self, bundle):
         assert main(["sweep", str(bundle), "--omega", "0", "--sizes", "4"]) == 2
 
+    @pytest.mark.parametrize("sizes", ["5,0", "0", "5,-3"])
+    def test_bad_sample_size_exits_2_before_any_solve(self, bundle, tmp_path, capsys, monkeypatch, sizes):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_milp was called")
+
+        monkeypatch.setattr(gh.evaluate, "solve_milp", no_solve)
+        assert main(["sweep", str(bundle), "--sizes", sizes, "--out", str(tmp_path / "sweep")]) == 2
+        assert capsys.readouterr().err == "error: sample size must be >= 1\n"
+
     # sha256 over the sorted file names and bytes of the output directory,
     # recorded before sweeps scored each distinct policy and capacity once
     GOLDEN = "685f104286d15f7e50dbad51f8fdec2bbcb4767e58f8651f84b834d007ed9fd0"
@@ -270,6 +279,28 @@ class TestEvaluate:
         assert main(["evaluate", str(worked_bundle), "--result", str(res)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: result document ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("slot, problem", [
+        (1.5, "1.5 is not a whole number"),   # int() would read slot 1
+        (True, "True is not a whole number"),  # int() would read slot 1
+        ("2.0", "'2.0' is not a number"),
+    ])
+    def test_non_integer_slot_exits_2(self, worked_bundle, tmp_path, capsys, slot, problem):
+        res = tmp_path / "res.json"
+        res.write_text(json.dumps({"policy": {"assignments": {"f1": slot}}}))
+        assert main(["evaluate", str(worked_bundle), "--result", str(res), "--out", str(tmp_path / "e.csv")]) == 2
+        assert capsys.readouterr().err == f"error: result document {res}: slot of flight 'f1' {problem}\n"
+        assert not (tmp_path / "e.csv").exists()
+
+    def test_whole_float_slot_is_that_slot(self, worked_bundle, tmp_path):
+        outs = []
+        for slot in (2, 2.0):
+            res = tmp_path / f"res{slot!r}.json"
+            res.write_text(json.dumps({"policy": {"assignments": {"f1": slot}}}))
+            outs.append(tmp_path / f"eval{slot!r}.csv")
+            assert main(["evaluate", str(worked_bundle), "--result", str(res), "--sizes", "8",
+                         "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestExportMps:
@@ -406,6 +437,19 @@ class TestSingleAirport:
     def test_unknown_airport_exits_2(self, two_airports, capsys):
         assert main(["solve", str(two_airports), "--model", "sp", "--airport", "ZZ"]) == 2
         assert capsys.readouterr().err == "error: airport 'ZZ' not in bundle (has ['AP0', 'AP1'])\n"
+
+    @pytest.mark.parametrize("records", ["AP0 only", "none", "no file"])
+    @pytest.mark.parametrize("model", [["sp", "--airport", "AP1"], ["dr-maghp", "--epsilon", "0.5"]])
+    def test_airport_without_capacity_records_exits_2(self, two_airports, capsys, records, model):
+        capacity = two_airports / "capacity.csv"
+        if records == "no file":
+            capacity.unlink()
+        else:
+            kept = [line for line in capacity.read_text().splitlines()[1:] if records == "AP0 only" and ",AP0," in line]
+            capacity.write_text("\n".join(["slot,airport,throughput", *kept]) + "\n")
+        assert main(["solve", str(two_airports), "--model", *model]) == 2
+        missing = "AP1" if records == "AP0 only" or model[0] == "sp" else "AP0"
+        assert capsys.readouterr().err == f"error: bundle has no capacity records for airport {missing!r}\n"
 
 
 _RADIUS_ERRORS = {

@@ -144,6 +144,15 @@ class TestSynthInstance:
         for z, dist in inst.capacities.items():
             assert gh.empirical_distribution(inst.history[z], z) == dist
 
+    def test_capacities_are_counted_from_the_history(self):
+        inst = gh.synth_instance(gh.SynthParams(num_flights=6, num_airports=2), seed=3)
+        history = {"AP0": inst.history["AP0"], "AP1": []}
+        made = gh.Instance(inst.schedule, history)
+        assert made.history is history
+        assert made.capacities == {"AP0": inst.capacities["AP0"]}  # no records, no distribution
+        with pytest.raises(TypeError):
+            gh.Instance(inst.schedule, history, inst.capacities)
+
     @pytest.mark.parametrize("kwargs", [
         {"num_flights": 0},
         {"horizon": 0},

@@ -1,3 +1,4 @@
+import hashlib
 import dataclasses
 import math
 import random
@@ -73,6 +74,24 @@ class TestModelBuilding:
         with pytest.raises(gh.ModelError, match="frozen"):
             m.add_binary("x1")
 
+    @pytest.mark.parametrize("read", [
+        lambda m: m.to_arrays(),
+        gh.solve_lp,
+        gh.solve_milp,
+        lambda m: gh.is_feasible(m, [0.5]),
+        gh.export_mps,
+    ], ids=["to_arrays", "solve_lp", "solve_milp", "is_feasible", "export_mps"])
+    def test_unfrozen_model_has_no_numbers_to_read(self, read):
+        m = gh.MilpModel()
+        x = m.add_continuous("x", 0.0, 1.0)
+        m.add_objective_term(x, 1.0)
+        m.add_row([(x, 1.0)], gh.SENSE_LE, 1.0)
+        with pytest.raises(gh.ModelError, match="not frozen"):
+            read(m)
+        assert not m.frozen
+        m.freeze()
+        assert m.frozen and m.to_arrays() is m.to_arrays()
+
 
 class TestSolutionChecking:
     def test_residuals_flag_violations(self):
@@ -80,6 +99,7 @@ class TestSolutionChecking:
         x = m.add_continuous("x")
         m.add_row([(x, 1.0)], gh.SENSE_LE, 1.0)
         m.add_row([(x, 1.0)], gh.SENSE_GE, 0.5)
+        m.freeze()
         assert gh.is_feasible(m, [0.75])
         assert not gh.is_feasible(m, [2.0])
         res = gh.constraint_residuals(m, [2.0])
@@ -168,7 +188,7 @@ class TestColumnStorage:
 
 class TestNoDenseMatrix:
     """Every engine path reads only the column storage: with ``ModelArrays.A``
-    raising, solves, feasibility checks and the CLI still run."""
+    raising, solves, feasibility checks, MPS export and the CLI still run."""
 
     @pytest.fixture(autouse=True)
     def _refuse_dense(self, monkeypatch):
@@ -190,6 +210,7 @@ class TestNoDenseMatrix:
         assert sol.status == "optimal"
         assert gh.is_feasible(model, sol.values)
         assert gh.solve_lp(model).status == "optimal"
+        assert parse_mps(gh.export_mps(model)).num_cols == model.num_variables
 
     def test_cli_solve_and_sweep(self, tmp_path):
         inst = tmp_path / "inst"
@@ -416,3 +437,108 @@ class TestMpsExport:
         assert parsed_constraint_entries.keys() == expected_entries.keys()
         for key, coef in expected_entries.items():
             assert parsed_constraint_entries[key] == pytest.approx(coef, rel=1e-9, abs=1e-12)
+
+
+# -- export_mps golden ----------------------------------------------------------
+
+# `gen` flags per bundle, then (bundle, `export-mps` model flags) per model
+_MPS_BUNDLES = {
+    "b16x12-g1": ["--flights", "16", "--horizon", "12", "--seed", "1"],
+    "s14x12-g1": ["--flights", "14", "--horizon", "12", "--seed", "1"],
+    "g8x8-g2": ["--flights", "8", "--horizon", "8", "--seed", "2"],
+    "a20x12-g1": ["--flights", "20", "--horizon", "12", "--density", "0", "--seed", "1"],
+    "n12x8-g1": ["--flights", "12", "--horizon", "8", "--density", "0", "--airports", "2", "--seed", "1"],
+    "n8x6-g2": ["--flights", "8", "--horizon", "6", "--airports", "2", "--seed", "2"],
+}
+_SINGLE_AIRPORT_MODELS = {
+    "det": ["det"], "sp": ["sp"],
+    **{f"dr{eps}": ["dr", "--epsilon", eps] for eps in ("0", "0.5", "100")},
+}
+_MPS_CLI_CASES = {
+    **{f"{b}-{k}": (b, flags) for b in ("b16x12-g1", "s14x12-g1", "g8x8-g2", "a20x12-g1")
+       for k, flags in _SINGLE_AIRPORT_MODELS.items()},
+    **{f"{b}-dr-maghp": (b, ["dr-maghp", "--epsilon", "0.5"]) for b in ("n12x8-g1", "n8x6-g2")},
+}
+_MPS_LIBRARY_CASES = {
+    **_STORAGE_CASES,
+    **{f"sparse-lp-{seed}": (lambda seed=seed: lp_model(*sparse_lp(random.Random(seed), 60, 0.05)))
+       for seed in range(10)},
+    **{f"random-{seed}": (lambda seed=seed: _random_model(random.Random(seed))) for seed in range(10)},
+    "empty": lambda: gh.MilpModel().freeze(),
+}
+
+# sha256 of each model's export_mps text, recorded when the exporter read the
+# constraint terms instead of the column storage
+_MPS_GOLDEN = {
+    "b16x12-g1-det": "e4623fc15cd96767ebbb609bcb20756f5aa0c94f6aad19231c394c9ea0d5783f",
+    "b16x12-g1-sp": "5cbae42c3e3dfe107f1fd8c33d56d3a8a6f1ecb8f544e6684b29edbe4290bfff",
+    "b16x12-g1-dr0": "749b57147c0cc56117bd10261fc515c0fef13012b0184d9974254f8a198bc3ee",
+    "b16x12-g1-dr0.5": "785cc11d01757b7faad181e03f7ac9cf6f7b0a96b467c0de1535e3713c29232f",
+    "b16x12-g1-dr100": "2862a593db88649a1bfc632333d5fed37dfdc837d9af9e9bf2e7e50fa8b6fba2",
+    "s14x12-g1-det": "1a253fd3de0838a1c88cdaa7b9ece13d44c64d76c8fd6e01d023fecc786b2108",
+    "s14x12-g1-sp": "463439144326387a64863b6596d2d004f5cac25a0d1c18b8aa8b5eae44f7b6ea",
+    "s14x12-g1-dr0": "af835cf9b3e69440d8ec745d580de7512d5cb9476aaca7859f37b70dd3ded6ec",
+    "s14x12-g1-dr0.5": "2396e77267a2c1e8cfdf235ebd1a37f48152f51956343d055aa933f3c0544cef",
+    "s14x12-g1-dr100": "19b34d437e0c4bef33a4307baed8cc85b996cdf05f89fbe6da0b3fd98d007eee",
+    "g8x8-g2-det": "bc940282882a5ffb60ae2a16079e816ab6d5ac0abaeb70aac1fbad3e130f7f86",
+    "g8x8-g2-sp": "03449b000fc5eda76f07a0560759c784b0d877692f69aaf3f01fd1574b4ea00c",
+    "g8x8-g2-dr0": "864b36ba42ef7c227f5ef62b67b133dc3b54cad2b8016ea9f336da1f697f4588",
+    "g8x8-g2-dr0.5": "ed982fbab62e4c9a2f77c941a7034f2f9372d822a18a2659df80d1859c86556c",
+    "g8x8-g2-dr100": "3456c4a3f815aed69938bf7435bdccb27b6580421ed69e15784ab0a658a28f6c",
+    "a20x12-g1-det": "9ac20085be4d3d0a758311b250654bb06503f3ba1cfd72957ebff21e2ae2b76c",
+    "a20x12-g1-sp": "80d986aa7f182d7cde32a8fb1e072831af7602a6c3089caa171d7191e5073077",
+    "a20x12-g1-dr0": "1d8a00d3030c8f0bae9d7419956e28c58d0cc8c79af029d513679f14ad4e15c1",
+    "a20x12-g1-dr0.5": "6a3e4076e2df609235b0dccee3780be1f00b2e319c7180dbc70d13c2cfc2e1c4",
+    "a20x12-g1-dr100": "aae14231dbdd40852818d97505b027c29d67d89af59fcac5f4f4a93b39361a9c",
+    "n12x8-g1-dr-maghp": "ec077ce4c3083a63057636a1567ed4dac06206d651d294f9724f79a90f9750af",
+    "n8x6-g2-dr-maghp": "039948d92a22b93f51a9ade77a0dab589b3009b4323c8b0841a2a21c7ad01e83",
+    "zero-coefficients": "152d51713a32d4dba5e490f179a2987c65b821d1282c8f0f607cdb8253b0c114",
+    "airborne-free-dr": "f76b1631ec1cfb3ab397c8c14f0b7069d083ede446d78b6b07d8b78808887c85",
+    "sparse-0": "4e07007201e06e582beeb07d7a7813475a6c0bc3bedb7c4eeb29d3811a9ac5c7",
+    "sparse-1": "79915e05d525183aab780d339815850b7bc5a702c60da5c11e571c368634d619",
+    "sparse-2": "d31b281ca14a7179bcf0b74b202b67638c2b813ad3bfadb77b2a6e9546b2f3c4",
+    "no-rows": "b775463da581e9c5fb7783cd1590b22dc1228fc155bd1d15d63cc70c75c07204",
+    "sparse-lp-0": "d3a1d09add7eb5f742484e69061d6baa3aa0467c887be19f5361757e4a1cc91f",
+    "sparse-lp-1": "c7a6ba1660511237a3ed6dc74a55545ea7d853827540ca29f3a7b7a121a66be4",
+    "sparse-lp-2": "db211728766680a9d0846df663be29c4ffa9c66852984fa1ccbe0497e0c4884a",
+    "sparse-lp-3": "8f7274b60a08cdf84107c8aec5f61e8c0fabdda8f1ea27d2e7a9d621de024f09",
+    "sparse-lp-4": "7208cbaa7bd5f17c8267eef0e078137c5d44fbbd22d38447b8a35a0586131093",
+    "sparse-lp-5": "55c8a19c2f2db0e40bddd7aed5125f821ebe59f1a0cffd8e55255da6b997c274",
+    "sparse-lp-6": "2f943cbca7fdcdb8f8ae93cc857985297d79d44de7a9c865686b8bbfc9ade540",
+    "sparse-lp-7": "3c8d2dc750454986c5c2a87cfbfcb281e86217329cf776ea1c970a1c60e015f0",
+    "sparse-lp-8": "fe104876c41ae60ca8f36f85bc3ab006dd88627b39f578825c7550cc17a39958",
+    "sparse-lp-9": "f8130c63f6f844b8be953a8aea871d2d11a65602cb358430ecbdaa27e48f2bfb",
+    "random-0": "ae4264e25c04a8dcf9d53966057e3800d161094f1a355e155a71545610322da6",
+    "random-1": "e84f77a7a57fc5c5d2bb7e05b42f1b32df5d83f434bd4ddcc5ca5cfbcd407eb5",
+    "random-2": "c27232cce0a8b6b9eb1700cb64bde205dda892f1efe5d9eb053aedab337b394b",
+    "random-3": "f1e3b1b47e7afee67e14d97addef39e3c6443c72688e9d5bf5b32029b69e98ff",
+    "random-4": "b794b923e81246bcd23690117dccf76e311c242bc4424211b1771826426d9368",
+    "random-5": "545e1d2e75565d0d4cd158efba0f7be33759937a2a9a350e1e5c8b756776cd14",
+    "random-6": "135a11cd29f04a5b0fb71660c269676b75de6f8be2e3afdc2f7c3e2153b60121",
+    "random-7": "9f2e6a03b63549091011336f59cee792742e33b1eb94780e60f4bca5a6b65076",
+    "random-8": "04fea7b28bb170896ddc4ca32f8f6fb1033f446a1af4a44147d6d3344f0ac138",
+    "random-9": "f222e478fae5706487ce6ce47a2a3082cecab73c931128c44bf74de2104c5a66",
+    "empty": "1bd282cc1f8cd77f6d3ed8bb0f520711da471531a758b376c7630af02e2a8cbe",
+}
+
+
+@pytest.fixture(scope="module")
+def mps_bundles(tmp_path_factory):
+    root = tmp_path_factory.mktemp("mps-bundles")
+    for name, flags in _MPS_BUNDLES.items():
+        assert main(["gen", *flags, "--out", str(root / name)]) == 0
+    return root
+
+
+class TestMpsGolden:
+    @pytest.mark.parametrize("case", _MPS_CLI_CASES)
+    def test_cli_models(self, case, mps_bundles, tmp_path):
+        bundle, flags = _MPS_CLI_CASES[case]
+        out = tmp_path / "model.mps"
+        assert main(["export-mps", str(mps_bundles / bundle), "--model", *flags, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == _MPS_GOLDEN[case]
+
+    @pytest.mark.parametrize("case", _MPS_LIBRARY_CASES)
+    def test_library_models(self, case):
+        text = gh.export_mps(_MPS_LIBRARY_CASES[case]())
+        assert hashlib.sha256(text.encode()).hexdigest() == _MPS_GOLDEN[case]

@@ -53,7 +53,6 @@ from .milp import (
     ModelError,
     Solution,
     VariableDef,
-    VariableRef,
     constraint_residuals,
     export_mps,
     is_feasible,

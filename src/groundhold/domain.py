@@ -232,7 +232,7 @@ class Violation:
     code: str
     message: str
 
-    def __str__(self) -> str:  # pragma: no cover - display convenience
+    def __str__(self) -> str:
         return f"[{self.code}] {self.message}"
 
 

@@ -100,8 +100,8 @@ def sample_capacities(dist: CapacityDistribution, n: int, seed: int) -> list[int
 
 @dataclass(frozen=True)
 class PolicyEvaluation:
-    """Per-sample total costs with their mean and population std dev, which
-    are computed once, from the costs, when the evaluation is made."""
+    """Per-sample total costs, at least one, with their mean and population
+    std dev, computed once, from the costs, when the evaluation is made."""
 
     per_sample_costs: tuple[float, ...]
     mean: float = field(init=False)
@@ -110,6 +110,8 @@ class PolicyEvaluation:
 
     def __post_init__(self) -> None:
         costs = tuple(map(float, self.per_sample_costs))
+        if not costs:
+            raise ValueError("need at least one sample")
         mean, std_dev = _mean_std(costs)
         for name, value in (("per_sample_costs", costs), ("mean", mean), ("std_dev", std_dev),
                             ("sample_size", len(costs))):

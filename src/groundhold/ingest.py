@@ -109,15 +109,12 @@ def parse_schedule(
     schedule_text: str,
     connections_text: str | None = None,
     *,
-    horizon: int | None = None,
-    airborne_cost: float | None = None,
+    horizon: int,
+    airborne_cost: float,
 ) -> FlightSchedule:
     """Parse and validate a schedule file plus optional connections file.
 
-    ``horizon`` defaults to the latest scheduled arrival and ``airborne_cost``
-    to one unit above the largest ground cost (the smallest value honoring
-    the airborne-dominates-ground convention).  Both normally come from the
-    bundle's parameters file.
+    ``horizon`` and ``airborne_cost`` come from the bundle's parameters file.
     """
     flights = []
     for lineno, (fid, airport, slot, cost) in _rows(schedule_text, SCHEDULE_HEADER, "schedule"):
@@ -133,11 +130,6 @@ def parse_schedule(
     if connections_text:
         for lineno, (pred, succ, slack) in _rows(connections_text, CONNECTIONS_HEADER, "connections"):
             connections.append(ConnectionPair(pred, succ, _parse_int(slack, "connections", lineno)))
-
-    if horizon is None:
-        horizon = max(f.scheduled_arrival for f in flights)
-    if airborne_cost is None:
-        airborne_cost = max(f.ground_cost for f in flights) + 1.0
 
     schedule = FlightSchedule(TimeHorizon(horizon), tuple(flights), tuple(connections), airborne_cost)
     violations = validate_schedule(schedule)

@@ -2,15 +2,18 @@
 
 Every model builder targets this IR; the solver consumes it and the MPS
 exporter serializes it for cross-checking against external solvers.  Models
-are minimizations only.  Variable and row names (``x[f,t]``, ``y[xi,t]``,
-``alpha``, ``beta[s]``) are for people and the MPS comment block; what a
-column means lives in the index a model builder attaches at ``freeze``, and
-code that interprets a solution reads that index, never a name.
+are minimizations only.  A column is its int index: ``add_variable`` returns
+it, and constraint terms and objective terms name columns by it.  Variable
+and row names (``x[f,t]``, ``y[xi,t]``, ``alpha``, ``beta[s]``) are for
+people and the MPS comment block; what a column means lives in the index a
+model builder attaches at ``freeze``, and code that interprets a solution
+reads that index, never a name.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
@@ -28,7 +31,6 @@ __all__ = [
     "SENSE_EQ",
     "SENSE_GE",
     "ModelError",
-    "VariableRef",
     "VariableDef",
     "LinearConstraint",
     "MilpModel",
@@ -53,14 +55,6 @@ class ModelError(ValueError):
 
 
 @dataclass(frozen=True)
-class VariableRef:
-    """Dense handle into a model's variable vector."""
-
-    index: int
-    name: str
-
-
-@dataclass(frozen=True)
 class VariableDef:
     """Bounds and kind of one decision variable."""
 
@@ -82,26 +76,26 @@ class VariableDef:
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """Sparse row ``sum(coef * var) sense rhs``."""
+    """Sparse row ``sum(coef * x[column]) sense rhs``."""
 
-    terms: tuple[tuple[VariableRef, float], ...]
+    terms: tuple[tuple[int, float], ...]
     sense: str
     rhs: float
     name: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple((ref, float(c)) for ref, c in self.terms))
+        object.__setattr__(self, "terms", tuple((operator.index(j), float(c)) for j, c in self.terms))
         if self.sense not in _SENSES:
             raise ModelError(f"unknown constraint sense {self.sense!r}")
         if not math.isfinite(self.rhs):
             raise ModelError(f"constraint rhs must be finite, got {self.rhs}")
         seen: set[int] = set()
-        for ref, coef in self.terms:
+        for j, coef in self.terms:
             if not math.isfinite(coef):
-                raise ModelError(f"coefficient for {ref.name!r} is not finite")
-            if ref.index in seen:
-                raise ModelError(f"duplicate variable {ref.name!r} in constraint {self.name!r}")
-            seen.add(ref.index)
+                raise ModelError(f"coefficient for variable #{j} is not finite")
+            if j in seen:
+                raise ModelError(f"duplicate variable #{j} in constraint {self.name!r}")
+            seen.add(j)
 
 
 class ModelArrays(NamedTuple):
@@ -145,8 +139,8 @@ class MilpModel:
     def __init__(self) -> None:
         self._variables: list[VariableDef] = []
         self._constraints: list[LinearConstraint] = []
-        self._objective: dict[int, float] = {}
-        self._offset = 0.0
+        self._objective: dict[int, float] = {}  # while building; then arrays.c
+        self._offset = 0.0  # while building; then arrays.offset
         self._index: ModelIndex | None = None
         self._arrays: ModelArrays | None = None  # built by freeze; None while mutable
 
@@ -156,36 +150,37 @@ class MilpModel:
         if self._arrays is not None:
             raise ModelError("model is frozen")
 
-    def add_variable(self, defn: VariableDef) -> VariableRef:
+    def add_variable(self, defn: VariableDef) -> int:
+        """Append a column and return its index."""
         self._check_mutable()
-        ref = VariableRef(len(self._variables), defn.name)
         self._variables.append(defn)
-        return ref
+        return len(self._variables) - 1
 
-    def add_binary(self, name: str) -> VariableRef:
+    def add_binary(self, name: str) -> int:
         return self.add_variable(VariableDef(0.0, 1.0, BINARY, name))
 
-    def add_continuous(self, name: str, lower: float = 0.0, upper: float = math.inf) -> VariableRef:
+    def add_continuous(self, name: str, lower: float = 0.0, upper: float = math.inf) -> int:
         return self.add_variable(VariableDef(lower, upper, CONTINUOUS, name))
 
     def add_constraint(self, con: LinearConstraint) -> int:
         self._check_mutable()
-        for ref, _ in con.terms:
-            if not 0 <= ref.index < len(self._variables):
-                raise ModelError(f"constraint {con.name!r} references unknown variable #{ref.index}")
+        for j, _ in con.terms:
+            if not 0 <= j < len(self._variables):
+                raise ModelError(f"constraint {con.name!r} references unknown variable #{j}")
         self._constraints.append(con)
         return len(self._constraints) - 1
 
-    def add_row(self, terms: Iterable[tuple[VariableRef, float]], sense: str, rhs: float, name: str = "") -> int:
+    def add_row(self, terms: Iterable[tuple[int, float]], sense: str, rhs: float, name: str = "") -> int:
         return self.add_constraint(LinearConstraint(tuple(terms), sense, float(rhs), name))
 
-    def add_objective_term(self, ref: VariableRef, coef: float) -> None:
+    def add_objective_term(self, j: int, coef: float) -> None:
         self._check_mutable()
-        if not 0 <= ref.index < len(self._variables):
-            raise ModelError(f"objective references unknown variable #{ref.index}")
+        j = operator.index(j)
+        if not 0 <= j < len(self._variables):
+            raise ModelError(f"objective references unknown variable #{j}")
         if not math.isfinite(coef):
-            raise ModelError(f"objective coefficient for {ref.name!r} is not finite")
-        self._objective[ref.index] = self._objective.get(ref.index, 0.0) + float(coef)
+            raise ModelError(f"objective coefficient for variable #{j} is not finite")
+        self._objective[j] = self._objective.get(j, 0.0) + float(coef)
 
     def add_objective_offset(self, value: float) -> None:
         self._check_mutable()
@@ -228,32 +223,31 @@ class MilpModel:
 
     @property
     def objective_offset(self) -> float:
-        return self._offset
+        return self.to_arrays().offset
 
-    def objective_coefficient(self, index: int) -> float:
-        return self._objective.get(index, 0.0)
+    def objective_coefficient(self, j: int) -> float:
+        return float(self.to_arrays().c[j])
 
     def repriced(self, costs: Mapping[int, float]) -> "MilpModel":
         """A frozen sibling whose objective coefficient of column ``j`` is
         ``costs[j]``; every other coefficient is this model's.
 
-        The sibling shares this model's variables, constraints, offset and
-        index, and its arrays share every array of this model's but ``c``.
-        This model is not changed.
+        The sibling shares this model's variables, constraints and index,
+        and its arrays share every array of this model's but ``c``.  This
+        model is not changed.
         """
         if self._arrays is None:
             raise ModelError("only a frozen model can be repriced")
-        objective, c = dict(self._objective), self._arrays.c.copy()
+        c = self._arrays.c.copy()
         for j, coef in costs.items():
             if not 0 <= j < len(self._variables):
                 raise ModelError(f"repricing references unknown variable #{j}")
             if not math.isfinite(coef):
                 raise ModelError(f"objective coefficient for variable #{j} is not finite")
-            objective[j] = c[j] = float(coef) + 0.0  # -0.0 as 0.0, the sum add_objective_term stores
+            c[j] = float(coef) + 0.0  # -0.0 as 0.0, the sum add_objective_term stores
         c.flags.writeable = False
         sibling = MilpModel()
         sibling._variables, sibling._constraints = self._variables, self._constraints
-        sibling._objective, sibling._offset = objective, self._offset
         sibling._index, sibling._arrays = self._index, self._arrays._replace(c=c)
         return sibling
 
@@ -275,7 +269,7 @@ class MilpModel:
         senses = np.array([code[con.sense] for con in cons], dtype=np.int8)
         b = np.array([con.rhs for con in cons], dtype=float)
         rows = np.repeat(np.arange(m), [len(con.terms) for con in cons])
-        cols = np.array([ref.index for con in cons for ref, _ in con.terms], dtype=np.intp)
+        cols = np.array([j for con in cons for j, _ in con.terms], dtype=np.intp)
         vals = np.array([coef for con in cons for _, coef in con.terms], dtype=float)
         # the terms come row by row, so a stable sort by column leaves the
         # rows ascending within each column; a constraint names a variable

@@ -16,8 +16,9 @@ connection coupling) and differ in how capacity enters:
   connections allowed to span airports.
 
 All builders are pure functions of their inputs and return frozen models
-carrying a :class:`ModelIndex`, the one place a column's meaning is kept;
-variable names are only a rendering of it for people and MPS files.
+carrying a :class:`ModelIndex`, the one place a column's meaning is kept and
+the builders' only record of their columns; variable names are only a
+rendering of it for people and MPS files.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .domain import (
     Violation,
     validate_schedule,
 )
-from .milp import SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel, Solution, VariableRef
+from .milp import SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel, Solution
 
 __all__ = [
     "ModelIndex",
@@ -95,35 +96,32 @@ def _require_valid(schedule: FlightSchedule) -> None:
         raise ValueError("invalid schedule: " + "; ".join(str(v) for v in violations))
 
 
-def _first_stage(schedule: FlightSchedule) -> tuple[MilpModel, dict[tuple[str, int], VariableRef], ModelIndex]:
+def _first_stage(schedule: FlightSchedule) -> tuple[MilpModel, ModelIndex]:
     """New model holding the binaries ``x[f,t]`` and the ground-delay cost."""
     _require_valid(schedule)
-    model = MilpModel()
-    x: dict[tuple[str, int], VariableRef] = {}
+    model, index = MilpModel(), ModelIndex({})
     for f in schedule.flights:
         for t in schedule.available_slots(f):
-            x[f.id, t] = model.add_binary(f"x[{f.id},{t}]")
-            model.add_objective_term(x[f.id, t], f.ground_cost * t)
+            index.x[f.id, t] = model.add_binary(f"x[{f.id},{t}]")
+            model.add_objective_term(index.x[f.id, t], f.ground_cost * t)
         model.add_objective_offset(-f.ground_cost * f.scheduled_arrival)
-    return model, x, ModelIndex({key: ref.index for key, ref in x.items()})
+    return model, index
 
 
-def _finish(model: MilpModel, schedule: FlightSchedule,
-            x: dict[tuple[str, int], VariableRef], index: ModelIndex) -> MilpModel:
+def _finish(model: MilpModel, schedule: FlightSchedule, index: ModelIndex) -> MilpModel:
     """One-slot-per-flight and connection rows, then freeze with ``index``."""
     for f in schedule.flights:
-        terms = [(x[f.id, t], 1.0) for t in schedule.available_slots(f)]
+        terms = [(index.x[f.id, t], 1.0) for t in schedule.available_slots(f)]
         model.add_row(terms, SENSE_EQ, 1.0, name=f"assign[{f.id}]")
-    _add_coupling_rows(model, schedule, x)
+    _add_coupling_rows(model, schedule, index)
     return model.freeze(index)
 
 
-def _add_coupling_rows(model: MilpModel, schedule: FlightSchedule,
-                       x: dict[tuple[str, int], VariableRef]) -> None:
+def _add_coupling_rows(model: MilpModel, schedule: FlightSchedule, index: ModelIndex) -> None:
     # f2 landed by t => f1 landed by t + d, with d = r1 - r2 + slack, for
     # every slot t of f2; rows with t + d >= T are implied by assign[f1]
     T = schedule.horizon.num_slots
-    by_id = schedule.flight_by_id
+    by_id, x = schedule.flight_by_id, index.x
     for c in schedule.connections:
         f1 = by_id[c.predecessor]
         f2 = by_id[c.successor]
@@ -134,29 +132,27 @@ def _add_coupling_rows(model: MilpModel, schedule: FlightSchedule,
             model.add_row(terms, SENSE_LE, 0.0, name=f"couple[{f1.id},{f2.id},{t}]")
 
 
-def _add_queue_block(model: MilpModel, schedule: FlightSchedule, x: dict[tuple[str, int], VariableRef],
-                     index: ModelIndex, airport: str | None, flights: list,
-                     capacity: int) -> list[VariableRef]:
+def _add_queue_block(model: MilpModel, schedule: FlightSchedule, index: ModelIndex,
+                     airport: str | None, flights: list, capacity: int) -> None:
     """Airborne-queue recourse rows for one capacity realization.
 
-    ``arrivals_t <= capacity - y_{t-1} + y_t`` with ``y_0 = 0``; returns the
-    queue variables ``y_1..y_T`` and records them in ``index``.
+    ``arrivals_t <= capacity - y_{t-1} + y_t`` with ``y_0 = 0``; the queue
+    variables ``y_1..y_T`` go to ``index.queues[airport, capacity]``.
     """
     T = schedule.horizon.num_slots
     tag = str(capacity) if airport is None else f"{airport},{capacity}"
-    y = [model.add_continuous(f"y[{tag},{t}]") for t in range(1, T + 1)]
-    index.queues[airport, capacity] = tuple(yt.index for yt in y)
+    index.queues[airport, capacity] = tuple(model.add_continuous(f"y[{tag},{t}]") for t in range(1, T + 1))
+    x, y = index.x, index.queues[airport, capacity]
     for t in range(1, T + 1):
         terms = [(x[f.id, t], 1.0) for f in flights if t >= f.scheduled_arrival]
         terms.append((y[t - 1], -1.0))
         if t >= 2:
             terms.append((y[t - 2], 1.0))
         model.add_row(terms, SENSE_LE, float(capacity), name=f"recourse[{tag},{t}]")
-    return y
 
 
-def _add_robust_block(model: MilpModel, schedule: FlightSchedule, x: dict[tuple[str, int], VariableRef],
-                      index: ModelIndex, airport: str | None, flights: list, amb: AmbiguitySpec) -> None:
+def _add_robust_block(model: MilpModel, schedule: FlightSchedule, index: ModelIndex,
+                      airport: str | None, flights: list, amb: AmbiguitySpec) -> None:
     """One airport's Wasserstein-ball terms, recorded in ``index`` under ``airport``.
 
     Adds a queue block per grid value, ``alpha``, ``beta`` per support point,
@@ -170,26 +166,22 @@ def _add_robust_block(model: MilpModel, schedule: FlightSchedule, x: dict[tuple[
     all-slack start of the LP relaxation is dual feasible.
     """
     tag = "" if airport is None else f"{airport},"
-    queues: dict[int, list[VariableRef]] = {}
     for xi in amb.grid.values:
-        queues[xi] = _add_queue_block(model, schedule, x, index, airport, flights, xi)
+        _add_queue_block(model, schedule, index, airport, flights, xi)
+    index.alpha[airport] = model.add_continuous("alpha" if airport is None else f"alpha[{airport}]")
+    for xi_hat in amb.empirical.support_points:
+        index.beta[airport, xi_hat] = model.add_continuous(f"beta[{tag}{xi_hat}]")
 
-    alpha = model.add_continuous("alpha" if airport is None else f"alpha[{airport}]")
-    beta = {xi_hat: model.add_continuous(f"beta[{tag}{xi_hat}]")
-            for xi_hat in amb.empirical.support_points}
-    index.alpha[airport] = alpha.index
-    for xi_hat, ref in beta.items():
-        index.beta[airport, xi_hat] = ref.index
-
+    alpha = index.alpha[airport]
     model.add_objective_term(alpha, amb.radius)  # the radius rule; see reprice_dr_saghp
     for xi_hat, p in amb.empirical.atoms():
-        model.add_objective_term(beta[xi_hat], p)
+        model.add_objective_term(index.beta[airport, xi_hat], p)
 
     for xi in amb.grid.values:
         for xi_hat in amb.empirical.support_points:
             terms = [(alpha, float(abs(xi_hat - xi)))] if xi_hat != xi else []
-            terms.append((beta[xi_hat], 1.0))
-            terms += [(yt, -schedule.airborne_cost) for yt in queues[xi]]
+            terms.append((index.beta[airport, xi_hat], 1.0))
+            terms += [(j, -schedule.airborne_cost) for j in index.queues[airport, xi]]
             model.add_row(terms, SENSE_GE, 0.0, name=f"dual[{tag}{xi},{xi_hat}]")
 
 
@@ -200,13 +192,13 @@ def build_d_saghp(schedule: FlightSchedule, capacity: int) -> MilpModel:
     per flight and connection coupling.  Infeasibility (more flights than the
     horizon can absorb) surfaces at solve time, not here.
     """
-    model, x, index = _first_stage(schedule)
+    model, index = _first_stage(schedule)
     if capacity < 0:
         raise ValueError("capacity must be nonnegative")
     for t in schedule.horizon.slots():
-        terms = [(x[f.id, t], 1.0) for f in schedule.flights if t >= f.scheduled_arrival]
+        terms = [(index.x[f.id, t], 1.0) for f in schedule.flights if t >= f.scheduled_arrival]
         model.add_row(terms, SENSE_LE, float(capacity), name=f"cap[{t}]")
-    return _finish(model, schedule, x, index)
+    return _finish(model, schedule, index)
 
 
 def build_s_saghp(schedule: FlightSchedule, dist: CapacityDistribution) -> MilpModel:
@@ -217,13 +209,13 @@ def build_s_saghp(schedule: FlightSchedule, dist: CapacityDistribution) -> MilpM
     Like the queue recursion it mirrors, the model leaves flights still
     airborne at the end of the horizon unresolved.
     """
-    model, x, index = _first_stage(schedule)
+    model, index = _first_stage(schedule)
     flights = list(schedule.flights)
     for xi, p in dist.atoms():
-        y = _add_queue_block(model, schedule, x, index, None, flights, xi)
-        for yt in y:
-            model.add_objective_term(yt, p * schedule.airborne_cost)
-    return _finish(model, schedule, x, index)
+        _add_queue_block(model, schedule, index, None, flights, xi)
+        for j in index.queues[None, xi]:
+            model.add_objective_term(j, p * schedule.airborne_cost)
+    return _finish(model, schedule, index)
 
 
 def build_dr_saghp(schedule: FlightSchedule, amb: AmbiguitySpec) -> MilpModel:
@@ -240,9 +232,9 @@ def build_dr_saghp(schedule: FlightSchedule, amb: AmbiguitySpec) -> MilpModel:
     ``alpha`` is unbounded; at ``epsilon = 0`` its objective coefficient is
     zero and the zero-cost ray is harmless.
     """
-    model, x, index = _first_stage(schedule)
-    _add_robust_block(model, schedule, x, index, None, list(schedule.flights), amb)
-    return _finish(model, schedule, x, index)
+    model, index = _first_stage(schedule)
+    _add_robust_block(model, schedule, index, None, list(schedule.flights), amb)
+    return _finish(model, schedule, index)
 
 
 def reprice_dr_saghp(model: MilpModel, amb: AmbiguitySpec) -> MilpModel:
@@ -253,10 +245,19 @@ def reprice_dr_saghp(model: MilpModel, amb: AmbiguitySpec) -> MilpModel:
     The radius enters the robust model only as the objective cost of
     ``alpha``, so the result is ``model.repriced`` with that one cost set to
     ``amb.radius``: it shares ``model``'s rows, bounds and column storage.
+    A spec whose grid, support or probabilities are not the model's raises
+    ``ValueError``.
     """
     index = model.index
     if index is None or list(index.alpha) != [None]:
         raise ValueError("reprice_dr_saghp needs a single-airport robust model")
+    c = model.to_arrays().c
+    for what, given, built in (
+            ("grid", list(amb.grid.values), [xi for _, xi in index.queues]),
+            ("support", list(amb.empirical.support_points), [xi_hat for _, xi_hat in index.beta]),
+            ("probabilities", list(amb.empirical.probabilities), c[list(index.beta.values())].tolist())):
+        if given != built:
+            raise ValueError(f"the spec's {what} {given} is not the model's {built}")
     return model.repriced({index.alpha[None]: amb.radius})
 
 
@@ -270,11 +271,11 @@ def build_dr_maghp(net: NetworkInstance) -> MilpModel:
     Connections may span airports.
     """
     schedule = net.schedule
-    model, x, index = _first_stage(schedule)
+    model, index = _first_stage(schedule)
     for z in net.airports:
         flights = [f for f in schedule.flights if f.airport == z]
-        _add_robust_block(model, schedule, x, index, z, flights, net.ambiguities[z])
-    return _finish(model, schedule, x, index)
+        _add_robust_block(model, schedule, index, z, flights, net.ambiguities[z])
+    return _finish(model, schedule, index)
 
 
 def policy_from_assignments(assignments: dict[str, int], schedule: FlightSchedule) -> GroundHoldingPolicy:
@@ -302,10 +303,11 @@ def extract_policy(model: MilpModel, sol: Solution, schedule: FlightSchedule) ->
     if sol.status != "optimal":
         raise ValueError(f"cannot extract a policy from a {sol.status!r} solution")
     chosen: dict[str, list[int]] = {f.id: [] for f in schedule.flights}
-    first_stage = model.objective_offset
+    arrays = model.to_arrays()
+    c, first_stage = arrays.c.tolist(), arrays.offset
     for (fid, slot), j in model.index.x.items():
         value = float(sol.values[j])
-        first_stage += model.objective_coefficient(j) * value
+        first_stage += c[j] * value
         if value > 0.5:
             if fid not in chosen:
                 raise PolicyExtractionError(f"solution variable x[{fid},{slot}] has no flight in schedule")

@@ -121,6 +121,12 @@ class TestEvaluatePolicy:
         ev = gh.PolicyEvaluation((1.0, 3.0))
         assert ev.mean == 2.0 and ev.std_dev == 1.0 and ev.sample_size == 2
 
+    def test_no_samples_rejected(self):
+        policy, sched = self._delayed_policy()
+        for evaluate in (lambda: gh.PolicyEvaluation(()), lambda: gh.evaluate_policy(policy, sched, [])):
+            with pytest.raises(ValueError, match="need at least one sample"):
+                evaluate()
+
 
 def scored_sample_by_sample(policy, schedule, samples):
     """Reference scoring: one recursion per sample, stats by plain sums."""

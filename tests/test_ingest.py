@@ -30,32 +30,27 @@ class TestParseSchedule:
         assert sched.airborne_cost == 5.0
 
     def test_connections_from_companion_text(self):
-        sched = gh.parse_schedule(SCHEDULE_TEXT, CONNECTIONS_TEXT, horizon=4)
+        sched = gh.parse_schedule(SCHEDULE_TEXT, CONNECTIONS_TEXT, horizon=4, airborne_cost=5.0)
         assert sched.connections == (gh.ConnectionPair("f1", "f2", 1),)
-
-    def test_defaults_derive_from_flights(self):
-        sched = gh.parse_schedule(SCHEDULE_TEXT)
-        assert sched.horizon.num_slots == 2          # latest r_f
-        assert sched.airborne_cost == pytest.approx(3.25)  # max ground + 1
 
     def test_negative_cost_reports_validation_error(self):
         text = "flight_id,airport,scheduled_arrival_slot,ground_cost\nf1,ATL,1,-2\n"
         with pytest.raises(gh.IngestError, match="negative-ground-cost"):
-            gh.parse_schedule(text)
+            gh.parse_schedule(text, horizon=4, airborne_cost=5.0)
 
     def test_missing_column_names_line(self):
         text = "flight_id,airport,scheduled_arrival_slot,ground_cost\nf1,ATL,1\n"
         with pytest.raises(gh.IngestError, match="line 2"):
-            gh.parse_schedule(text)
+            gh.parse_schedule(text, horizon=4, airborne_cost=5.0)
 
     def test_bad_slack_names_column_file(self):
         bad = "pred_id,succ_id,slack_slots\nf1,f2,\n"
         with pytest.raises(gh.IngestError, match="connections line 2"):
-            gh.parse_schedule(SCHEDULE_TEXT, bad, horizon=4)
+            gh.parse_schedule(SCHEDULE_TEXT, bad, horizon=4, airborne_cost=5.0)
 
     def test_wrong_header_rejected(self):
         with pytest.raises(gh.IngestError, match="expected header"):
-            gh.parse_schedule("id,apt,slot,cost\nf1,ATL,1,1\n")
+            gh.parse_schedule("id,apt,slot,cost\nf1,ATL,1,1\n", horizon=4, airborne_cost=5.0)
 
     def test_roundtrip(self):
         sched = gh.parse_schedule(SCHEDULE_TEXT, CONNECTIONS_TEXT, horizon=4, airborne_cost=5.0)

@@ -20,8 +20,8 @@ class TestModelBuilding:
         m = gh.MilpModel()
         b = m.add_variable(gh.VariableDef(0.0, 1.0, gh.BINARY, "b"))
         c = m.add_variable(gh.VariableDef(0.0, math.inf, gh.CONTINUOUS, "c"))
-        assert (b.index, b.name) == (0, "b")
-        assert (c.index, c.name) == (1, "c")
+        assert (b, m.variables[b].name) == (0, "b")
+        assert (c, m.variables[c].name) == (1, "c")
         assert m.num_variables == 2
 
     def test_invalid_bounds_rejected(self):
@@ -42,9 +42,18 @@ class TestModelBuilding:
         m = gh.MilpModel()
         m.add_binary("x0")
         m.add_binary("x1")
-        ghost = gh.VariableRef(99, "ghost")
+        ghost = 99
         with pytest.raises(gh.ModelError, match="unknown variable"):
             m.add_row([(ghost, 1.0)], gh.SENSE_LE, 1.0)
+
+    def test_column_must_be_an_int(self):
+        m = gh.MilpModel()
+        m.add_binary("x0")
+        m.add_binary("x1")
+        with pytest.raises(TypeError):
+            m.add_row([(1.0, 1.0)], gh.SENSE_LE, 1.0)
+        with pytest.raises(TypeError):
+            m.add_objective_term(1.0, 1.0)
 
     def test_duplicate_term_rejected(self):
         m = gh.MilpModel()
@@ -80,7 +89,10 @@ class TestModelBuilding:
         gh.solve_milp,
         lambda m: gh.is_feasible(m, [0.5]),
         gh.export_mps,
-    ], ids=["to_arrays", "solve_lp", "solve_milp", "is_feasible", "export_mps"])
+        lambda m: m.objective_offset,
+        lambda m: m.objective_coefficient(0),
+    ], ids=["to_arrays", "solve_lp", "solve_milp", "is_feasible", "export_mps", "objective_offset",
+            "objective_coefficient"])
     def test_unfrozen_model_has_no_numbers_to_read(self, read):
         m = gh.MilpModel()
         x = m.add_continuous("x", 0.0, 1.0)
@@ -119,8 +131,8 @@ def _dense(model):
     """The constraint matrix written entry by entry from the model's terms."""
     A = np.zeros((model.num_constraints, model.num_variables))
     for i, con in enumerate(model.constraints):
-        for ref, coef in con.terms:
-            A[i, ref.index] = coef
+        for j, coef in con.terms:
+            A[i, j] = coef
     return A
 
 
@@ -285,6 +297,24 @@ class TestRepriced:
             with pytest.raises(ValueError, match="single-airport robust"):
                 gh.reprice_dr_saghp(model, amb)
 
+    @pytest.mark.parametrize("what", ["grid", "support", "probabilities"])
+    def test_reprice_dr_saghp_rejects_another_spec(self, what):
+        # each spec differs from the model's in one of the three only, and
+        # builds a model of another shape or cost
+        sched, amb = _dr_ambiguity(0.3)
+        base = gh.build_dr_saghp(sched, amb)
+        emp, grid = amb.empirical, amb.grid
+        if what == "grid":
+            grid = gh.SupportGrid(grid.values + (grid.values[-1] + 1,))
+        elif what == "support":
+            emp = gh.CapacityDistribution(emp.support_points[:-1], (1.0 / (emp.size - 1),) * (emp.size - 1))
+        else:
+            emp = gh.CapacityDistribution(emp.support_points, (1.0 / emp.size,) * emp.size)
+            assert emp.probabilities != amb.empirical.probabilities
+        other = gh.AmbiguitySpec(emp, 0.5, grid)
+        with pytest.raises(ValueError, match=f"the spec's {what} "):
+            gh.reprice_dr_saghp(base, other)
+
     def test_threads_sharing_a_model_get_one_build(self):
         # more threads than cores make the first to_arrays call together
         models = [_dr_model(0.3) for _ in range(20)]
@@ -429,9 +459,9 @@ class TestMpsExport:
         expected_entries = {}
         for i, con in enumerate(m.constraints):
             rname = parsed.rows[i][0]
-            for ref, coef in con.terms:
+            for j, coef in con.terms:
                 if coef != 0.0:
-                    expected_entries[rname, cols[ref.index]] = coef
+                    expected_entries[rname, cols[j]] = coef
         parsed_constraint_entries = {
             k: v for k, v in parsed.entries.items() if k[0] != parsed.obj_row}
         assert parsed_constraint_entries.keys() == expected_entries.keys()

@@ -78,7 +78,7 @@ class TestCouplingRows:
                 for t2 in range(f2.scheduled_arrival, T + 1):
                     on = {model.index.x[f1.id, t1], model.index.x[f2.id, t2]}
                     lhs_ok = all(
-                        sum(coef for ref, coef in con.terms if ref.index in on) <= con.rhs
+                        sum(coef for j, coef in con.terms if j in on) <= con.rhs
                         for con in rows)
                     delay_ok = t1 - f1.scheduled_arrival - c.slack <= t2 - f2.scheduled_arrival
                     assert lhs_ok == delay_ok, (c, t1, t2)

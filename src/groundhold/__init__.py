@@ -1,5 +1,18 @@
 """Ground holding optimization: deterministic, stochastic and distributionally
-robust models over a self-contained simplex / branch-and-bound engine."""
+robust models over a self-contained simplex / branch-and-bound engine.
+
+Importing the package pins the BLAS library numpy uses to one thread unless
+the environment already says otherwise: pivot counts, node counts and the
+last bits of an optimum depend on the thread count, and extra threads cost
+CPU time on the small products the simplex kernel makes.  This runs before
+any submodule imports numpy, which reads the setting once, at load.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from .domain import (
     AmbiguitySpec,
@@ -16,6 +29,7 @@ from .domain import (
 )
 from .evaluate import (
     DEFAULT_OMEGA,
+    IndexedTuple,
     PolicyEvaluation,
     SweepResult,
     SweepRow,

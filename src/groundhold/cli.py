@@ -14,6 +14,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .domain import AmbiguitySpec, FlightSchedule, NetworkInstance, SupportGrid, default_support_grid
 from .evaluate import (
     DEFAULT_OMEGA,
@@ -237,7 +239,8 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "table.csv").write_text(result.to_table())
     # rows with one policy and sample size share their costs, so a body;
-    # the key is cheap to hash, unlike the costs themselves
+    # the key is cheap to hash, unlike the costs themselves.  A body is its
+    # cost table's lines read through the draw's index.
     bodies: dict[tuple[str, int], str] = {}
     for row in result.rows:
         if row.status != "optimal":
@@ -246,8 +249,8 @@ def cmd_sweep(args) -> int:
         body = bodies.get(key)
         if body is None:
             costs = row.per_sample_costs
-            line = {c: f"{c!r}\n" for c in set(costs)}
-            body = bodies[key] = "cost\n" + "".join(map(line.__getitem__, costs))
+            line = np.array([f"{float(c)!r}\n" for c in costs.table], dtype=object)
+            body = bodies[key] = "cost\n" + "".join(line[costs.index])
         (out / f"samples_{row.label()}_{row.sample_size}.csv").write_text(body)
     print(f"wrote sweep results to {out}")
     return EXIT_OK

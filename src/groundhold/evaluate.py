@@ -4,24 +4,27 @@ The second stage has a closed form: with a fixed landing plan, the cheapest
 airborne-queue response to a realized capacity is the greedy recursion
 ``y_t = max(0, y_{t-1} + arrivals_t - capacity)``, so policies are scored
 without invoking the LP engine.  A policy's cost depends on the sample only
-through the capacity, so each policy is scored once per distinct capacity in
-the draw, and a sweep scores each distinct policy once per sample size; the
-per-sample lists are filled by lookup, so every float, and every byte of
-sweep output, is what a per-sample loop gives.  A sweep builds one robust
-model and reprices it per radius, so its rows and column storage are built
-once.  All sampling flows from an explicit seed; identical seeds give
-identical results at any parallelism.
+through the capacity, so each policy is priced once per distinct capacity in
+the draw, and a sweep scores each distinct policy once per sample size.  The
+per-sample costs, their mean and their std dev are read from that
+per-capacity table through the draw's index, with numpy arrays; every sum
+runs over the samples in order, so every float, and every byte of sweep
+output, is what a per-sample loop on Python 3.11 gives, on every supported
+Python version.  A sweep builds one robust model and reprices it per radius,
+so its rows and column storage are built once.  All sampling flows from an
+explicit seed; identical seeds give identical results at any parallelism.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .domain import (
     AmbiguitySpec,
@@ -43,6 +46,7 @@ from .models import (
 from .solver import solve_milp
 
 __all__ = [
+    "IndexedTuple",
     "PolicyEvaluation",
     "SweepRow",
     "SweepResult",
@@ -83,25 +87,59 @@ def arrivals_from_policy(policy: GroundHoldingPolicy, schedule: FlightSchedule) 
     return counts
 
 
-def sample_capacities(dist: CapacityDistribution, n: int, seed: int) -> list[int]:
+def sample_capacities(dist: CapacityDistribution, n: int, seed: int) -> IndexedTuple:
     """``n`` i.i.d. draws by inverse CDF over a seeded generator.
 
-    Uses the stdlib Mersenne Twister, whose ``random()`` stream is stable
-    across Python versions, so a seed pins the samples forever.
+    The uniforms are those of ``n`` calls of ``random.Random(seed).random()``
+    (the stdlib Mersenne Twister, whose stream is stable across Python
+    versions, so a seed pins the samples forever), drawn at once: the
+    generator's 32-bit words come from ``randbytes`` in the order it makes
+    them, and each pair ``a, b`` gives ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``
+    exactly as ``random()`` builds its double.  ``searchsorted`` on the
+    cumulative probabilities then picks each sample's support point, as
+    ``bisect_left`` would; the draw keeps the support as its table and those
+    picks as its index.
     """
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    rng = random.Random(seed)
-    cumulative = list(accumulate(dist.probabilities))
-    support = dist.support_points
-    last = len(support) - 1
-    return [support[min(bisect_left(cumulative, rng.random()), last)] for _ in range(n)]
+    words = np.frombuffer(random.Random(seed).randbytes(8 * n), dtype="<u4")
+    uniforms = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
+    index = np.searchsorted(list(accumulate(dist.probabilities)), uniforms)
+    return IndexedTuple.from_table(dist.support_points, np.minimum(index, dist.size - 1))
+
+
+class IndexedTuple(tuple):
+    """A tuple whose ``i``-th entry is ``table[index[i]]``, made by
+    ``from_table``: a draw of capacities, or the per-sample costs of a policy
+    on one.
+
+    Entries that share a table slot are one object, and the table and the
+    read-only index travel with the tuple, so scoring, statistics and the
+    CLI's sample files work once per table entry instead of once per sample.
+    """
+
+    table: tuple
+    index: np.ndarray
+
+    @classmethod
+    def from_table(cls, table: Sequence, index: np.ndarray) -> IndexedTuple:
+        """The tuple ``table[index]``; ``index`` is kept, not copied, and
+        made read-only, since every tuple read through it shares it."""
+        entries = cls(np.array(table, dtype=object)[index].tolist())
+        entries.table = tuple(table)
+        entries.index = index
+        index.flags.writeable = False
+        return entries
 
 
 @dataclass(frozen=True)
 class PolicyEvaluation:
     """Per-sample total costs, at least one, with their mean and population
-    std dev, computed once, from the costs, when the evaluation is made."""
+    std dev, computed once, from the costs, when the evaluation is made.
+
+    ``per_sample_costs`` is kept as an ``IndexedTuple`` of floats; any other
+    sequence of numbers becomes one with a table entry per sample.
+    """
 
     per_sample_costs: tuple[float, ...]
     mean: float = field(init=False)
@@ -109,36 +147,63 @@ class PolicyEvaluation:
     sample_size: int = field(init=False)
 
     def __post_init__(self) -> None:
-        costs = tuple(map(float, self.per_sample_costs))
+        costs = self.per_sample_costs
+        if not isinstance(costs, IndexedTuple):
+            table = tuple(map(float, costs))
+            costs = IndexedTuple.from_table(table, np.arange(len(table)))
         if not costs:
             raise ValueError("need at least one sample")
-        mean, std_dev = _mean_std(costs)
+        mean, std_dev = _mean_std(costs.table, costs.index)
         for name, value in (("per_sample_costs", costs), ("mean", mean), ("std_dev", std_dev),
                             ("sample_size", len(costs))):
             object.__setattr__(self, name, value)
 
 
-def _mean_std(costs: tuple[float, ...]) -> tuple[float, float]:
-    """Mean and population std dev, summed in sample order.
+def _sum_in_order(values: np.ndarray) -> float:
+    """``0.0 + values[0] + values[1] + ...``, added left to right.
 
-    Each squared deviation is computed once per distinct cost; the sums run
-    over the samples in order, so the result is bit-for-bit that of
-    ``sum((c - mean) ** 2 for c in costs)``.
+    ``cumsum`` adds in order, unlike ``np.sum`` (pairwise) and the builtin
+    ``sum`` of Python 3.12+ (compensated); the final ``+ 0.0`` is the start
+    value, which turns an all ``-0.0`` sum into ``0.0``.
     """
-    mean = sum(costs) / len(costs)
-    square = {c: (c - mean) ** 2 for c in set(costs)}
-    return mean, math.sqrt(sum(map(square.__getitem__, costs)) / len(costs))
+    return float(np.cumsum(values)[-1]) + 0.0
+
+
+def _mean_std(table: Sequence[float], index: np.ndarray) -> tuple[float, float]:
+    """Mean and population std dev of the costs ``table[index]``.
+
+    Each squared deviation is computed once per table entry with Python's
+    ``(c - mean) ** 2`` (numpy's ``x * x`` can differ in the last bit); both
+    sums run over the samples in order, so the result is bit for bit that of
+    a ``for`` loop accumulating ``c`` and then ``(c - mean) ** 2`` over the
+    samples, on every Python version.
+    """
+    n = len(index)
+    mean = _sum_in_order(np.array(table)[index]) / n
+    squares = np.array([(c - mean) ** 2 for c in table])
+    return mean, math.sqrt(_sum_in_order(squares[index]) / n)
+
+
+def _distinct(samples: Sequence[int]) -> tuple[list, np.ndarray]:
+    """The distinct values of ``samples`` in ascending order, as Python
+    numbers, and each sample's position among them."""
+    samples = np.asarray(samples)
+    values = np.sort(samples)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    values = values[keep]
+    return values.tolist(), np.searchsorted(values, samples)
 
 
 def _costs_by_capacity(
     policy: GroundHoldingPolicy,
     schedule: FlightSchedule,
     capacities: Iterable[int],
-) -> dict[int, float]:
+) -> list[float]:
     """Total cost (ground + airborne) of the policy at each capacity given."""
     arrivals = arrivals_from_policy(policy, schedule)
-    return {k: policy.ground_cost + second_stage_cost(arrivals, k, schedule.airborne_cost)
-            for k in capacities}
+    return [policy.ground_cost + second_stage_cost(arrivals, k, schedule.airborne_cost)
+            for k in capacities]
 
 
 def _require_single_airport(schedule: FlightSchedule) -> None:
@@ -153,15 +218,21 @@ def evaluate_policy(
 ) -> PolicyEvaluation:
     """Total cost (ground + airborne) of a fixed policy on sampled capacities.
 
-    The cost is computed once per distinct capacity in ``samples`` and
-    looked up for each sample, in sample order.
+    The cost is computed once per table entry of a draw from
+    ``sample_capacities``, or once per distinct capacity of any other
+    sequence; the per-sample costs are that cost table read through the
+    samples' index, in sample order, and share the draw's index.
     """
     _require_single_airport(schedule)
     problems = check_policy(policy, schedule)
     if problems:
         raise ValueError("policy does not fit schedule: " + "; ".join(str(v) for v in problems))
-    cost = _costs_by_capacity(policy, schedule, set(samples))
-    return PolicyEvaluation([cost[k] for k in samples])
+    if isinstance(samples, IndexedTuple):
+        capacities, index = samples.table, samples.index
+    else:
+        capacities, index = _distinct(samples)
+    costs = _costs_by_capacity(policy, schedule, capacities)
+    return PolicyEvaluation(IndexedTuple.from_table(costs, index))
 
 
 def expected_policy_cost(
@@ -175,8 +246,7 @@ def expected_policy_cost(
     optima carry no Monte Carlo noise.
     """
     _require_single_airport(schedule)
-    cost = _costs_by_capacity(policy, schedule, dist.support_points)
-    costs = [cost[xi] for xi in dist.support_points]
+    costs = _costs_by_capacity(policy, schedule, dist.support_points)
     mean = sum(p * c for p, c in zip(dist.probabilities, costs))
     var = sum(p * (c - mean) ** 2 for p, c in zip(dist.probabilities, costs))
     return mean, math.sqrt(var)

@@ -2,7 +2,11 @@ import hashlib
 import importlib
 import json
 import math
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -292,6 +296,18 @@ class TestEvaluate:
         assert capsys.readouterr().err == f"error: result document {res}: slot of flight 'f1' {problem}\n"
         assert not (tmp_path / "e.csv").exists()
 
+    # sha256 of the output, recorded before the draw and the scoring moved
+    # to numpy arrays
+    GOLDEN = "66a510c19871ab3d0e89a90aeb1db94160c4c1d84d63507869834f44e118f017"
+
+    def test_golden_bytes(self, tmp_path):
+        inst, res, out = tmp_path / "inst", tmp_path / "res.json", tmp_path / "eval.csv"
+        assert main(["gen", "--flights", "8", "--horizon", "8", "--seed", "2", "--out", str(inst)]) == 0
+        assert main(["solve", str(inst), "--model", "dr", "--epsilon", "0.5", "--out", str(res)]) == 0
+        assert main(["evaluate", str(inst), "--result", str(res), "--sizes", "50,20000", "--seed", "3",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN
+
     def test_whole_float_slot_is_that_slot(self, worked_bundle, tmp_path):
         outs = []
         for slot in (2, 2.0):
@@ -529,3 +545,50 @@ class TestParserReuse:
         assert main(["sweep", str(bundle), "--omega", "0", "--sizes", "4", "--out", str(out)]) == 0
         assert capsys.readouterr() == (f"wrote sweep results to {out}\n", "")
         assert len((out / "table.csv").read_text().splitlines()) == 2 + 3  # det, sp, dr
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _fresh_python(code: str, *args: str, **env: str) -> str:
+    """Standard output of ``code`` run by a new interpreter that finds this
+    ``groundhold`` first; ``env`` replaces the BLAS thread variables."""
+    environ = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    environ.update(env)
+    src = str(Path(gh.__file__).resolve().parents[1])
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=environ,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestSetUpFootprint:
+    def test_sweep_loads_neither_numpy_random_nor_numpy_ma(self, bundle, tmp_path):
+        # each costs about 12 ms of import in every fresh process; it must be
+        # a new interpreter, since scipy and hypothesis load both here
+        code = (
+            "import sys\n"
+            "from groundhold.cli import main\n"
+            "assert main(['sweep', sys.argv[1], '--omega', '0,0.5', '--sizes', '50', '--out', sys.argv[2]]) == 0\n"
+            "print(sorted(m for m in ('numpy.random', 'numpy.ma') if m in sys.modules))\n"
+        )
+        out = _fresh_python(code, str(bundle), str(tmp_path / "sweep")).splitlines()
+        assert out == [f"wrote sweep results to {tmp_path / 'sweep'}", "[]"]
+
+
+class TestBlasThreads:
+    CODE = (
+        "import os, groundhold, numpy\n"
+        "print(*(os.environ[v] for v in {names!r}))\n"
+        "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)\n"
+    ).format(names=_BLAS_VARS)
+
+    def test_one_thread_by_default(self):
+        # numpy reads the setting when it loads, so one thread means the
+        # package set it before any submodule imported numpy
+        assert _fresh_python(self.CODE).split() == ["1", "1", "1", "1"]
+
+    def test_user_setting_wins(self):
+        out = _fresh_python(self.CODE, **dict.fromkeys(_BLAS_VARS, "2")).split()
+        assert out[:3] == ["2", "2", "2"]

@@ -1,5 +1,7 @@
 import math
 import random
+from bisect import bisect_left
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -55,7 +57,7 @@ class TestSecondStageCost:
 class TestSampling:
     def test_singleton_distribution(self):
         dist = gh.CapacityDistribution((7,), (1.0,))
-        assert gh.sample_capacities(dist, 5, seed=1) == [7] * 5
+        assert gh.sample_capacities(dist, 5, seed=1) == (7,) * 5
 
     def test_seed_determinism(self):
         dist = gh.CapacityDistribution((0, 1, 3), (0.2, 0.3, 0.5))
@@ -78,6 +80,29 @@ class TestSampling:
         dist = gh.CapacityDistribution((1,), (1.0,))
         with pytest.raises(ValueError):
             gh.sample_capacities(dist, 0, seed=1)
+
+    @staticmethod
+    def stdlib_draw(dist, n, seed):
+        """Reference draw: one ``random()`` and one ``bisect_left`` per sample."""
+        rng = random.Random(seed)
+        cumulative = list(accumulate(dist.probabilities))
+        support = dist.support_points
+        last = len(support) - 1
+        return [support[min(bisect_left(cumulative, rng.random()), last)] for _ in range(n)]
+
+    # weights like thirds leave cumulative probabilities that can end below 1,
+    # so a uniform can fall past the last one and is clamped to the largest
+    # capacity
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(-2 ** 70, 2 ** 70), n=st.integers(1, 20_000),
+           atoms=st.dictionaries(st.integers(0, 60), st.integers(1, 9), min_size=1, max_size=6))
+    @example(seed=-5, n=999, atoms={0: 1, 1: 1, 2: 1})
+    @example(seed=2 ** 32 + 1, n=20_000, atoms={3: 2, 5: 7, 9: 1})
+    @example(seed=2 ** 40 + 3, n=1, atoms={7: 1})
+    def test_draw_matches_stdlib_loop(self, seed, n, atoms):
+        total = sum(atoms.values())
+        dist = gh.CapacityDistribution(tuple(atoms), tuple(w / total for w in atoms.values()))
+        assert gh.sample_capacities(dist, n, seed) == tuple(self.stdlib_draw(dist, n, seed))
 
 
 class TestEvaluatePolicy:
@@ -129,14 +154,20 @@ class TestEvaluatePolicy:
 
 
 def scored_sample_by_sample(policy, schedule, samples):
-    """Reference scoring: one recursion per sample, stats by plain sums."""
+    """Reference scoring: one recursion per sample, stats by sums accumulated
+    in sample order (the builtin ``sum`` of Python 3.12+ is compensated)."""
     costs = []
     for k in samples:
         arrivals = gh.arrivals_from_policy(policy, schedule)
         costs.append(policy.ground_cost + gh.second_stage_cost(arrivals, k, schedule.airborne_cost))
-    mean = sum(costs) / len(costs)
-    var = sum((c - mean) ** 2 for c in costs) / len(costs)
-    return tuple(costs), mean, math.sqrt(var)
+    total = 0.0
+    for c in costs:
+        total += c
+    mean = total / len(costs)
+    squares = 0.0
+    for c in costs:
+        squares += (c - mean) ** 2
+    return tuple(costs), mean, math.sqrt(squares / len(costs))
 
 
 @st.composite
@@ -167,6 +198,30 @@ class TestScoringMatchesSampleBySample:
         assert ev.mean == mean
         assert ev.std_dev == std_dev
         assert ev.sample_size == len(samples)
+
+
+class TestStatsSumInSampleOrder:
+    def test_large_draw_matches_for_loop(self):
+        # four capacities give four costs; over 20,000 samples the in-order
+        # sum differs from an exact one, so the order of the sums is checked
+        sched = gh.FlightSchedule(
+            gh.TimeHorizon(3), tuple(gh.Flight(f"f{i}", "A", 1, 1.3) for i in range(4)), (), 0.7)
+        policy = gh.policy_from_assignments({"f0": 1, "f1": 1, "f2": 2, "f3": 3}, sched)
+        dist = gh.CapacityDistribution((0, 1, 2, 3), (0.1, 0.2, 0.3, 0.4))
+        samples = gh.sample_capacities(dist, 20_000, seed=11)
+        costs, mean, std_dev = scored_sample_by_sample(policy, sched, samples)
+        assert len(set(costs)) >= 3
+        assert math.fsum(costs) / len(costs) != mean
+        scored = gh.evaluate_policy(policy, sched, samples)
+        assert scored.per_sample_costs.index is samples.index
+        for ev in (scored, gh.evaluate_policy(policy, sched, list(samples)), gh.PolicyEvaluation(costs)):
+            assert ev.per_sample_costs == costs
+            assert (ev.mean, ev.std_dev) == (mean, std_dev)
+
+    def test_sums_start_from_zero(self):
+        # a for loop from 0.0 sums -0.0 costs to 0.0
+        ev = gh.PolicyEvaluation((-0.0, -0.0))
+        assert repr(ev.mean) == "0.0" and repr(ev.std_dev) == "0.0"
 
 
 class TestExpectedPolicyCost:

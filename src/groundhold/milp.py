@@ -7,13 +7,13 @@ it, and constraint terms and objective terms name columns by it.  Variable
 and row names (``x[f,t]``, ``y[xi,t]``, ``alpha``, ``beta[s]``) are for
 people and the MPS comment block; what a column means lives in the index a
 model builder attaches at ``freeze``, and code that interprets a solution
-reads that index, never a name.
+reads that index, never a name.  Adding a variable, row or objective term
+checks nothing: ``freeze`` checks the whole model once, on its arrays.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
@@ -47,15 +47,16 @@ BINARY = "binary"
 SENSE_LE = "<="
 SENSE_EQ = "="
 SENSE_GE = ">="
-_SENSES = (SENSE_LE, SENSE_EQ, SENSE_GE)
+_SENSE_CODES = {SENSE_LE: -1, SENSE_EQ: 0, SENSE_GE: 1}
+_KIND_CODES = {CONTINUOUS: 0, BINARY: 1}
+_UNKNOWN = 2  # the code of a sense or kind that is neither
 
 
 class ModelError(ValueError):
     """Raised for malformed variables, constraints or dangling references."""
 
 
-@dataclass(frozen=True)
-class VariableDef:
+class VariableDef(NamedTuple):
     """Bounds and kind of one decision variable."""
 
     lower: float = 0.0
@@ -63,39 +64,14 @@ class VariableDef:
     kind: str = CONTINUOUS
     name: str = ""
 
-    def __post_init__(self) -> None:
-        if self.kind not in (CONTINUOUS, BINARY):
-            raise ModelError(f"unknown variable kind {self.kind!r}")
-        if math.isnan(self.lower) or math.isnan(self.upper):
-            raise ModelError("variable bounds must not be NaN")
-        if self.lower > self.upper:
-            raise ModelError(f"lower bound {self.lower} exceeds upper bound {self.upper}")
-        if self.kind == BINARY and (self.lower < 0.0 or self.upper > 1.0):
-            raise ModelError("binary variable bounds must lie within [0, 1]")
 
-
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(NamedTuple):
     """Sparse row ``sum(coef * x[column]) sense rhs``."""
 
     terms: tuple[tuple[int, float], ...]
     sense: str
     rhs: float
     name: str = ""
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple((operator.index(j), float(c)) for j, c in self.terms))
-        if self.sense not in _SENSES:
-            raise ModelError(f"unknown constraint sense {self.sense!r}")
-        if not math.isfinite(self.rhs):
-            raise ModelError(f"constraint rhs must be finite, got {self.rhs}")
-        seen: set[int] = set()
-        for j, coef in self.terms:
-            if not math.isfinite(coef):
-                raise ModelError(f"coefficient for variable #{j} is not finite")
-            if j in seen:
-                raise ModelError(f"duplicate variable #{j} in constraint {self.name!r}")
-            seen.add(j)
 
 
 class ModelArrays(NamedTuple):
@@ -104,8 +80,9 @@ class ModelArrays(NamedTuple):
     The constraint matrix is held only as its structural columns, built once
     per model by ``MilpModel.freeze`` and shared by every LP of a search:
     column j holds ``vals[ptr[j]:ptr[j+1]]`` in rows ``rows[ptr[j]:ptr[j+1]]``,
-    rows ascending, exact zeros dropped; entry k lies in column ``cols[k]``.  Every array is read-only; a repriced model
-    (``MilpModel.repriced``) shares all of them but ``c``.
+    rows ascending, exact zeros dropped; entry k lies in column ``cols[k]``.
+    Every array is read-only; a repriced model (``MilpModel.repriced``)
+    shares all of them but ``c``.
     """
 
     c: np.ndarray          # objective coefficients, length n
@@ -133,13 +110,14 @@ class MilpModel:
     """Mutable while building; frozen before hand-off to the solver.
 
     Building is single-owner and not thread safe; a frozen model is immutable
-    and may be shared across threads.  ``freeze`` builds its arrays, once.
+    and may be shared across threads.  ``freeze`` checks the model and builds
+    its arrays, once; the ``add_*`` methods only record what they are given.
     """
 
     def __init__(self) -> None:
         self._variables: list[VariableDef] = []
         self._constraints: list[LinearConstraint] = []
-        self._objective: dict[int, float] = {}  # while building; then arrays.c
+        self._objective: list[tuple[int, float]] = []  # while building; then arrays.c
         self._offset = 0.0  # while building; then arrays.offset
         self._index: ModelIndex | None = None
         self._arrays: ModelArrays | None = None  # built by freeze; None while mutable
@@ -162,35 +140,27 @@ class MilpModel:
     def add_continuous(self, name: str, lower: float = 0.0, upper: float = math.inf) -> int:
         return self.add_variable(VariableDef(lower, upper, CONTINUOUS, name))
 
-    def add_constraint(self, con: LinearConstraint) -> int:
+    def add_row(self, terms: Iterable[tuple[int, float]], sense: str, rhs: float, name: str = "") -> int:
+        """Append the row ``sum(coef * x[j] for j, coef in terms) sense rhs``
+        and return its index."""
         self._check_mutable()
-        for j, _ in con.terms:
-            if not 0 <= j < len(self._variables):
-                raise ModelError(f"constraint {con.name!r} references unknown variable #{j}")
-        self._constraints.append(con)
+        self._constraints.append(LinearConstraint(tuple(terms), sense, rhs, name))
         return len(self._constraints) - 1
 
-    def add_row(self, terms: Iterable[tuple[int, float]], sense: str, rhs: float, name: str = "") -> int:
-        return self.add_constraint(LinearConstraint(tuple(terms), sense, float(rhs), name))
-
     def add_objective_term(self, j: int, coef: float) -> None:
+        """Add ``coef`` to column ``j``'s cost; ``freeze`` sums a column's
+        terms in call order."""
         self._check_mutable()
-        j = operator.index(j)
-        if not 0 <= j < len(self._variables):
-            raise ModelError(f"objective references unknown variable #{j}")
-        if not math.isfinite(coef):
-            raise ModelError(f"objective coefficient for variable #{j} is not finite")
-        self._objective[j] = self._objective.get(j, 0.0) + float(coef)
+        self._objective.append((j, coef))
 
     def add_objective_offset(self, value: float) -> None:
         self._check_mutable()
-        if not math.isfinite(value):
-            raise ModelError(f"objective offset must be finite, got {value}")
         self._offset += float(value)
 
     def freeze(self, index: ModelIndex | None = None) -> "MilpModel":
-        """Stop further edits, record what the columns mean and build the
-        arrays; a second call changes nothing."""
+        """Check the model, stop further edits, record what the columns mean
+        and build the arrays; a second call changes nothing.  A model that
+        fails a check raises and stays unfrozen."""
         if self._arrays is None:
             self._index, self._arrays = index, self._build_arrays()
         return self
@@ -238,13 +208,10 @@ class MilpModel:
         """
         if self._arrays is None:
             raise ModelError("only a frozen model can be repriced")
+        cols, vals = np.array(list(costs)), np.array(list(costs.values()), dtype=float)
+        _raise_first(_term_checks(cols, vals, len(self._variables), lambda k: "repricing"))
         c = self._arrays.c.copy()
-        for j, coef in costs.items():
-            if not 0 <= j < len(self._variables):
-                raise ModelError(f"repricing references unknown variable #{j}")
-            if not math.isfinite(coef):
-                raise ModelError(f"objective coefficient for variable #{j} is not finite")
-            c[j] = float(coef) + 0.0  # -0.0 as 0.0, the sum add_objective_term stores
+        c[cols.astype(np.intp)] = vals + 0.0  # -0.0 as 0.0, the sum freeze stores
         c.flags.writeable = False
         sibling = MilpModel()
         sibling._variables, sibling._constraints = self._variables, self._constraints
@@ -259,31 +226,78 @@ class MilpModel:
         return self._arrays
 
     def _build_arrays(self) -> ModelArrays:
-        n = len(self._variables)
-        m = len(self._constraints)
-        c = np.zeros(n)
-        for j, coef in self._objective.items():
-            c[j] = coef
-        cons = self._constraints
-        code = {SENSE_LE: -1, SENSE_EQ: 0, SENSE_GE: 1}
-        senses = np.array([code[con.sense] for con in cons], dtype=np.int8)
-        b = np.array([con.rhs for con in cons], dtype=float)
-        rows = np.repeat(np.arange(m), [len(con.terms) for con in cons])
-        cols = np.array([j for con in cons for j, _ in con.terms], dtype=np.intp)
+        variables, cons, objective = self._variables, self._constraints, self._objective
+        rows = np.repeat(np.arange(len(cons)), [len(con.terms) for con in cons])
+        cols = np.array([j for con in cons for j, _ in con.terms])
         vals = np.array([coef for con in cons for _, coef in con.terms], dtype=float)
-        # the terms come row by row, so a stable sort by column leaves the
-        # rows ascending within each column; a constraint names a variable
-        # only once, so no two entries share a (row, column)
-        order = np.argsort(cols, kind="stable")
+        senses = np.array([_SENSE_CODES.get(con.sense, _UNKNOWN) for con in cons], dtype=np.int8)
+        b = np.array([con.rhs for con in cons], dtype=float)
+        kinds = np.array([_KIND_CODES.get(d.kind, _UNKNOWN) for d in variables], dtype=np.int8)
+        lower = np.array([d.lower for d in variables], dtype=float)
+        upper = np.array([d.upper for d in variables], dtype=float)
+        obj_cols = np.array([j for j, _ in objective])
+        obj_vals = np.array([coef for _, coef in objective], dtype=float)
+        order = self._check(rows, cols, vals, senses, b, kinds, lower, upper, obj_cols, obj_vals)
+        # no two entries share a (row, column), so dropping exact zeros loses nothing
         order = order[vals[order] != 0.0]
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        ptr = np.searchsorted(cols, np.arange(n + 1))
-        lower = np.array([d.lower for d in self._variables])
-        upper = np.array([d.upper for d in self._variables])
-        is_binary = np.array([d.kind == BINARY for d in self._variables], dtype=bool)
+        rows, cols, vals = rows[order], cols[order].astype(np.intp, copy=False), vals[order]
+        ptr = np.searchsorted(cols, np.arange(len(variables) + 1))
+        c = np.zeros(len(variables))
+        np.add.at(c, obj_cols.astype(np.intp, copy=False), obj_vals)  # from 0.0, in call order
+        is_binary = kinds == _KIND_CODES[BINARY]
         for array in (c, senses, b, lower, upper, is_binary, ptr, rows, cols, vals):
             array.flags.writeable = False
         return ModelArrays(c, self._offset, senses, b, lower, upper, is_binary, ptr, rows, cols, vals)
+
+    def _check(self, rows, cols, vals, senses, b, kinds, lower, upper, obj_cols, obj_vals) -> np.ndarray:
+        """Every check of the model, run by ``freeze`` on the arrays it builds
+        before exact zeros are dropped.  Raises ``ModelError`` naming the first
+        offending row, column or term, or ``TypeError`` for a column that is
+        not an int.  Returns the row terms' stable order by column, in which
+        rows ascend within each column."""
+        cons, variables, n = self._constraints, self._variables, len(self._variables)
+        row_checks = _term_checks(cols, vals, n, lambda k: f"constraint {cons[rows[k]].name!r}")
+        objective_checks = _term_checks(obj_cols, obj_vals, n, lambda k: "objective")
+        order = np.argsort(cols, kind="stable")
+        by_col, by_row = cols[order], rows[order]
+        _raise_first([
+            *row_checks,
+            (senses == _UNKNOWN, lambda i: f"unknown constraint sense {cons[i].sense!r}"),
+            (~np.isfinite(b), lambda i: f"constraint rhs must be finite, got {cons[i].rhs}"),
+            # a repeated (row, column) pair is adjacent in column order
+            ((by_col[1:] == by_col[:-1]) & (by_row[1:] == by_row[:-1]),
+             lambda k: f"duplicate variable #{by_col[k]} in constraint {cons[by_row[k]].name!r}"),
+            (kinds == _UNKNOWN, lambda j: f"variable #{j}: unknown variable kind {variables[j].kind!r}"),
+            (np.isnan(lower) | np.isnan(upper), lambda j: f"variable #{j}: variable bounds must not be NaN"),
+            (lower > upper,
+             lambda j: f"variable #{j}: lower bound {lower[j]} exceeds upper bound {upper[j]}"),
+            ((kinds == _KIND_CODES[BINARY]) & ((lower < 0.0) | (upper > 1.0)),
+             lambda j: f"variable #{j}: binary variable bounds must lie within [0, 1]"),
+            *objective_checks,
+            ([not math.isfinite(self._offset)],
+             lambda _: f"objective offset must be finite, got {self._offset}"),
+        ])
+        return order
+
+
+def _term_checks(cols: np.ndarray, vals: np.ndarray, n: int, owner) -> list:
+    """The checks of ``(column, coefficient)`` terms, for a model's rows and
+    objective and for ``repriced``, as ``_raise_first`` pairs: every column in
+    ``[0, n)``, every coefficient finite; ``owner(k)`` names term ``k``'s owner.
+    Raises ``TypeError`` at once if a column is not an int."""
+    if cols.ndim != 1 or cols.size and cols.dtype.kind not in "iu":
+        raise TypeError(f"a column must be an int, got an array of {cols.dtype}")
+    return [((cols < 0) | (cols >= n), lambda k: f"{owner(k)} references unknown variable #{cols[k]}"),
+            (~np.isfinite(vals), lambda k: f"{owner(k)} coefficient for variable #{cols[k]} is not finite")]
+
+
+def _raise_first(checks) -> None:
+    """For the first ``(bad, message)`` pair whose mask ``bad`` holds a true
+    entry, raise ``ModelError(message(k))`` with ``k`` that entry's index."""
+    for bad, message in checks:
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            raise ModelError(message(int(hits[0])))
 
 
 @dataclass(frozen=True)

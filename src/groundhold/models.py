@@ -132,22 +132,27 @@ def _add_coupling_rows(model: MilpModel, schedule: FlightSchedule, index: ModelI
             model.add_row(terms, SENSE_LE, 0.0, name=f"couple[{f1.id},{f2.id},{t}]")
 
 
-def _add_queue_block(model: MilpModel, schedule: FlightSchedule, index: ModelIndex,
-                     airport: str | None, flights: list, capacity: int) -> None:
+def _arrival_terms(schedule: FlightSchedule, index: ModelIndex,
+                   flights: list) -> list[list[tuple[int, float]]]:
+    """For each slot ``t = 1..T``, the terms ``(x[f,t], 1.0)`` of the
+    ``flights`` that may land at ``t``, in flight order."""
+    return [[(index.x[f.id, t], 1.0) for f in flights if t >= f.scheduled_arrival]
+            for t in schedule.horizon.slots()]
+
+
+def _add_queue_block(model: MilpModel, index: ModelIndex, airport: str | None,
+                     arrivals: list[list[tuple[int, float]]], capacity: int) -> None:
     """Airborne-queue recourse rows for one capacity realization.
 
-    ``arrivals_t <= capacity - y_{t-1} + y_t`` with ``y_0 = 0``; the queue
+    ``arrivals_t <= capacity - y_{t-1} + y_t`` with ``y_0 = 0``, whose left
+    side is ``arrivals[t - 1]`` (see ``_arrival_terms``); the queue
     variables ``y_1..y_T`` go to ``index.queues[airport, capacity]``.
     """
-    T = schedule.horizon.num_slots
     tag = str(capacity) if airport is None else f"{airport},{capacity}"
-    index.queues[airport, capacity] = tuple(model.add_continuous(f"y[{tag},{t}]") for t in range(1, T + 1))
-    x, y = index.x, index.queues[airport, capacity]
-    for t in range(1, T + 1):
-        terms = [(x[f.id, t], 1.0) for f in flights if t >= f.scheduled_arrival]
-        terms.append((y[t - 1], -1.0))
-        if t >= 2:
-            terms.append((y[t - 2], 1.0))
+    y = tuple(model.add_continuous(f"y[{tag},{t}]") for t in range(1, len(arrivals) + 1))
+    index.queues[airport, capacity] = y
+    for t, arrived in enumerate(arrivals, start=1):
+        terms = arrived + [(y[t - 1], -1.0)] + ([(y[t - 2], 1.0)] if t >= 2 else [])
         model.add_row(terms, SENSE_LE, float(capacity), name=f"recourse[{tag},{t}]")
 
 
@@ -166,8 +171,9 @@ def _add_robust_block(model: MilpModel, schedule: FlightSchedule, index: ModelIn
     all-slack start of the LP relaxation is dual feasible.
     """
     tag = "" if airport is None else f"{airport},"
+    arrivals = _arrival_terms(schedule, index, flights)
     for xi in amb.grid.values:
-        _add_queue_block(model, schedule, index, airport, flights, xi)
+        _add_queue_block(model, index, airport, arrivals, xi)
     index.alpha[airport] = model.add_continuous("alpha" if airport is None else f"alpha[{airport}]")
     for xi_hat in amb.empirical.support_points:
         index.beta[airport, xi_hat] = model.add_continuous(f"beta[{tag}{xi_hat}]")
@@ -192,11 +198,10 @@ def build_d_saghp(schedule: FlightSchedule, capacity: int) -> MilpModel:
     per flight and connection coupling.  Infeasibility (more flights than the
     horizon can absorb) surfaces at solve time, not here.
     """
-    model, index = _first_stage(schedule)
     if capacity < 0:
         raise ValueError("capacity must be nonnegative")
-    for t in schedule.horizon.slots():
-        terms = [(index.x[f.id, t], 1.0) for f in schedule.flights if t >= f.scheduled_arrival]
+    model, index = _first_stage(schedule)
+    for t, terms in zip(schedule.horizon.slots(), _arrival_terms(schedule, index, list(schedule.flights))):
         model.add_row(terms, SENSE_LE, float(capacity), name=f"cap[{t}]")
     return _finish(model, schedule, index)
 
@@ -210,9 +215,9 @@ def build_s_saghp(schedule: FlightSchedule, dist: CapacityDistribution) -> MilpM
     airborne at the end of the horizon unresolved.
     """
     model, index = _first_stage(schedule)
-    flights = list(schedule.flights)
+    arrivals = _arrival_terms(schedule, index, list(schedule.flights))
     for xi, p in dist.atoms():
-        _add_queue_block(model, schedule, index, None, flights, xi)
+        _add_queue_block(model, index, None, arrivals, xi)
         for j in index.queues[None, xi]:
             model.add_objective_term(j, p * schedule.airborne_cost)
     return _finish(model, schedule, index)

@@ -25,10 +25,11 @@ class TestModelBuilding:
         assert m.num_variables == 2
 
     def test_invalid_bounds_rejected(self):
-        with pytest.raises(gh.ModelError):
-            gh.VariableDef(2.0, 1.0)
-        with pytest.raises(gh.ModelError):
-            gh.VariableDef(-1.0, 1.0, gh.BINARY)
+        for defn in (gh.VariableDef(2.0, 1.0), gh.VariableDef(-1.0, 1.0, gh.BINARY)):
+            m = gh.MilpModel()
+            m.add_variable(defn)
+            with pytest.raises(gh.ModelError):
+                m.freeze()
 
     def test_add_constraint(self):
         m = gh.MilpModel()
@@ -43,38 +44,43 @@ class TestModelBuilding:
         m.add_binary("x0")
         m.add_binary("x1")
         ghost = 99
+        m.add_row([(ghost, 1.0)], gh.SENSE_LE, 1.0)
         with pytest.raises(gh.ModelError, match="unknown variable"):
-            m.add_row([(ghost, 1.0)], gh.SENSE_LE, 1.0)
+            m.freeze()
 
     def test_column_must_be_an_int(self):
-        m = gh.MilpModel()
-        m.add_binary("x0")
-        m.add_binary("x1")
-        with pytest.raises(TypeError):
-            m.add_row([(1.0, 1.0)], gh.SENSE_LE, 1.0)
-        with pytest.raises(TypeError):
-            m.add_objective_term(1.0, 1.0)
+        for add in (lambda m: m.add_row([(1.0, 1.0)], gh.SENSE_LE, 1.0),
+                    lambda m: m.add_objective_term(1.0, 1.0)):
+            m = gh.MilpModel()
+            m.add_binary("x0")
+            m.add_binary("x1")
+            add(m)
+            with pytest.raises(TypeError):
+                m.freeze()
 
     def test_duplicate_term_rejected(self):
         m = gh.MilpModel()
         x0 = m.add_binary("x0")
+        m.add_row([(x0, 1.0), (x0, 2.0)], gh.SENSE_LE, 1.0)
         with pytest.raises(gh.ModelError, match="duplicate"):
-            m.add_row([(x0, 1.0), (x0, 2.0)], gh.SENSE_LE, 1.0)
+            m.freeze()
 
     @pytest.mark.parametrize("coef", [math.nan, math.inf, -math.inf])
     def test_non_finite_objective_coefficient_rejected(self, coef):
         m = gh.MilpModel()
         x = m.add_continuous("x", 0.0, 1.0)
         m.add_row([(x, 1.0)], gh.SENSE_LE, 1.0)
+        m.add_objective_term(x, coef)
         with pytest.raises(gh.ModelError, match="not finite"):
-            m.add_objective_term(x, coef)
+            m.freeze()
 
     @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
     def test_non_finite_objective_offset_rejected(self, offset):
         m = gh.MilpModel()
         m.add_continuous("x", 0.0, 1.0)
+        m.add_objective_offset(offset)
         with pytest.raises(gh.ModelError, match="must be finite"):
-            m.add_objective_offset(offset)
+            m.freeze()
 
     def test_frozen_model_rejects_changes(self):
         m = gh.MilpModel()
@@ -103,6 +109,100 @@ class TestModelBuilding:
         assert not m.frozen
         m.freeze()
         assert m.frozen and m.to_arrays() is m.to_arrays()
+
+
+def _two_columns(add):
+    """A model with a binary ``x0`` and a column ``x1`` in [0, 1] and one
+    good row, to which ``add(m, x0, x1)`` then adds one input."""
+    m = gh.MilpModel()
+    x0, x1 = m.add_binary("x0"), m.add_continuous("x1", 0.0, 1.0)
+    m.add_row([(x0, 1.0), (x1, 1.0)], gh.SENSE_LE, 1.0, "ok")
+    add(m, x0, x1)
+    return m
+
+
+# one case per input that adding a variable, row or objective term accepts
+# and freeze rejects: (add, error class, message pattern)
+_REJECTED_AT_FREEZE = {
+    "unknown-column": (lambda m, x0, x1: m.add_row([(x0, 1.0), (7, 1.0)], gh.SENSE_LE, 1.0, "r"),
+                       gh.ModelError, r"constraint 'r' references unknown variable #7"),
+    "negative-column": (lambda m, x0, x1: m.add_row([(-1, 1.0)], gh.SENSE_LE, 1.0, "r"),
+                        gh.ModelError, r"constraint 'r' references unknown variable #-1"),
+    "float-column": (lambda m, x0, x1: m.add_row([(1.0, 1.0)], gh.SENSE_LE, 1.0), TypeError, "int"),
+    "duplicate-column": (lambda m, x0, x1: m.add_row([(x1, 1.0), (x0, 2.0), (x1, 3.0)], gh.SENSE_LE, 1.0, "r"),
+                         gh.ModelError, r"duplicate variable #1 in constraint 'r'"),
+    "duplicate-zero-column": (lambda m, x0, x1: m.add_row([(x0, 0.0), (x0, 2.0)], gh.SENSE_LE, 1.0, "r"),
+                              gh.ModelError, r"duplicate variable #0 in constraint 'r'"),
+    "nan-coefficient": (lambda m, x0, x1: m.add_row([(x1, math.nan)], gh.SENSE_LE, 1.0),
+                        gh.ModelError, r"constraint '' coefficient for variable #1 is not finite"),
+    "inf-coefficient": (lambda m, x0, x1: m.add_row([(x0, -math.inf)], gh.SENSE_LE, 1.0),
+                        gh.ModelError, r"constraint '' coefficient for variable #0 is not finite"),
+    "nan-rhs": (lambda m, x0, x1: m.add_row([(x0, 1.0)], gh.SENSE_LE, math.nan),
+                gh.ModelError, r"constraint rhs must be finite, got nan"),
+    "inf-rhs": (lambda m, x0, x1: m.add_row([(x0, 1.0)], gh.SENSE_GE, math.inf),
+                gh.ModelError, r"constraint rhs must be finite, got inf"),
+    "unknown-sense": (lambda m, x0, x1: m.add_row([(x0, 1.0)], "<", 1.0),
+                      gh.ModelError, r"unknown constraint sense '<'"),
+    "nan-lower": (lambda m, x0, x1: m.add_continuous("v", math.nan, 1.0),
+                  gh.ModelError, r"variable #2: variable bounds must not be NaN"),
+    "nan-upper": (lambda m, x0, x1: m.add_continuous("v", 0.0, math.nan),
+                  gh.ModelError, r"variable #2: variable bounds must not be NaN"),
+    "lower-above-upper": (lambda m, x0, x1: m.add_continuous("v", 2.0, 1.0),
+                          gh.ModelError, r"variable #2: lower bound 2.0 exceeds upper bound 1.0"),
+    "binary-below-0": (lambda m, x0, x1: m.add_variable(gh.VariableDef(-1.0, 1.0, gh.BINARY)),
+                       gh.ModelError, r"variable #2: binary variable bounds must lie within \[0, 1\]"),
+    "binary-above-1": (lambda m, x0, x1: m.add_variable(gh.VariableDef(0.0, 2.0, gh.BINARY)),
+                       gh.ModelError, r"variable #2: binary variable bounds must lie within \[0, 1\]"),
+    "unknown-kind": (lambda m, x0, x1: m.add_variable(gh.VariableDef(0.0, 1.0, "integer")),
+                     gh.ModelError, r"variable #2: unknown variable kind 'integer'"),
+    "objective-unknown-column": (lambda m, x0, x1: m.add_objective_term(2, 1.0),
+                                 gh.ModelError, r"objective references unknown variable #2"),
+    "objective-negative-column": (lambda m, x0, x1: m.add_objective_term(-1, 1.0),
+                                  gh.ModelError, r"objective references unknown variable #-1"),
+    "objective-float-column": (lambda m, x0, x1: m.add_objective_term(1.0, 1.0), TypeError, "int"),
+    "objective-nan": (lambda m, x0, x1: m.add_objective_term(x1, math.nan),
+                      gh.ModelError, r"objective coefficient for variable #1 is not finite"),
+    "objective-inf": (lambda m, x0, x1: m.add_objective_term(x0, math.inf),
+                      gh.ModelError, r"objective coefficient for variable #0 is not finite"),
+    "offset-nan": (lambda m, x0, x1: m.add_objective_offset(math.nan),
+                   gh.ModelError, r"objective offset must be finite, got nan"),
+    "offset-inf": (lambda m, x0, x1: m.add_objective_offset(-math.inf),
+                   gh.ModelError, r"objective offset must be finite, got -inf"),
+}
+
+
+class TestFreezeChecks:
+    @pytest.mark.parametrize("case", _REJECTED_AT_FREEZE)
+    def test_rejected_at_freeze_and_left_unfrozen(self, case):
+        add, error, message = _REJECTED_AT_FREEZE[case]
+        m = _two_columns(add)
+        with pytest.raises(error, match=message):
+            m.freeze()
+        assert not m.frozen
+        with pytest.raises(gh.ModelError, match="not frozen"):
+            m.to_arrays()
+
+    def test_message_names_the_first_offending_row_and_column(self):
+        m = _two_columns(lambda m, x0, x1: None)
+        m.add_row([(x, 1.0) for x in (0, 9)], gh.SENSE_LE, 1.0, "b")
+        m.add_row([(8, 1.0)], gh.SENSE_LE, 1.0, "c")
+        with pytest.raises(gh.ModelError, match=r"^constraint 'b' references unknown variable #9$"):
+            m.freeze()
+        m = _two_columns(lambda m, x0, x1: None)
+        for j, (lower, upper) in enumerate([(0.0, 1.0), (2.0, 0.0), (1.5, 0.0)]):
+            m.add_continuous(f"v{j}", lower, upper)
+        with pytest.raises(gh.ModelError, match=r"^variable #3: lower bound 2.0 exceeds upper bound 0.0$"):
+            m.freeze()
+
+    def test_terms_sum_in_call_order(self):
+        m = gh.MilpModel()
+        x = m.add_continuous("x")
+        for coef in (0.1, 0.2, 0.3, -0.0):
+            m.add_objective_term(x, coef)
+        m.add_objective_term(m.add_continuous("z"), -0.0)
+        c = m.freeze().to_arrays().c
+        assert c[0] == ((0.0 + 0.1) + 0.2) + 0.3 and c[0] != 0.1 + (0.2 + 0.3)
+        assert math.copysign(1.0, c[1]) == 1.0
 
 
 class TestSolutionChecking:

@@ -55,14 +55,14 @@ class TestBasics:
 
     def test_zero_variable_feasibility_check(self):
         m = gh.MilpModel()
-        m.add_constraint(gh.LinearConstraint((), gh.SENSE_LE, 1.0))
+        m.add_row([], gh.SENSE_LE, 1.0)
         m.add_objective_offset(7.0)
         sol = gh.solve_lp(m.freeze())
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(7.0)
 
         m2 = gh.MilpModel()
-        m2.add_constraint(gh.LinearConstraint((), gh.SENSE_GE, 1.0))
+        m2.add_row([], gh.SENSE_GE, 1.0)
         assert gh.solve_lp(m2.freeze()).status == "infeasible"
 
 

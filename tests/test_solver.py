@@ -220,7 +220,7 @@ def _with_repeated_row(model):
         copy.add_objective_term(ref, model.objective_coefficient(j))
     copy.add_objective_offset(model.objective_offset)
     for con in model.constraints + (model.constraints[row],):
-        copy.add_constraint(con)
+        copy.add_row(*con)
     return copy.freeze(model.index)
 
 

@@ -346,15 +346,17 @@ def epsilon_sweep(
     the previous radius's optimal root basis, and only the primal simplex
     runs.  The chain's start can select another of several tied optima than
     a cold solve would; the optimal values are the same.
-    ``jobs`` fans the three independent tasks (det, sp and the robust chain)
-    out over a thread pool; each task is a pure function of its inputs and
-    results merge in request order, so the output is identical at any
-    setting.
+    ``jobs`` (at least 1) fans the three independent tasks (det, sp and the
+    robust chain) out over a thread pool; each task is a pure function of its
+    inputs and results merge in request order, so the output is identical at
+    any setting.
     """
     if not omegas:
         raise ValueError("omega grid must be nonempty")
     if node_limit < 1:
         raise ValueError("node_limit must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     if not sample_sizes:
         raise ValueError("need at least one sample size")
     if any(n < 1 for n in sample_sizes):

@@ -77,12 +77,15 @@ class LinearConstraint(NamedTuple):
 class ModelArrays(NamedTuple):
     """Numeric view of a model, consumed by the solver.
 
-    The constraint matrix is held only as its structural columns, built once
-    per model by ``MilpModel.freeze`` and shared by every LP of a search:
-    column j holds ``vals[ptr[j]:ptr[j+1]]`` in rows ``rows[ptr[j]:ptr[j+1]]``,
-    rows ascending, exact zeros dropped; entry k lies in column ``cols[k]``.
-    Every array is read-only; a repriced model (``MilpModel.repriced``)
-    shares all of them but ``c``.
+    The constraint matrix is held as its structural columns, built once per
+    model by ``MilpModel.freeze`` and shared by every LP of a search: column
+    j holds ``vals[ptr[j]:ptr[j+1]]`` in rows ``rows[ptr[j]:ptr[j+1]]``, rows
+    ascending, exact zeros dropped; entry k lies in column ``cols[k]``.  The
+    same entries are also held by row, for the dual simplex's pivot row: row
+    i holds ``row_vals[row_ptr[i]:row_ptr[i+1]]`` in columns
+    ``row_cols[row_ptr[i]:row_ptr[i+1]]``, columns ascending.  Every array is
+    read-only; a repriced model (``MilpModel.repriced``) shares all of them
+    but ``c``.
     """
 
     c: np.ndarray          # objective coefficients, length n
@@ -96,6 +99,9 @@ class ModelArrays(NamedTuple):
     rows: np.ndarray       # row of each stored entry
     cols: np.ndarray       # column of each stored entry
     vals: np.ndarray       # value of each stored entry
+    row_ptr: np.ndarray    # row starts in the row view, length m + 1
+    row_cols: np.ndarray   # column of each entry, in row order
+    row_vals: np.ndarray   # value of each entry, in row order
 
     @property
     def A(self) -> np.ndarray:
@@ -242,12 +248,17 @@ class MilpModel:
         order = order[vals[order] != 0.0]
         rows, cols, vals = rows[order], cols[order].astype(np.intp, copy=False), vals[order]
         ptr = np.searchsorted(cols, np.arange(len(variables) + 1))
+        # a stable sort by row keeps the columns ascending within each row
+        by_row = np.argsort(rows, kind="stable")
+        row_ptr = np.searchsorted(rows[by_row], np.arange(len(cons) + 1))
+        row_cols, row_vals = cols[by_row], vals[by_row]
         c = np.zeros(len(variables))
         np.add.at(c, obj_cols.astype(np.intp, copy=False), obj_vals)  # from 0.0, in call order
         is_binary = kinds == _KIND_CODES[BINARY]
-        for array in (c, senses, b, lower, upper, is_binary, ptr, rows, cols, vals):
+        for array in (c, senses, b, lower, upper, is_binary, ptr, rows, cols, vals, row_ptr, row_cols, row_vals):
             array.flags.writeable = False
-        return ModelArrays(c, self._offset, senses, b, lower, upper, is_binary, ptr, rows, cols, vals)
+        return ModelArrays(c, self._offset, senses, b, lower, upper, is_binary, ptr, rows, cols, vals,
+                           row_ptr, row_cols, row_vals)
 
     def _check(self, rows, cols, vals, senses, b, kinds, lower, upper, obj_cols, obj_vals) -> np.ndarray:
         """Every check of the model, run by ``freeze`` on the arrays it builds

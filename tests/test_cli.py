@@ -216,6 +216,20 @@ class TestSweep:
         assert main(["sweep", str(bundle), "--sizes", sizes, "--out", str(tmp_path / "sweep")]) == 2
         assert capsys.readouterr().err == "error: sample size must be >= 1\n"
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--node-limit", "0", "node_limit must be >= 1"),
+        ("--jobs", "0", "jobs must be >= 1"),
+        ("--jobs", "-1", "jobs must be >= 1"),
+    ])
+    def test_bad_flag_exits_2_before_any_solve(self, bundle, tmp_path, capsys, monkeypatch, flag, value, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_milp was called")
+
+        monkeypatch.setattr(gh.evaluate, "solve_milp", no_solve)
+        assert main(["sweep", str(bundle), "--sizes", "4", flag, value, "--out", str(tmp_path / "sweep")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "sweep").exists()
+
     # sha256 over the sorted file names and bytes of the output directory,
     # recorded before sweeps scored each distinct policy and capacity once
     GOLDEN = "685f104286d15f7e50dbad51f8fdec2bbcb4767e58f8651f84b834d007ed9fd0"

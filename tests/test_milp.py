@@ -297,9 +297,27 @@ class TestColumnStorage:
         expected = np.where(a.senses < 0, lhs - a.b, np.where(a.senses > 0, a.b - lhs, np.abs(lhs - a.b)))
         np.testing.assert_allclose(gh.constraint_residuals(model, v), expected, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("case", _STORAGE_CASES)
+    def test_row_view_is_that_of_the_dense_matrix(self, case):
+        # by row, columns ascending, exact zeros dropped: the layout
+        # np.nonzero gives on the dense matrix
+        model = _STORAGE_CASES[case]()
+        a = model.to_arrays()
+        dense = _dense(model)
+        rows, cols = np.nonzero(dense)
+        for got, want in ((a.row_cols, cols), (a.row_vals, dense[rows, cols]),
+                          (a.row_ptr, np.searchsorted(rows, np.arange(model.num_constraints + 1)))):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        for array in (a.row_ptr, a.row_cols, a.row_vals):
+            assert not array.flags.writeable
+        if model.num_variables:
+            sibling = model.repriced({0: 5.0}).to_arrays()
+            assert all(getattr(sibling, f) is getattr(a, f) for f in ("row_ptr", "row_cols", "row_vals"))
+
 
 class TestNoDenseMatrix:
-    """Every engine path reads only the column storage: with ``ModelArrays.A``
+    """Every engine path reads only the sparse storage: with ``ModelArrays.A``
     raising, solves, feasibility checks, MPS export and the CLI still run."""
 
     @pytest.fixture(autouse=True)

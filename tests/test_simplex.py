@@ -644,3 +644,103 @@ class TestInversion:
         status = np.zeros(5, dtype=np.int8)
         with pytest.raises(simplex.NumericalInstabilityError, match="singular basis"):
             _warm(a, a.lower, a.upper, (np.array([0, 1]), status))
+
+
+def _dr_root_20x16():
+    """The dr-SAGHP model of the 20-flight, 16-slot seed-1 instance."""
+    inst = gh.synth_instance(gh.SynthParams(num_flights=20, horizon=16), 1)
+    empirical = inst.capacities["AP0"]
+    return gh.build_dr_saghp(inst.schedule, gh.AmbiguitySpec(empirical, 0.5, gh.default_support_grid(empirical)))
+
+
+def _with_empty_row():
+    """Three rows, the middle one with no entry."""
+    return lp_model([1.0, -1.0, 2.0], [([(2, 1.5), (0, -1.0)], gh.SENSE_LE, 4.0), ([], gh.SENSE_GE, -1.0),
+                                       ([(1, 2.0), (2, -0.5)], gh.SENSE_EQ, 1.0)], [(0.0, 3.0)] * 3)
+
+
+_PIVOT_ROW_MODELS = {
+    "empty-row": _with_empty_row,
+    "dr-20x16": _dr_root_20x16,
+    **{f"sparse-{seed}": (lambda seed=seed: lp_model(*sparse_lp(random.Random(9800 + seed), 90, 0.04)))
+       for seed in range(3)},
+}
+
+
+class TestPivotRow:
+    """The dual's pivot row, gathered from the rows where ``u`` is nonzero,
+    equals ``u @ [A | I]`` computed densely with every column's terms summed
+    in ascending row order (``==`` holds whatever the sign of a zero)."""
+
+    @staticmethod
+    def _dense_row(a, u):
+        A, acc = a.A, np.zeros(len(a.c))
+        for i in range(len(a.b)):
+            acc = acc + u[i] * A[i]
+        return np.concatenate([acc, u])
+
+    @pytest.mark.parametrize("case", _PIVOT_ROW_MODELS)
+    def test_gathered_row_is_the_dense_product(self, case):
+        a = _PIVOT_ROW_MODELS[case]().to_arrays()
+        lp = simplex._Simplex(a, a.lower, a.upper)
+        m = len(a.b)
+        rng = np.random.default_rng(11)
+        us = [np.where(rng.random(m) < density, rng.normal(size=m), 0.0) for density in (0.05, 0.3, 1.0)]
+        us.append(np.zeros(m))
+        for u in us:
+            got = lp._pivot_row(u)
+            assert got.shape == (len(a.c) + m,)
+            assert np.array_equal(got, self._dense_row(a, u))
+
+    def test_row_with_no_entry(self):
+        a = _with_empty_row().to_arrays()
+        u = np.array([0.0, 2.5, 0.0])
+        got = simplex._Simplex(a, a.lower, a.upper)._pivot_row(u)
+        assert np.array_equal(got, [0.0, 0.0, 0.0, 0.0, 2.5, 0.0])
+
+
+class TestEnteringMasks:
+    """The masks the simplex keeps across pivots equal those rebuilt from
+    ``status``, ``lo`` and ``up`` at every pivot and bound flip."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        done = []
+        count = simplex._Simplex._count
+
+        def spy(self):
+            free = self.status == simplex._FREE
+            not_fixed = self.up > self.lo
+            assert np.array_equal(self.can_rise, free | ((self.status == simplex._AT_LO) & not_fixed))
+            assert np.array_equal(self.can_fall, free | ((self.status == simplex._AT_UP) & not_fixed))
+            assert np.array_equal(self.lo_b, self.lo[self.basis])
+            assert np.array_equal(self.up_b, self.up[self.basis])
+            done.append(self.pivots)
+            count(self)
+
+        monkeypatch.setattr(simplex._Simplex, "_count", spy)
+        return done
+
+    def test_random_lps(self, checks):
+        for seed in range(1000, 1120):
+            c, rows, bounds = _random_lp(random.Random(seed))
+            gh.solve_lp(lp_model(c, rows, bounds))
+        assert len(checks) > 100
+
+    def test_dr_root_lp(self, checks):
+        sol = gh.solve_lp(_dr_root_20x16())
+        assert sol.status == "optimal"
+        assert sol.pivots == len(checks) == 71  # the count before the masks were kept
+
+
+class TestBoundsLength:
+    @pytest.mark.parametrize("size", [1, 4])
+    def test_bounds_of_another_length_are_refused(self, size):
+        model = _with_empty_row()  # three columns
+        a = model.to_arrays()
+        short_or_long = np.zeros(size)
+        for lower, upper in ((short_or_long, a.upper), (a.lower, short_or_long)):
+            with pytest.raises(ValueError, match=rf"column of the model \(3\).*\({size},\)"):
+                gh.solve_lp(model, lower, upper)
+            with pytest.raises(ValueError, match=rf"column of the model \(3\).*\({size},\)"):
+                simplex.solve_lp_arrays(a, lower, upper)

@@ -2,8 +2,7 @@
 
 Exit codes are stable: 0 success, 1 model infeasible, 2 usage or I/O error,
 3 solver node limit hit, 4 numerical failure in the engine.  All randomness
-flows from ``--seed``; sweep output is byte-identical for a fixed seed at any
-``--jobs`` setting.
+flows from ``--seed``; sweep output is byte-identical for a fixed seed.
 """
 
 from __future__ import annotations
@@ -144,6 +143,17 @@ def _build_model(inst: Instance, args):
     raise ValueError(f"unknown model kind {kind!r}")
 
 
+def _check_out(path: str | None, *, directory: bool = False) -> None:
+    """Fail before any work when ``--out`` cannot be written: a file needs an
+    existing directory to hold it; a directory is made with its parents, so
+    the nearest part of its path that exists must be a directory."""
+    if path is not None:
+        out = Path(path)
+        holder = next(p for p in (out, *out.parents) if p.exists()) if directory else out.parent
+        if not holder.is_dir():
+            raise ValueError(f"cannot write --out {path}: {holder} is not a directory")
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -161,8 +171,6 @@ def cmd_gen(args) -> int:
         connection_density=args.density,
         num_airports=args.airports,
     )
-    if args.out is None:
-        raise ValueError("gen requires --out DIRECTORY")
     inst = synth_instance(params, args.seed)
     write_instance(args.out, inst.schedule, inst.history)
     print(f"wrote instance bundle to {args.out}")
@@ -170,6 +178,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _check_out(args.out)
     inst = load_instance(args.instance)
     model, schedule, context = _build_model(inst, args)
     sol = solve_milp(model, node_limit=args.node_limit)
@@ -222,8 +231,9 @@ def _eval_distribution(args, fallback):
 
 
 def cmd_sweep(args) -> int:
-    if args.out is None:
-        raise ValueError("sweep requires --out DIRECTORY")
+    if args.jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    _check_out(args.out, directory=True)
     inst = load_instance(args.instance)
     _, schedule, empirical = _single_airport(inst, args.airport)
     eval_dist = _eval_distribution(args, empirical)
@@ -233,7 +243,7 @@ def cmd_sweep(args) -> int:
 
     result = epsilon_sweep(
         schedule, empirical, omegas, eval_dist, sizes, args.seed,
-        grid=grid, node_limit=args.node_limit, jobs=args.jobs,
+        grid=grid, node_limit=args.node_limit,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -257,6 +267,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_out(args.out)
     inst = load_instance(args.instance)
     _, schedule, empirical = _single_airport(inst, args.airport)
     try:
@@ -286,13 +297,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_export_mps(args) -> int:
+    _check_out(args.out)
     inst = load_instance(args.instance)
     model, _, _ = _build_model(inst, args)
-    text = export_mps(model)
-    try:
-        _write_text(args.out, text)
-    except OSError as exc:
-        raise ValueError(f"cannot write {args.out}: {exc}") from None
+    _write_text(args.out, export_mps(model))
     return EXIT_OK
 
 
@@ -305,6 +313,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Ground holding models: generate, solve, sweep, evaluate, export.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the model flags of solve and export-mps; _MODEL_FLAGS says which each model reads
+    model_flags = argparse.ArgumentParser(add_help=False)
+    model_flags.add_argument("--model", choices=tuple(_MODEL_FLAGS), required=True)
+    model_flags.add_argument("--epsilon", type=float, default=None)
+    model_flags.add_argument("--support", type=str, default=None, help="grid as lo:hi or v1,v2,...")
+    model_flags.add_argument("--airport", type=str, default=None)
+    model_flags.add_argument("--capacity", type=int, default=None, help="override det capacity")
 
     p = sub.add_parser("gen", help="write a synthetic instance bundle")
     p.add_argument("--flights", type=int, default=6)
@@ -317,16 +332,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, default=0.15)
     p.add_argument("--airports", type=int, default=1)
     p.add_argument("--seed", type=int, default=0, help="seed for every random draw")
-    p.add_argument("--out", type=str, default=None, help="output file or directory")
+    p.add_argument("--out", type=str, required=True, help="bundle directory")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("solve", help="solve one model and write a result document")
+    p = sub.add_parser("solve", parents=[model_flags], help="solve one model and write a result document")
     p.add_argument("instance")
-    p.add_argument("--model", choices=("det", "sp", "dr", "dr-maghp"), required=True)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--support", type=str, default=None, help="grid as lo:hi or v1,v2,...")
-    p.add_argument("--airport", type=str, default=None)
-    p.add_argument("--capacity", type=int, default=None, help="override det capacity")
     p.add_argument("--node-limit", type=int, default=100_000)
     p.add_argument("--out", type=str, default=None, help="output file or directory")
     p.set_defaults(func=cmd_solve)
@@ -340,8 +350,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--airport", type=str, default=None)
     p.add_argument("--node-limit", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0, help="seed for every random draw")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for sweep cells")
-    p.add_argument("--out", type=str, default=None, help="output file or directory")
+    # ignored: the sweep solves on the calling thread.  Kept, with its N >= 1
+    # check, because the benchmark's sweep deck (bench/workloads.py) passes it
+    p.add_argument("--jobs", type=int, default=1, help="ignored; accepted from older command lines")
+    p.add_argument("--out", type=str, required=True, help="output directory")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("evaluate", help="re-evaluate a saved policy out of sample")
@@ -354,13 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None, help="output file or directory")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("export-mps", help="write a model as fixed-format MPS")
+    p = sub.add_parser("export-mps", parents=[model_flags], help="write a model as fixed-format MPS")
     p.add_argument("instance")
-    p.add_argument("--model", choices=("det", "sp", "dr", "dr-maghp"), required=True)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--support", type=str, default=None)
-    p.add_argument("--airport", type=str, default=None)
-    p.add_argument("--capacity", type=int, default=None)
     p.add_argument("--out", type=str, default=None, help="output file or directory")
     p.set_defaults(func=cmd_export_mps)
 

@@ -12,14 +12,13 @@ runs over the samples in order, so every float, and every byte of sweep
 output, is what a per-sample loop on Python 3.11 gives, on every supported
 Python version.  A sweep builds one robust model and reprices it per radius,
 so its rows and column storage are built once.  All sampling flows from an
-explicit seed; identical seeds give identical results at any parallelism.
+explicit seed; identical seeds give identical results.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Sequence
@@ -33,7 +32,6 @@ from .domain import (
     SupportGrid,
     default_support_grid,
 )
-from .milp import MilpModel
 from .models import (
     GroundHoldingPolicy,
     build_d_saghp,
@@ -320,7 +318,6 @@ def epsilon_sweep(
     *,
     grid: SupportGrid | None = None,
     node_limit: int = 100_000,
-    jobs: int = 1,
 ) -> SweepResult:
     """Solve det/sp/dr models once each and score them out of sample.
 
@@ -345,18 +342,13 @@ def epsilon_sweep(
     solved as one chain in the order of ``omegas``: each root LP starts from
     the previous radius's optimal root basis, and only the primal simplex
     runs.  The chain's start can select another of several tied optima than
-    a cold solve would; the optimal values are the same.
-    ``jobs`` (at least 1) fans the three independent tasks (det, sp and the
-    robust chain) out over a thread pool; each task is a pure function of its
-    inputs and results merge in request order, so the output is identical at
-    any setting.
+    a cold solve would; the optimal values are the same.  Det, sp and the
+    chain are solved in that order, on the calling thread.
     """
     if not omegas:
         raise ValueError("omega grid must be nonempty")
     if node_limit < 1:
         raise ValueError("node_limit must be >= 1")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     if not sample_sizes:
         raise ValueError("need at least one sample size")
     if any(n < 1 for n in sample_sizes):
@@ -365,20 +357,12 @@ def epsilon_sweep(
 
     specs = [AmbiguitySpec(empirical, float(eps), grid) for eps in omegas]
     robust = build_dr_saghp(schedule, specs[0])
-    chains: list[list[tuple[str, float | None, MilpModel]]] = [
+    chains = [
         [("det", None, build_d_saghp(schedule, deterministic_capacity(empirical)))],
         [("sp", None, build_s_saghp(schedule, empirical))],
         [("dr", spec.radius, reprice_dr_saghp(robust, spec)) for spec in specs],
     ]
-
-    def run(chain):
-        return _solve_chain(chain, schedule, node_limit)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            solved = [cell for cells in pool.map(run, chains) for cell in cells]
-    else:
-        solved = [cell for chain in chains for cell in run(chain)]
+    solved = [cell for chain in chains for cell in _solve_chain(chain, schedule, node_limit)]
 
     samples_by_size = {n: sample_capacities(eval_dist, n, seed) for n in sample_sizes}
     evaluations: dict[tuple[str, int], PolicyEvaluation] = {}

@@ -114,8 +114,16 @@ def solve_lp_arrays(arrays: ModelArrays, lower: np.ndarray, upper: np.ndarray, *
     ``lower`` and ``upper`` replace its bounds.  ``basis`` is the
     ``LpSolution.basis`` of an earlier optimal solve of the same ``A``,
     ``senses`` and ``b``; its bounds and ``c`` may differ.  The solve then
-    starts from it.  ``None`` starts from the all-slack basis.
+    starts from it.  ``None`` starts from the all-slack basis.  A basis
+    that is not m distinct columns of the n + m with n + m statuses raises
+    ``ValueError``.
     """
+    if basis is not None:
+        m, n = len(arrays.b), len(arrays.c)
+        cols = np.asarray(basis[0])
+        fits = len(cols) == m and len(basis[1]) == n + m and np.all((cols >= 0) & (cols < n + m))
+        if not fits or np.bincount(cols).max(initial=0) > 1:
+            raise ValueError(f"basis does not fit a model of {m} rows and {n} columns")
     return _Simplex(arrays, lower, upper).solve(basis)
 
 

@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -230,6 +231,21 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "sweep").exists()
 
+    def test_solves_run_on_the_calling_thread(self, bundle, tmp_path, monkeypatch):
+        # --jobs is accepted and ignored: det, sp and each radius solve on
+        # the main thread
+        threads = []
+        solve_milp = gh.evaluate.solve_milp
+
+        def spy(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return solve_milp(*args, **kwargs)
+
+        monkeypatch.setattr(gh.evaluate, "solve_milp", spy)
+        assert main(["sweep", str(bundle), "--omega", "0,0.5,1", "--sizes", "4",
+                     "--jobs", "4", "--out", str(tmp_path / "sweep")]) == 0
+        assert threads == [threading.main_thread().ident] * 5
+
     # sha256 over the sorted file names and bytes of the output directory,
     # recorded before sweeps scored each distinct policy and capacity once
     GOLDEN = "685f104286d15f7e50dbad51f8fdec2bbcb4767e58f8651f84b834d007ed9fd0"
@@ -431,6 +447,29 @@ class TestEngineErrors:
         assert capsys.readouterr().err == f"error: {error}\n"
 
 
+class TestOutCheckedFirst:
+    @pytest.mark.parametrize("command, flags, out, holder", [
+        ("solve", ["--model", "dr", "--epsilon", "0.5"], "missing/r.json", "missing"),
+        ("evaluate", ["--result", "res.json"], "missing/e.csv", "missing"),
+        ("export-mps", ["--model", "sp"], "missing/m.mps", "missing"),
+        ("sweep", ["--omega", "0,0.5", "--sizes", "4"], "file", "file"),
+        ("sweep", ["--omega", "0,0.5", "--sizes", "4"], "file/sweep", "file"),
+    ])
+    def test_unwritable_out_exits_2_before_any_work(self, bundle, tmp_path, capsys, monkeypatch,
+                                                     command, flags, out, holder):
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", str(bundle), "--model", "sp", "--out", "res.json"]) == 0
+        Path("file").write_text("kept\n")
+        capsys.readouterr()
+        for owner in ("groundhold.cli", "groundhold.evaluate"):
+            monkeypatch.setattr(f"{owner}.solve_milp", _raise(AssertionError("solve_milp was called")))
+        monkeypatch.setattr("groundhold.cli.load_instance", _raise(AssertionError("bundle was loaded")))
+        assert main([command, str(bundle), *flags, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: cannot write --out {out}: {holder} is not a directory\n"
+        assert not Path("missing").exists()
+        assert Path("file").read_text() == "kept\n"
+
+
 @pytest.fixture()
 def two_airports(tmp_path):
     """Two airports, flights alternating AP0/AP1 (f1 at AP0, f2 at AP1), no connections."""
@@ -579,13 +618,16 @@ def _fresh_python(code: str, *args: str, **env: str) -> str:
 
 class TestSetUpFootprint:
     def test_sweep_loads_neither_numpy_random_nor_numpy_ma(self, bundle, tmp_path):
-        # each costs about 12 ms of import in every fresh process; it must be
-        # a new interpreter, since scipy and hypothesis load both here
+        # numpy.random and numpy.ma each cost about 12 ms of import in every
+        # fresh process, concurrent.futures and logging about 6 ms together,
+        # and the sweep needs none of them; it must be a new interpreter,
+        # since scipy and hypothesis load them here
+        modules = ("numpy.random", "numpy.ma", "concurrent.futures", "logging")
         code = (
             "import sys\n"
             "from groundhold.cli import main\n"
             "assert main(['sweep', sys.argv[1], '--omega', '0,0.5', '--sizes', '50', '--out', sys.argv[2]]) == 0\n"
-            "print(sorted(m for m in ('numpy.random', 'numpy.ma') if m in sys.modules))\n"
+            f"print(sorted(m for m in {modules!r} if m in sys.modules))\n"
         )
         out = _fresh_python(code, str(bundle), str(tmp_path / "sweep")).splitlines()
         assert out == [f"wrote sweep results to {tmp_path / 'sweep'}", "[]"]

@@ -744,3 +744,22 @@ class TestBoundsLength:
                 gh.solve_lp(model, lower, upper)
             with pytest.raises(ValueError, match=rf"column of the model \(3\).*\({size},\)"):
                 simplex.solve_lp_arrays(a, lower, upper)
+
+
+class TestBasisShape:
+    @pytest.mark.parametrize("cols, statuses", [
+        pytest.param([3, 4], 4, id="status-short"),
+        pytest.param([3], 5, id="one-column"),
+        pytest.param([3, 3], 5, id="repeated-column"),
+        pytest.param([3, 5], 5, id="column-past-n-plus-m"),
+    ])
+    def test_basis_that_does_not_fit_is_refused(self, cols, statuses):
+        # three columns and two rows: a basis is 2 distinct columns of 5 and
+        # 5 statuses; anything else is a caller's error, not the engine's
+        c, bounds = [1.0, 2.0, 1.0], [(0.0, 4.0)] * 3
+        rows = [([(0, 1.0), (1, 1.0), (2, 1.0)], gh.SENSE_GE, 1.0),
+                ([(0, 2.0), (1, 2.0), (2, -1.0)], gh.SENSE_LE, 3.0)]
+        a = lp_model(c, rows, bounds).to_arrays()
+        basis = (np.array(cols), np.zeros(statuses, dtype=np.int8))
+        with pytest.raises(ValueError, match=r"basis does not fit a model of 2 rows and 3 columns"):
+            _warm(a, a.lower, a.upper, basis)

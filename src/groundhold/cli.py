@@ -144,11 +144,14 @@ def _build_model(inst: Instance, args):
 
 
 def _check_out(path: str | None, *, directory: bool = False) -> None:
-    """Fail before any work when ``--out`` cannot be written: a file needs an
-    existing directory to hold it; a directory is made with its parents, so
-    the nearest part of its path that exists must be a directory."""
+    """Fail before any work when ``--out`` cannot be written: a file must not
+    be a directory and needs an existing directory to hold it; a directory
+    is made with its parents, so the nearest part of its path that exists
+    must be a directory."""
     if path is not None:
         out = Path(path)
+        if not directory and out.is_dir():
+            raise ValueError(f"cannot write --out {path}: it is a directory")
         holder = next(p for p in (out, *out.parents) if p.exists()) if directory else out.parent
         if not holder.is_dir():
             raise ValueError(f"cannot write --out {path}: {holder} is not a directory")
@@ -338,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", parents=[model_flags], help="solve one model and write a result document")
     p.add_argument("instance")
     p.add_argument("--node-limit", type=int, default=100_000)
-    p.add_argument("--out", type=str, default=None, help="output file or directory")
+    p.add_argument("--out", type=str, default=None, help="output file")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="radius sweep with out-of-sample evaluation")
@@ -363,12 +366,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=str, default="50,100")
     p.add_argument("--airport", type=str, default=None)
     p.add_argument("--seed", type=int, default=0, help="seed for every random draw")
-    p.add_argument("--out", type=str, default=None, help="output file or directory")
+    p.add_argument("--out", type=str, default=None, help="output file")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("export-mps", parents=[model_flags], help="write a model as fixed-format MPS")
     p.add_argument("instance")
-    p.add_argument("--out", type=str, default=None, help="output file or directory")
+    p.add_argument("--out", type=str, default=None, help="output file")
     p.set_defaults(func=cmd_export_mps)
 
     return parser

@@ -3,12 +3,13 @@
 Every model builder targets this IR; the solver consumes it and the MPS
 exporter serializes it for cross-checking against external solvers.  Models
 are minimizations only.  A column is its int index: ``add_variable`` returns
-it, and constraint terms and objective terms name columns by it.  Variable
-and row names (``x[f,t]``, ``y[xi,t]``, ``alpha``, ``beta[s]``) are for
-people and the MPS comment block; what a column means lives in the index a
-model builder attaches at ``freeze``, and code that interprets a solution
-reads that index, never a name.  Adding a variable, row or objective term
-checks nothing: ``freeze`` checks the whole model once, on its arrays.
+it, and constraint terms name columns by it.  A column's objective cost is
+given when it is added, one cost per column.  Variable and row names
+(``x[f,t]``, ``y[xi,t]``, ``alpha``, ``beta[s]``) are for people and the MPS
+comment block; what a column means lives in the index a model builder
+attaches at ``freeze``, and code that interprets a solution reads that
+index, never a name.  Adding a variable or row checks nothing: ``freeze``
+checks the whole model once, on its arrays.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ class MilpModel:
     def __init__(self) -> None:
         self._variables: list[VariableDef] = []
         self._constraints: list[LinearConstraint] = []
-        self._objective: list[tuple[int, float]] = []  # while building; then arrays.c
+        self._costs: list[float] = []  # one per column, while building; then arrays.c
         self._offset = 0.0  # while building; then arrays.offset
         self._index: ModelIndex | None = None
         self._arrays: ModelArrays | None = None  # built by freeze; None while mutable
@@ -134,17 +135,20 @@ class MilpModel:
         if self._arrays is not None:
             raise ModelError("model is frozen")
 
-    def add_variable(self, defn: VariableDef) -> int:
-        """Append a column and return its index."""
+    def add_variable(self, defn: VariableDef, cost: float = 0.0) -> int:
+        """Append a column whose objective coefficient is ``cost`` and
+        return its index."""
         self._check_mutable()
         self._variables.append(defn)
+        self._costs.append(cost)
         return len(self._variables) - 1
 
-    def add_binary(self, name: str) -> int:
-        return self.add_variable(VariableDef(0.0, 1.0, BINARY, name))
+    def add_binary(self, name: str, cost: float = 0.0) -> int:
+        return self.add_variable(VariableDef(0.0, 1.0, BINARY, name), cost)
 
-    def add_continuous(self, name: str, lower: float = 0.0, upper: float = math.inf) -> int:
-        return self.add_variable(VariableDef(lower, upper, CONTINUOUS, name))
+    def add_continuous(self, name: str, lower: float = 0.0, upper: float = math.inf,
+                       cost: float = 0.0) -> int:
+        return self.add_variable(VariableDef(lower, upper, CONTINUOUS, name), cost)
 
     def add_row(self, terms: Iterable[tuple[int, float]], sense: str, rhs: float, name: str = "") -> int:
         """Append the row ``sum(coef * x[j] for j, coef in terms) sense rhs``
@@ -152,12 +156,6 @@ class MilpModel:
         self._check_mutable()
         self._constraints.append(LinearConstraint(tuple(terms), sense, rhs, name))
         return len(self._constraints) - 1
-
-    def add_objective_term(self, j: int, coef: float) -> None:
-        """Add ``coef`` to column ``j``'s cost; ``freeze`` sums a column's
-        terms in call order."""
-        self._check_mutable()
-        self._objective.append((j, coef))
 
     def add_objective_offset(self, value: float) -> None:
         self._check_mutable()
@@ -217,7 +215,7 @@ class MilpModel:
         cols, vals = np.array(list(costs)), np.array(list(costs.values()), dtype=float)
         _raise_first(_term_checks(cols, vals, len(self._variables), lambda k: "repricing"))
         c = self._arrays.c.copy()
-        c[cols.astype(np.intp)] = vals + 0.0  # -0.0 as 0.0, the sum freeze stores
+        c[cols.astype(np.intp)] = vals + 0.0  # -0.0 as 0.0, as freeze stores it
         c.flags.writeable = False
         sibling = MilpModel()
         sibling._variables, sibling._constraints = self._variables, self._constraints
@@ -232,7 +230,7 @@ class MilpModel:
         return self._arrays
 
     def _build_arrays(self) -> ModelArrays:
-        variables, cons, objective = self._variables, self._constraints, self._objective
+        variables, cons = self._variables, self._constraints
         rows = np.repeat(np.arange(len(cons)), [len(con.terms) for con in cons])
         cols = np.array([j for con in cons for j, _ in con.terms])
         vals = np.array([coef for con in cons for _, coef in con.terms], dtype=float)
@@ -241,9 +239,8 @@ class MilpModel:
         kinds = np.array([_KIND_CODES.get(d.kind, _UNKNOWN) for d in variables], dtype=np.int8)
         lower = np.array([d.lower for d in variables], dtype=float)
         upper = np.array([d.upper for d in variables], dtype=float)
-        obj_cols = np.array([j for j, _ in objective])
-        obj_vals = np.array([coef for _, coef in objective], dtype=float)
-        order = self._check(rows, cols, vals, senses, b, kinds, lower, upper, obj_cols, obj_vals)
+        c = np.array(self._costs, dtype=float) + 0.0  # -0.0 as 0.0
+        order = self._check(rows, cols, vals, senses, b, kinds, lower, upper, c)
         # no two entries share a (row, column), so dropping exact zeros loses nothing
         order = order[vals[order] != 0.0]
         rows, cols, vals = rows[order], cols[order].astype(np.intp, copy=False), vals[order]
@@ -252,15 +249,13 @@ class MilpModel:
         by_row = np.argsort(rows, kind="stable")
         row_ptr = np.searchsorted(rows[by_row], np.arange(len(cons) + 1))
         row_cols, row_vals = cols[by_row], vals[by_row]
-        c = np.zeros(len(variables))
-        np.add.at(c, obj_cols.astype(np.intp, copy=False), obj_vals)  # from 0.0, in call order
         is_binary = kinds == _KIND_CODES[BINARY]
         for array in (c, senses, b, lower, upper, is_binary, ptr, rows, cols, vals, row_ptr, row_cols, row_vals):
             array.flags.writeable = False
         return ModelArrays(c, self._offset, senses, b, lower, upper, is_binary, ptr, rows, cols, vals,
                            row_ptr, row_cols, row_vals)
 
-    def _check(self, rows, cols, vals, senses, b, kinds, lower, upper, obj_cols, obj_vals) -> np.ndarray:
+    def _check(self, rows, cols, vals, senses, b, kinds, lower, upper, c) -> np.ndarray:
         """Every check of the model, run by ``freeze`` on the arrays it builds
         before exact zeros are dropped.  Raises ``ModelError`` naming the first
         offending row, column or term, or ``TypeError`` for a column that is
@@ -268,7 +263,6 @@ class MilpModel:
         rows ascend within each column."""
         cons, variables, n = self._constraints, self._variables, len(self._variables)
         row_checks = _term_checks(cols, vals, n, lambda k: f"constraint {cons[rows[k]].name!r}")
-        objective_checks = _term_checks(obj_cols, obj_vals, n, lambda k: "objective")
         order = np.argsort(cols, kind="stable")
         by_col, by_row = cols[order], rows[order]
         _raise_first([
@@ -284,7 +278,7 @@ class MilpModel:
              lambda j: f"variable #{j}: lower bound {lower[j]} exceeds upper bound {upper[j]}"),
             ((kinds == _KIND_CODES[BINARY]) & ((lower < 0.0) | (upper > 1.0)),
              lambda j: f"variable #{j}: binary variable bounds must lie within [0, 1]"),
-            *objective_checks,
+            (~np.isfinite(c), lambda j: f"variable #{j}: objective coefficient {c[j]} is not finite"),
             ([not math.isfinite(self._offset)],
              lambda _: f"objective offset must be finite, got {self._offset}"),
         ])
@@ -293,7 +287,7 @@ class MilpModel:
 
 def _term_checks(cols: np.ndarray, vals: np.ndarray, n: int, owner) -> list:
     """The checks of ``(column, coefficient)`` terms, for a model's rows and
-    objective and for ``repriced``, as ``_raise_first`` pairs: every column in
+    for ``repriced``, as ``_raise_first`` pairs: every column in
     ``[0, n)``, every coefficient finite; ``owner(k)`` names term ``k``'s owner.
     Raises ``TypeError`` at once if a column is not an int."""
     if cols.ndim != 1 or cols.size and cols.dtype.kind not in "iu":

@@ -102,8 +102,7 @@ def _first_stage(schedule: FlightSchedule) -> tuple[MilpModel, ModelIndex]:
     model, index = MilpModel(), ModelIndex({})
     for f in schedule.flights:
         for t in schedule.available_slots(f):
-            index.x[f.id, t] = model.add_binary(f"x[{f.id},{t}]")
-            model.add_objective_term(index.x[f.id, t], f.ground_cost * t)
+            index.x[f.id, t] = model.add_binary(f"x[{f.id},{t}]", f.ground_cost * t)
         model.add_objective_offset(-f.ground_cost * f.scheduled_arrival)
     return model, index
 
@@ -141,15 +140,16 @@ def _arrival_terms(schedule: FlightSchedule, index: ModelIndex,
 
 
 def _add_queue_block(model: MilpModel, index: ModelIndex, airport: str | None,
-                     arrivals: list[list[tuple[int, float]]], capacity: int) -> None:
+                     arrivals: list[list[tuple[int, float]]], capacity: int, cost: float = 0.0) -> None:
     """Airborne-queue recourse rows for one capacity realization.
 
     ``arrivals_t <= capacity - y_{t-1} + y_t`` with ``y_0 = 0``, whose left
     side is ``arrivals[t - 1]`` (see ``_arrival_terms``); the queue
-    variables ``y_1..y_T`` go to ``index.queues[airport, capacity]``.
+    variables ``y_1..y_T``, each of objective cost ``cost``, go to
+    ``index.queues[airport, capacity]``.
     """
     tag = str(capacity) if airport is None else f"{airport},{capacity}"
-    y = tuple(model.add_continuous(f"y[{tag},{t}]") for t in range(1, len(arrivals) + 1))
+    y = tuple(model.add_continuous(f"y[{tag},{t}]", cost=cost) for t in range(1, len(arrivals) + 1))
     index.queues[airport, capacity] = y
     for t, arrived in enumerate(arrivals, start=1):
         terms = arrived + [(y[t - 1], -1.0)] + ([(y[t - 2], 1.0)] if t >= 2 else [])
@@ -160,8 +160,9 @@ def _add_robust_block(model: MilpModel, schedule: FlightSchedule, index: ModelIn
                       airport: str | None, flights: list, amb: AmbiguitySpec) -> None:
     """One airport's Wasserstein-ball terms, recorded in ``index`` under ``airport``.
 
-    Adds a queue block per grid value, ``alpha``, ``beta`` per support point,
-    their objective terms and the ``dual`` rows.  ``airport=None`` is the
+    Adds a queue block per grid value, ``alpha`` at cost ``amb.radius`` (the
+    radius rule; see ``reprice_dr_saghp``), ``beta`` per support point at
+    its probability, and the ``dual`` rows.  ``airport=None`` is the
     single-airport model, whose names carry no airport.
 
     ``beta`` keeps the default lower bound 0: every support point lies in the
@@ -174,14 +175,10 @@ def _add_robust_block(model: MilpModel, schedule: FlightSchedule, index: ModelIn
     arrivals = _arrival_terms(schedule, index, flights)
     for xi in amb.grid.values:
         _add_queue_block(model, index, airport, arrivals, xi)
-    index.alpha[airport] = model.add_continuous("alpha" if airport is None else f"alpha[{airport}]")
-    for xi_hat in amb.empirical.support_points:
-        index.beta[airport, xi_hat] = model.add_continuous(f"beta[{tag}{xi_hat}]")
-
-    alpha = index.alpha[airport]
-    model.add_objective_term(alpha, amb.radius)  # the radius rule; see reprice_dr_saghp
+    alpha = index.alpha[airport] = model.add_continuous(
+        "alpha" if airport is None else f"alpha[{airport}]", cost=amb.radius)
     for xi_hat, p in amb.empirical.atoms():
-        model.add_objective_term(index.beta[airport, xi_hat], p)
+        index.beta[airport, xi_hat] = model.add_continuous(f"beta[{tag}{xi_hat}]", cost=p)
 
     for xi in amb.grid.values:
         for xi_hat in amb.empirical.support_points:
@@ -217,9 +214,7 @@ def build_s_saghp(schedule: FlightSchedule, dist: CapacityDistribution) -> MilpM
     model, index = _first_stage(schedule)
     arrivals = _arrival_terms(schedule, index, list(schedule.flights))
     for xi, p in dist.atoms():
-        _add_queue_block(model, index, None, arrivals, xi)
-        for j in index.queues[None, xi]:
-            model.add_objective_term(j, p * schedule.airborne_cost)
+        _add_queue_block(model, index, None, arrivals, xi, p * schedule.airborne_cost)
     return _finish(model, schedule, index)
 
 

@@ -20,16 +20,15 @@ values (the ``ptr``/``rows``/``cols``/``vals`` storage), and as the same
 entries by row (``row_ptr``/``row_cols``/``row_vals``), both built once
 per model by ``MilpModel.freeze`` and read as they are by every LP of a
 search; no dense ``A`` is built.  Slack column ``n + i`` is the unit
-vector e_i and is never stored.  Pricing ``y @ [A | I]``, the entering
-column ``Binv @ a_j`` and ``A @ x_N`` read the columns and touch only the
-stored nonzeros, so a product costs in proportion to them and not to
-m * (n + m).  The dual's pivot row ``Binv[r] @ [A | I]`` reads the rows
-instead, only those where ``Binv[r]`` is nonzero (about 4% of them in the
-median on the benchmark's largest LPs), gathered in one pass and summed
-per column in the column product's order, so it has that product's bits
-(only the sign of an exact zero can differ).  Which nonbasic columns may
-rise and which may fall are two masks kept across pivots, updated for the
-one or two columns a pivot or bound flip moves.
+vector e_i and is never stored.  The entering column ``Binv @ a_j`` and
+``A @ x_N`` read the columns and touch only the stored nonzeros, so a
+product costs in proportion to them and not to m * (n + m).  Every
+``u @ [A | I]`` (pricing ``y``, and the dual's pivot row ``Binv[r]``)
+reads the rows instead, only those where ``u`` is nonzero (for the pivot
+row about 4% of them in the median on the benchmark's largest LPs),
+gathered in one pass, rows ascending, and summed per column.  Which
+nonbasic columns may rise and which may fall are two masks kept across
+pivots, updated for the one or two columns a pivot or bound flip moves.
 
 The basis inverse is kept explicitly as a dense m x m array.  A
 refactorization inverts only the bump: each basic slack e_i covers row i,
@@ -198,16 +197,11 @@ class _Simplex:
 
     # -- linear algebra --------------------------------------------------------
 
-    def _row_times(self, u: np.ndarray) -> np.ndarray:
-        """``u @ [A | I]``: one entry per structural and slack column."""
-        return np.concatenate([
-            np.bincount(self.cols, weights=u[self.rows] * self.vals, minlength=self.nstruct), u])
-
     def _pivot_row(self, u: np.ndarray) -> np.ndarray:
-        """``u @ [A | I]`` from the rows where ``u`` is nonzero: their entries
-        are gathered from the row view in one pass, rows ascending, so each
-        column sums its terms in the order ``_row_times`` does, and only the
-        sign of an exact zero can differ."""
+        """``u @ [A | I]``, one entry per structural and slack column, from
+        the rows where ``u`` is nonzero: their entries are gathered from the
+        row view in one pass, rows ascending, so each column sums its terms
+        in ascending row order."""
         nz = u.nonzero()[0]
         starts = self.row_ptr[nz]
         counts = self.row_ptr[nz + 1] - starts
@@ -265,7 +259,7 @@ class _Simplex:
     def _price(self) -> None:
         """Duals ``y`` and reduced costs ``d`` of the basis under ``cost``."""
         self.y = self.cost[self.basis] @ self.Binv
-        self.d = self.cost - self._row_times(self.y)
+        self.d = self.cost - self._pivot_row(self.y)
 
     def _count(self) -> None:
         """Book a pivot or bound flip; refactorize every ``_REFACTOR_EVERY``."""

@@ -55,9 +55,11 @@ def solve_milp(
     ``root_basis`` (the ``Solution.root_basis`` of a model with the same
     ``A``, ``b`` and bounds; its cost may differ) or, when it is None, from
     the all-slack basis; each child starts from its parent's optimal basis
-    (one bound changed) and re-optimises with the dual simplex.  The
-    optimum found does not depend on the root's start, but among tied
-    optima the one returned can.  Deterministic: Dantzig/Bland simplex
+    (one bound changed) and re-optimises with the dual simplex.  A
+    ``root_basis`` that does not fit the model raises ``ValueError`` from
+    ``solve_lp_arrays`` at the root, before any pivot.  The optimum found
+    does not depend on the root's start, but among tied optima the one
+    returned can.  Deterministic: Dantzig/Bland simplex
     below, lowest variable index on all branching ties, sequence-numbered
     node queue.  Stops with status ``node-limit`` after ``node_limit`` LP
     solves.
@@ -66,9 +68,6 @@ def solve_milp(
         raise ValueError("node_limit must be >= 1")
     t0 = time.perf_counter()
     a = model.to_arrays()
-    m, n = len(a.b), len(a.c)
-    if root_basis is not None and (len(root_basis[0]) != m or len(root_basis[1]) != n + m):
-        raise ValueError(f"root_basis does not fit a model of {m} rows and {n} columns")
     bin_idx = np.flatnonzero(a.is_binary)
     pivots = 0
     nodes = 0

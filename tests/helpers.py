@@ -101,10 +101,7 @@ def synth_dr_maghp(num_flights: int, horizon: int, seed: int, epsilon: float = 0
 def lp_model(c, rows, bounds, offset=0.0):
     """Assemble a continuous model from (terms, sense, rhs) rows."""
     m = gh.MilpModel()
-    refs = [m.add_continuous(f"v{j}", lo, up) for j, (lo, up) in enumerate(bounds)]
-    for j, coef in enumerate(c):
-        if coef:
-            m.add_objective_term(refs[j], coef)
+    refs = [m.add_continuous(f"v{j}", lo, up, coef) for j, ((lo, up), coef) in enumerate(zip(bounds, c))]
     m.add_objective_offset(offset)
     for terms, sense, rhs in rows:
         m.add_row([(refs[j], coef) for j, coef in terms], sense, rhs)

@@ -448,6 +448,19 @@ class TestEngineErrors:
 
 
 class TestOutCheckedFirst:
+    @pytest.fixture(autouse=True)
+    def _no_work(self, bundle, tmp_path, capsys, monkeypatch):
+        """In ``tmp_path``, a saved result ``res.json``, a file ``file`` and a
+        directory ``dir``; then loading a bundle or solving fails."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", str(bundle), "--model", "sp", "--out", "res.json"]) == 0
+        Path("file").write_text("kept\n")
+        Path("dir").mkdir()
+        capsys.readouterr()
+        for owner in ("groundhold.cli", "groundhold.evaluate"):
+            monkeypatch.setattr(f"{owner}.solve_milp", _raise(AssertionError("solve_milp was called")))
+        monkeypatch.setattr("groundhold.cli.load_instance", _raise(AssertionError("bundle was loaded")))
+
     @pytest.mark.parametrize("command, flags, out, holder", [
         ("solve", ["--model", "dr", "--epsilon", "0.5"], "missing/r.json", "missing"),
         ("evaluate", ["--result", "res.json"], "missing/e.csv", "missing"),
@@ -455,19 +468,21 @@ class TestOutCheckedFirst:
         ("sweep", ["--omega", "0,0.5", "--sizes", "4"], "file", "file"),
         ("sweep", ["--omega", "0,0.5", "--sizes", "4"], "file/sweep", "file"),
     ])
-    def test_unwritable_out_exits_2_before_any_work(self, bundle, tmp_path, capsys, monkeypatch,
-                                                     command, flags, out, holder):
-        monkeypatch.chdir(tmp_path)
-        assert main(["solve", str(bundle), "--model", "sp", "--out", "res.json"]) == 0
-        Path("file").write_text("kept\n")
-        capsys.readouterr()
-        for owner in ("groundhold.cli", "groundhold.evaluate"):
-            monkeypatch.setattr(f"{owner}.solve_milp", _raise(AssertionError("solve_milp was called")))
-        monkeypatch.setattr("groundhold.cli.load_instance", _raise(AssertionError("bundle was loaded")))
+    def test_unwritable_out_exits_2_before_any_work(self, bundle, capsys, command, flags, out, holder):
         assert main([command, str(bundle), *flags, "--out", out]) == 2
         assert capsys.readouterr().err == f"error: cannot write --out {out}: {holder} is not a directory\n"
         assert not Path("missing").exists()
         assert Path("file").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command, flags", [
+        ("solve", ["--model", "sp"]),
+        ("evaluate", ["--result", "res.json"]),
+        ("export-mps", ["--model", "sp"]),
+    ])
+    def test_out_naming_a_directory_exits_2_before_any_work(self, bundle, capsys, command, flags):
+        assert main([command, str(bundle), *flags, "--out", "dir"]) == 2
+        assert capsys.readouterr().err == "error: cannot write --out dir: it is a directory\n"
+        assert list(Path("dir").iterdir()) == []
 
 
 @pytest.fixture()

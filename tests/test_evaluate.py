@@ -15,13 +15,12 @@ def second_stage_lp(arrivals, capacity, airborne_cost) -> float:
     """Independent oracle: the recourse block solved as an explicit LP."""
     m = gh.MilpModel()
     T = len(arrivals)
-    y = [m.add_continuous(f"q{t}") for t in range(T)]
+    y = [m.add_continuous(f"q{t}", cost=airborne_cost) for t in range(T)]
     for t in range(T):
         terms = [(y[t], -1.0)]
         if t >= 1:
             terms.append((y[t - 1], 1.0))
         m.add_row(terms, gh.SENSE_LE, capacity - arrivals[t])
-        m.add_objective_term(y[t], airborne_cost)
     sol = gh.solve_lp(m.freeze())
     assert sol.status == "optimal"
     return sol.objective

@@ -49,14 +49,12 @@ class TestModelBuilding:
             m.freeze()
 
     def test_column_must_be_an_int(self):
-        for add in (lambda m: m.add_row([(1.0, 1.0)], gh.SENSE_LE, 1.0),
-                    lambda m: m.add_objective_term(1.0, 1.0)):
-            m = gh.MilpModel()
-            m.add_binary("x0")
-            m.add_binary("x1")
-            add(m)
-            with pytest.raises(TypeError):
-                m.freeze()
+        m = gh.MilpModel()
+        m.add_binary("x0")
+        m.add_binary("x1")
+        m.add_row([(1.0, 1.0)], gh.SENSE_LE, 1.0)
+        with pytest.raises(TypeError):
+            m.freeze()
 
     def test_duplicate_term_rejected(self):
         m = gh.MilpModel()
@@ -68,9 +66,8 @@ class TestModelBuilding:
     @pytest.mark.parametrize("coef", [math.nan, math.inf, -math.inf])
     def test_non_finite_objective_coefficient_rejected(self, coef):
         m = gh.MilpModel()
-        x = m.add_continuous("x", 0.0, 1.0)
+        x = m.add_continuous("x", 0.0, 1.0, cost=coef)
         m.add_row([(x, 1.0)], gh.SENSE_LE, 1.0)
-        m.add_objective_term(x, coef)
         with pytest.raises(gh.ModelError, match="not finite"):
             m.freeze()
 
@@ -101,8 +98,7 @@ class TestModelBuilding:
             "objective_coefficient"])
     def test_unfrozen_model_has_no_numbers_to_read(self, read):
         m = gh.MilpModel()
-        x = m.add_continuous("x", 0.0, 1.0)
-        m.add_objective_term(x, 1.0)
+        x = m.add_continuous("x", 0.0, 1.0, cost=1.0)
         m.add_row([(x, 1.0)], gh.SENSE_LE, 1.0)
         with pytest.raises(gh.ModelError, match="not frozen"):
             read(m)
@@ -121,7 +117,7 @@ def _two_columns(add):
     return m
 
 
-# one case per input that adding a variable, row or objective term accepts
+# one case per input that adding a variable or row accepts
 # and freeze rejects: (add, error class, message pattern)
 _REJECTED_AT_FREEZE = {
     "unknown-column": (lambda m, x0, x1: m.add_row([(x0, 1.0), (7, 1.0)], gh.SENSE_LE, 1.0, "r"),
@@ -155,15 +151,10 @@ _REJECTED_AT_FREEZE = {
                        gh.ModelError, r"variable #2: binary variable bounds must lie within \[0, 1\]"),
     "unknown-kind": (lambda m, x0, x1: m.add_variable(gh.VariableDef(0.0, 1.0, "integer")),
                      gh.ModelError, r"variable #2: unknown variable kind 'integer'"),
-    "objective-unknown-column": (lambda m, x0, x1: m.add_objective_term(2, 1.0),
-                                 gh.ModelError, r"objective references unknown variable #2"),
-    "objective-negative-column": (lambda m, x0, x1: m.add_objective_term(-1, 1.0),
-                                  gh.ModelError, r"objective references unknown variable #-1"),
-    "objective-float-column": (lambda m, x0, x1: m.add_objective_term(1.0, 1.0), TypeError, "int"),
-    "objective-nan": (lambda m, x0, x1: m.add_objective_term(x1, math.nan),
-                      gh.ModelError, r"objective coefficient for variable #1 is not finite"),
-    "objective-inf": (lambda m, x0, x1: m.add_objective_term(x0, math.inf),
-                      gh.ModelError, r"objective coefficient for variable #0 is not finite"),
+    "objective-nan": (lambda m, x0, x1: m.add_continuous("v", 0.0, 1.0, cost=math.nan),
+                      gh.ModelError, r"variable #2: objective coefficient nan is not finite"),
+    "objective-inf": (lambda m, x0, x1: m.add_binary("v", cost=math.inf),
+                      gh.ModelError, r"variable #2: objective coefficient inf is not finite"),
     "offset-nan": (lambda m, x0, x1: m.add_objective_offset(math.nan),
                    gh.ModelError, r"objective offset must be finite, got nan"),
     "offset-inf": (lambda m, x0, x1: m.add_objective_offset(-math.inf),
@@ -194,15 +185,17 @@ class TestFreezeChecks:
         with pytest.raises(gh.ModelError, match=r"^variable #3: lower bound 2.0 exceeds upper bound 0.0$"):
             m.freeze()
 
-    def test_terms_sum_in_call_order(self):
+    def test_costs_are_stored_as_given(self):
+        # one cost per column, in column order; a column added without one
+        # costs 0.0, and -0.0 is stored as 0.0
         m = gh.MilpModel()
-        x = m.add_continuous("x")
-        for coef in (0.1, 0.2, 0.3, -0.0):
-            m.add_objective_term(x, coef)
-        m.add_objective_term(m.add_continuous("z"), -0.0)
+        m.add_continuous("a", cost=0.1 + 0.2)
+        m.add_binary("b", cost=-0.0)
+        m.add_variable(gh.VariableDef(-1.0, 1.0), -2.5)
+        m.add_continuous("d")
         c = m.freeze().to_arrays().c
-        assert c[0] == ((0.0 + 0.1) + 0.2) + 0.3 and c[0] != 0.1 + (0.2 + 0.3)
-        assert math.copysign(1.0, c[1]) == 1.0
+        assert c.tolist() == [0.1 + 0.2, 0.0, -2.5, 0.0] and c[0] != 0.3
+        assert all(math.copysign(1.0, v) == 1.0 for v in c[1::2])
 
 
 class TestSolutionChecking:
@@ -262,7 +255,7 @@ def _airborne_free_dr_model():
 def _rowless_model():
     m = gh.MilpModel()
     for j in range(3):
-        m.add_objective_term(m.add_continuous(f"x{j}", 0.0, 1.0), float(j))
+        m.add_continuous(f"x{j}", 0.0, 1.0, cost=float(j))
     return m.freeze()
 
 
@@ -476,19 +469,18 @@ def _random_model(rng: random.Random) -> gh.MilpModel:
     for j in range(rng.randint(1, 7)):
         kind = rng.choice(["bin", "pos", "free", "boxed", "fixed"])
         if kind == "bin":
-            refs.append(m.add_binary(f"b{j}"))
+            defn = gh.VariableDef(0.0, 1.0, gh.BINARY, f"b{j}")
         elif kind == "pos":
-            refs.append(m.add_continuous(f"p{j}"))
+            defn = gh.VariableDef(0.0, math.inf, gh.CONTINUOUS, f"p{j}")
         elif kind == "free":
-            refs.append(m.add_continuous(f"f{j}", -math.inf, math.inf))
+            defn = gh.VariableDef(-math.inf, math.inf, gh.CONTINUOUS, f"f{j}")
         elif kind == "boxed":
             lo = round(rng.uniform(-4, 0), 3)
-            refs.append(m.add_continuous(f"x{j}", lo, lo + round(rng.uniform(0.5, 5), 3)))
+            defn = gh.VariableDef(lo, lo + round(rng.uniform(0.5, 5), 3), gh.CONTINUOUS, f"x{j}")
         else:
             v = round(rng.uniform(-2, 2), 3)
-            refs.append(m.add_variable(gh.VariableDef(v, v, gh.CONTINUOUS, f"c{j}")))
-        if rng.random() < 0.8:
-            m.add_objective_term(refs[-1], round(rng.uniform(-3, 3), 3))
+            defn = gh.VariableDef(v, v, gh.CONTINUOUS, f"c{j}")
+        refs.append(m.add_variable(defn, round(rng.uniform(-3, 3), 3) if rng.random() < 0.8 else 0.0))
     if rng.random() < 0.5:
         m.add_objective_offset(round(rng.uniform(-5, 5), 3))
     for i in range(rng.randint(0, 6)):
@@ -536,8 +528,7 @@ class TestMpsExport:
 
     def test_fixed_format_field_positions(self):
         m = gh.MilpModel()
-        x = m.add_continuous("x", 1.0, 5.0)
-        m.add_objective_term(x, 2.5)
+        x = m.add_continuous("x", 1.0, 5.0, cost=2.5)
         m.add_row([(x, 1.0)], gh.SENSE_GE, 1.25, "r")
         text = gh.export_mps(m.freeze())
         column_lines = [l for l in text.splitlines()

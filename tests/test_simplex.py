@@ -121,20 +121,43 @@ def _scipy_reference(c, rows, bounds):
     )
 
 
+def _random_lp_matches_highs(seed: int) -> None:
+    rng = random.Random(1000 + seed)
+    c, rows, bounds = _random_lp(rng)
+    sol = gh.solve_lp(lp_model(c, rows, bounds))
+    ref = _scipy_reference(c, rows, bounds)
+    if ref.status == 0:
+        assert sol.status == "optimal", f"seed {seed}: expected optimal, got {sol.status}"
+        assert sol.objective == pytest.approx(ref.fun, abs=1e-7), f"seed {seed}"
+    elif ref.status == 2:
+        assert sol.status == "infeasible", f"seed {seed}"
+    elif ref.status == 3:
+        assert sol.status == "unbounded", f"seed {seed}"
+
+
 class TestAgainstScipy:
     @pytest.mark.parametrize("seed", range(120))
     def test_random_lps_match_highs(self, seed):
-        rng = random.Random(1000 + seed)
-        c, rows, bounds = _random_lp(rng)
-        sol = gh.solve_lp(lp_model(c, rows, bounds))
-        ref = _scipy_reference(c, rows, bounds)
-        if ref.status == 0:
-            assert sol.status == "optimal", f"expected optimal, got {sol.status}"
-            assert sol.objective == pytest.approx(ref.fun, abs=1e-7)
-        elif ref.status == 2:
-            assert sol.status == "infeasible"
-        elif ref.status == 3:
-            assert sol.status == "unbounded"
+        _random_lp_matches_highs(seed)
+
+    def test_random_lps_match_highs_under_blands_rule(self, monkeypatch):
+        # Bland's rule from the first primal pivot on: the same 120 LPs still
+        # match HiGHS, and some of its entering choices are not Dantzig's
+        monkeypatch.setattr(simplex, "_BLAND_AFTER", 0)
+        choose = simplex._Simplex._choose_entering
+        choices = []
+
+        def spy(self, bland):
+            chosen = choose(self, bland)
+            choices.append((bland, chosen[0], choose(self, False)[0]))
+            return chosen
+
+        monkeypatch.setattr(simplex._Simplex, "_choose_entering", spy)
+        for seed in range(120):
+            _random_lp_matches_highs(seed)
+        assert all(bland for bland, _, _ in choices)
+        assert sum(j is not None for _, j, _ in choices) > 0
+        assert any(j != dantzig for _, j, dantzig in choices)
 
 
 class TestPeriodicRefactorization:
@@ -541,10 +564,8 @@ class TestColumnStorage:
         n = rng.randint(60, 120)
         density = rng.uniform(0.02, 0.05)
         m = gh.MilpModel()
-        refs = [m.add_binary(f"x{j}") for j in range(n)]
         c = [round(rng.uniform(-3, 3), 3) for _ in range(n)]
-        for ref, coef in zip(refs, c):
-            m.add_objective_term(ref, coef)
+        refs = [m.add_binary(f"x{j}", coef) for j, coef in enumerate(c)]
         point = [rng.randint(0, 1) for _ in range(n)]
         for _ in range(rng.randint(n // 4, n // 2)):
             terms = [(j, float(rng.randint(-3, 3) or 1)) for j in range(n) if rng.random() < density]

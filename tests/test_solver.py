@@ -48,9 +48,7 @@ def _knapsack_model(rng, n=6):
     """A random 0/1 knapsack; its LP relaxation is mostly fractional at the root."""
     m = gh.MilpModel()
     weights = [rng.randint(1, 9) for _ in range(n)]
-    xs = [m.add_binary(f"k{i}") for i in range(n)]
-    for x in xs:
-        m.add_objective_term(x, -float(rng.randint(1, 9)))
+    xs = [m.add_binary(f"k{i}", -float(rng.randint(1, 9))) for i in range(n)]
     m.add_row(list(zip(xs, map(float, weights))), gh.SENSE_LE, sum(weights) / 2 + 0.5)
     m.freeze()
     return m
@@ -135,10 +133,8 @@ class TestSolveMilp:
 
     def test_all_continuous_matches_solve_lp(self):
         m = gh.MilpModel()
-        x = m.add_continuous("x", 0.0, 3.0)
-        y = m.add_continuous("y", 0.0, 3.0)
-        m.add_objective_term(x, -1.0)
-        m.add_objective_term(y, -2.0)
+        x = m.add_continuous("x", 0.0, 3.0, cost=-1.0)
+        y = m.add_continuous("y", 0.0, 3.0, cost=-2.0)
         m.add_row([(x, 1.0), (y, 1.0)], gh.SENSE_LE, 4.0)
         m.freeze()
         lp = gh.solve_lp(m)
@@ -151,10 +147,8 @@ class TestSolveMilp:
     def test_node_limit_returns_incumbent_status(self):
         # root LP is fractional (x1 + x2 <= 1.5), so one node cannot finish
         m = gh.MilpModel()
-        x1 = m.add_binary("a")
-        x2 = m.add_binary("b")
-        m.add_objective_term(x1, -1.0)
-        m.add_objective_term(x2, -1.0)
+        x1 = m.add_binary("a", cost=-1.0)
+        x2 = m.add_binary("b", cost=-1.0)
         m.add_row([(x1, 1.0), (x2, 1.0)], gh.SENSE_LE, 1.5)
         m.freeze()
         full = gh.solve_milp(m)
@@ -215,9 +209,8 @@ def _with_repeated_row(model):
     """A copy of ``model`` holding its first equality row twice: one redundant row."""
     row = next(i for i, con in enumerate(model.constraints) if con.sense == gh.SENSE_EQ)
     copy = gh.MilpModel()
-    refs = [copy.add_variable(v) for v in model.variables]
-    for j, ref in enumerate(refs):
-        copy.add_objective_term(ref, model.objective_coefficient(j))
+    for j, v in enumerate(model.variables):
+        copy.add_variable(v, model.objective_coefficient(j))
     copy.add_objective_offset(model.objective_offset)
     for con in model.constraints + (model.constraints[row],):
         copy.add_row(*con)
@@ -321,7 +314,7 @@ class TestWarmStart:
     def test_root_basis_of_another_shape_rejected(self):
         other = gh.solve_milp(gh.build_d_saghp(two_flight_schedule(), 1))
         model = _branching_instance()[0]
-        with pytest.raises(ValueError, match="root_basis does not fit"):
+        with pytest.raises(ValueError, match="basis does not fit"):
             gh.solve_milp(model, root_basis=other.root_basis)
 
 

@@ -194,30 +194,25 @@ def cmd_solve(args) -> int:
         "objective": None if sol.values is None else sol.objective,
         "policy": None,
         "stats": {"nodes": sol.nodes, "pivots": sol.pivots, "wall_time_s": sol.wall_time},
+        **context,
     }
-    doc.update(context)
-    if sol.values is not None and sol.status in ("optimal", "node-limit"):
-        policy = extract_policy(model, sol, schedule) if sol.status == "optimal" else None
-        if policy is not None:
-            doc["policy"] = {
-                "assignments": policy.assignments,
-                "ground_delays": policy.ground_delays,
-                "ground_cost": policy.ground_cost,
-            }
-        if args.model in ("dr", "dr-maghp"):
-            # keyed by airport; the single-airport model's only key is None
-            alpha = {z: float(sol.values[j]) for z, j in model.index.alpha.items()}
-            beta: dict = {z: {} for z in alpha}
-            for (z, xi_hat), j in model.index.beta.items():
-                beta[z][str(xi_hat)] = float(sol.values[j])
-            doc["alpha"] = alpha[None] if args.model == "dr" else alpha
-            doc["beta"] = beta[None] if args.model == "dr" else beta
+    if sol.status == "optimal":
+        policy = extract_policy(model, sol, schedule)
+        doc["policy"] = {
+            "assignments": policy.assignments,
+            "ground_delays": policy.ground_delays,
+            "ground_cost": policy.ground_cost,
+        }
+    if sol.values is not None and args.model in ("dr", "dr-maghp"):
+        # keyed by airport; the single-airport model's only key is None
+        alpha = {z: float(sol.values[j]) for z, j in model.index.alpha.items()}
+        beta: dict = {z: {} for z in alpha}
+        for (z, xi_hat), j in model.index.beta.items():
+            beta[z][str(xi_hat)] = float(sol.values[j])
+        doc["alpha"] = alpha[None] if args.model == "dr" else alpha
+        doc["beta"] = beta[None] if args.model == "dr" else beta
     _write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    if sol.status == "infeasible":
-        return EXIT_INFEASIBLE
-    if sol.status == "node-limit":
-        return EXIT_LIMIT
-    return EXIT_OK
+    return {"infeasible": EXIT_INFEASIBLE, "node-limit": EXIT_LIMIT}.get(sol.status, EXIT_OK)
 
 
 def _eval_distribution(args, fallback):

@@ -113,26 +113,38 @@ def solve_lp_arrays(arrays: ModelArrays, lower: np.ndarray, upper: np.ndarray, *
     ``lower`` and ``upper`` replace its bounds.  ``basis`` is the
     ``LpSolution.basis`` of an earlier optimal solve of the same ``A``,
     ``senses`` and ``b``; its bounds and ``c`` may differ.  The solve then
-    starts from it.  ``None`` starts from the all-slack basis.  A basis
-    that is not m distinct columns of the n + m with n + m statuses raises
-    ``ValueError``.
+    starts from it.  ``None`` starts from the all-slack basis.  Bounds
+    that are not one entry per column, or that leave a column no point
+    (NaN, crossed, ``lower = +inf`` or ``upper = -inf``), raise
+    ``ValueError``; so does a basis that is not m distinct columns of the
+    n + m with n + m statuses, each column off it at lower, at upper or
+    free (0, 1 or 2).
     """
+    m, n = len(arrays.b), len(arrays.c)
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    if lower.shape != (n,) or upper.shape != (n,):
+        raise ValueError(f"lower and upper must have one entry per column of the model ({n}), "
+                         f"got shapes {lower.shape} and {upper.shape}")
+    holds = (lower <= upper) & (lower < math.inf) & (upper > -math.inf)
+    if not holds.all():
+        j = int(np.argmin(holds))
+        raise ValueError(f"column {j} has no value within its bounds [{lower[j]}, {upper[j]}]")
     if basis is not None:
-        m, n = len(arrays.b), len(arrays.c)
-        cols = np.asarray(basis[0])
-        fits = len(cols) == m and len(basis[1]) == n + m and np.all((cols >= 0) & (cols < n + m))
-        if not fits or np.bincount(cols).max(initial=0) > 1:
+        cols, status = np.asarray(basis[0]), np.asarray(basis[1])
+        fits = len(cols) == m and len(status) == n + m and np.all((cols >= 0) & (cols < n + m))
+        if fits:
+            known = (status >= _AT_LO) & (status <= _FREE)
+            known[cols] = True  # a basic column's status is not read
+            fits = known.all() and np.bincount(cols).max(initial=0) <= 1
+        if not fits:
             raise ValueError(f"basis does not fit a model of {m} rows and {n} columns")
     return _Simplex(arrays, lower, upper).solve(basis)
 
 
 class _Simplex:
     def __init__(self, arrays, lower, upper):
+        # the bounds and basis were checked by solve_lp_arrays
         self.m, self.nstruct = m, n = len(arrays.b), len(arrays.c)
-        lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
-        if lower.shape != (n,) or upper.shape != (n,):
-            raise ValueError(f"lower and upper must have one entry per column of the model ({n}), "
-                             f"got shapes {lower.shape} and {upper.shape}")
         self.offset = float(arrays.offset)
         self.b = arrays.b
         # structural column j holds vals[ptr[j]:ptr[j+1]] in rows

@@ -766,6 +766,22 @@ class TestBoundsLength:
             with pytest.raises(ValueError, match=rf"column of the model \(3\).*\({size},\)"):
                 simplex.solve_lp_arrays(a, lower, upper)
 
+    @pytest.mark.parametrize("lower, upper, column", [
+        pytest.param([2.0, 0.0], [1.0, 5.0], 0, id="crossed"),
+        pytest.param([math.nan, 0.0], [5.0, 5.0], 0, id="lower-nan"),
+        pytest.param([1.0, 0.0], [5.0, math.nan], 1, id="upper-nan"),
+        pytest.param([math.inf, 0.0], [math.inf, 5.0], 0, id="lower-plus-inf"),
+        pytest.param([1.0, -math.inf], [5.0, -math.inf], 1, id="upper-minus-inf"),
+    ])
+    def test_bounds_that_hold_no_value_are_refused(self, lower, upper, column):
+        # min 2x + y  s.t.  x + y >= 3 (optimum 4 at x in [1, 5], y in
+        # [0, 5]); a column with no value between its bounds is a caller's
+        # error, named before any pivot, not an answer
+        model = lp_model([2.0, 1.0], [([(0, 1.0), (1, 1.0)], gh.SENSE_GE, 3.0)], [(1.0, 5.0), (0.0, 5.0)])
+        assert gh.solve_lp(model).objective == pytest.approx(4.0)
+        with pytest.raises(ValueError, match=rf"column {column} has no value within its bounds"):
+            gh.solve_lp(model, np.array(lower), np.array(upper))
+
 
 class TestBasisShape:
     @pytest.mark.parametrize("cols, statuses", [
@@ -773,14 +789,20 @@ class TestBasisShape:
         pytest.param([3], 5, id="one-column"),
         pytest.param([3, 3], 5, id="repeated-column"),
         pytest.param([3, 5], 5, id="column-past-n-plus-m"),
+        pytest.param([3, 4], [3, 0, 0, 3, 3], id="basic-status-off-the-columns"),
+        pytest.param([3, 4], [0, 9, 0, 3, 3], id="unknown-status"),
+        pytest.param([3, 4], [0, -1, 0, 3, 3], id="negative-status"),
     ])
     def test_basis_that_does_not_fit_is_refused(self, cols, statuses):
         # three columns and two rows: a basis is 2 distinct columns of 5 and
-        # 5 statuses; anything else is a caller's error, not the engine's
+        # 5 statuses, those off the columns at lower, at upper or free (0-2);
+        # anything else is a caller's error, not the engine's.  An int
+        # ``statuses`` is that many zeros
         c, bounds = [1.0, 2.0, 1.0], [(0.0, 4.0)] * 3
         rows = [([(0, 1.0), (1, 1.0), (2, 1.0)], gh.SENSE_GE, 1.0),
                 ([(0, 2.0), (1, 2.0), (2, -1.0)], gh.SENSE_LE, 3.0)]
         a = lp_model(c, rows, bounds).to_arrays()
-        basis = (np.array(cols), np.zeros(statuses, dtype=np.int8))
+        status = np.zeros(statuses) if isinstance(statuses, int) else np.array(statuses)
+        basis = (np.array(cols), status.astype(np.int8))
         with pytest.raises(ValueError, match=r"basis does not fit a model of 2 rows and 3 columns"):
             _warm(a, a.lower, a.upper, basis)

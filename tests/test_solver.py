@@ -157,6 +157,9 @@ class TestSolveMilp:
         assert full.nodes > 1
         limited = gh.solve_milp(m, node_limit=1)
         assert limited.status == "node-limit"
+        # both children are open with the root's bound, the smallest one
+        assert limited.best_bound == gh.solve_lp(m).objective
+        assert limited.best_bound <= full.objective
 
     def test_search_agrees_with_enumeration(self):
         rng = random.Random(4242)
@@ -285,6 +288,31 @@ class TestWarmStart:
         sol = gh.solve_milp(model)
         assert sol.nodes > 1
         assert bases[0] is None and all(b is not None for b in bases[1:])
+
+    def test_no_bound_array_changes_after_its_solve(self, monkeypatch):
+        # children share the bound array they do not change with their
+        # parent and sibling, so no array an LP was given may be written
+        # later in the search
+        seen = []
+        solve_lp_arrays = solver.solve_lp_arrays
+
+        def spy(a, lower, upper, **kwargs):
+            seen.append((lower, upper, lower.copy(), upper.copy()))
+            return solve_lp_arrays(a, lower, upper, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_lp_arrays", spy)
+        inst = gh.synth_instance(gh.SynthParams(num_flights=14, horizon=12), 1)
+        d = inst.capacities["AP0"]
+        model = gh.build_dr_saghp(inst.schedule, gh.AmbiguitySpec(d, 0.5, gh.default_support_grid(d)))
+        sol = gh.solve_milp(model)
+        assert sol.status == "optimal" and sol.nodes == len(seen) == 5
+        for lower, upper, lower_then, upper_then in seen:
+            assert np.array_equal(lower, lower_then) and np.array_equal(upper, upper_then)
+        # each child shares one of its two arrays with an earlier LP
+        shared = {id(seen[0][0]), id(seen[0][1])}
+        for lower, upper, *_ in seen[1:]:
+            assert (id(lower) in shared) != (id(upper) in shared)
+            shared.update((id(lower), id(upper)))
 
     def test_root_restarted_from_its_own_basis_takes_no_pivot(self, monkeypatch):
         model = _branching_instance()[0]

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import AmbiguitySpec, FlightSchedule, NetworkInstance, SupportGrid, default_support_grid
+from .domain import (AmbiguitySpec, CapacityDistribution, FlightSchedule, NetworkInstance, SupportGrid,
+                     default_support_grid)
 from .evaluate import (
     DEFAULT_OMEGA,
     deterministic_capacity,
@@ -60,7 +61,10 @@ def _parse_list(text: str, what: str, kind: type) -> list:
     return out
 
 
-def _parse_support(text: str) -> SupportGrid:
+def _parse_support(text: str | None, empirical: CapacityDistribution) -> SupportGrid:
+    """The ``--support`` grid, or ``default_support_grid(empirical)`` without one."""
+    if not text:
+        return default_support_grid(empirical)
     try:
         if ":" in text:
             lo, hi = text.split(":")
@@ -105,8 +109,7 @@ def _network(inst: Instance, epsilon: float, grid_spec: str | None) -> NetworkIn
         if z not in inst.capacities:
             raise ValueError(f"bundle has no capacity records for airport {z!r}")
         empirical = inst.capacities[z]
-        grid = _parse_support(grid_spec) if grid_spec else default_support_grid(empirical)
-        ambiguities[z] = AmbiguitySpec(empirical, epsilon, grid)
+        ambiguities[z] = AmbiguitySpec(empirical, epsilon, _parse_support(grid_spec, empirical))
     return NetworkInstance(airports, inst.schedule, ambiguities)
 
 
@@ -137,8 +140,7 @@ def _build_model(inst: Instance, args):
     if kind == "sp":
         return build_s_saghp(schedule, empirical), schedule, {"airport": airport}
     if kind == "dr":
-        grid = _parse_support(args.support) if args.support else default_support_grid(empirical)
-        amb = AmbiguitySpec(empirical, args.epsilon, grid)
+        amb = AmbiguitySpec(empirical, args.epsilon, _parse_support(args.support, empirical))
         return build_dr_saghp(schedule, amb), schedule, {"airport": airport}
     raise ValueError(f"unknown model kind {kind!r}")
 
@@ -237,7 +239,7 @@ def cmd_sweep(args) -> int:
     eval_dist = _eval_distribution(args, empirical)
     omegas = _parse_list(args.omega, "omega", float) if args.omega else list(DEFAULT_OMEGA)
     sizes = _parse_list(args.sizes, "sample size", int)
-    grid = _parse_support(args.support) if args.support else None
+    grid = _parse_support(args.support, empirical)
 
     result = epsilon_sweep(
         schedule, empirical, omegas, eval_dist, sizes, args.seed,

@@ -148,7 +148,10 @@ class CapacityDistribution:
         return len(self.support_points)
 
     def mean(self) -> float:
-        return sum(v * p for v, p in zip(self.support_points, self.probabilities))
+        """``sum_s p_s * v_s``, the products added by ``math.fsum`` (correctly
+        rounded), so the same float on every Python version: the builtin
+        ``sum`` of floats is compensated only since 3.12."""
+        return math.fsum(v * p for v, p in zip(self.support_points, self.probabilities))
 
     def atoms(self) -> tuple[tuple[int, float], ...]:
         return tuple(zip(self.support_points, self.probabilities))

@@ -251,7 +251,8 @@ def expected_policy_cost(
 
 
 def deterministic_capacity(dist: CapacityDistribution) -> int:
-    """Probability-weighted mean capacity, rounded half up to an integer."""
+    """Probability-weighted mean capacity (``dist.mean()``, correctly rounded
+    on every Python version), rounded half up to an integer."""
     return int(math.floor(dist.mean() + 0.5))
 
 

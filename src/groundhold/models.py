@@ -326,10 +326,13 @@ def extract_policy(model: MilpModel, sol: Solution, schedule: FlightSchedule) ->
 
 
 def check_policy(policy: GroundHoldingPolicy, schedule: FlightSchedule) -> list[Violation]:
-    """Policy-against-schedule invariants: slot windows, cost, coupling."""
+    """Policy-against-schedule invariants: slot windows, stated delays and
+    cost, coupling.  Delays and cost are computed from the assignments, and
+    a stated value that disagrees is reported, never trusted."""
     out: list[Violation] = []
     T = schedule.horizon.num_slots
     cost = 0.0
+    delays: dict[str, int] = {}
     for f in schedule.flights:
         t = policy.assignments.get(f.id)
         if t is None:
@@ -338,13 +341,18 @@ def check_policy(policy: GroundHoldingPolicy, schedule: FlightSchedule) -> list[
         if t < f.scheduled_arrival or t > T:
             out.append(Violation(
                 "slot-out-of-window", f"flight {f.id!r} assigned {t}, window {f.scheduled_arrival}..{T}"))
-        cost += f.ground_cost * (t - f.scheduled_arrival)
+        delays[f.id] = d = t - f.scheduled_arrival
+        stated = policy.ground_delays.get(f.id)
+        if stated != d:
+            out.append(Violation(
+                "ground-delay-mismatch", f"flight {f.id!r} stated delay {stated}, assignment implies {d}"))
+        cost += f.ground_cost * d
     if abs(cost - policy.ground_cost) > 1e-6:
         out.append(Violation(
             "ground-cost-mismatch", f"stated {policy.ground_cost}, assignments imply {cost}"))
     for c in schedule.connections:
-        d1 = policy.ground_delays.get(c.predecessor)
-        d2 = policy.ground_delays.get(c.successor)
+        d1 = delays.get(c.predecessor)
+        d2 = delays.get(c.successor)
         if d1 is None or d2 is None:
             continue
         if d1 - c.slack > d2:

@@ -78,6 +78,11 @@ class TestCapacityDistribution:
         assert dist.probabilities == (0.75, 0.25)
         assert dist.mean() == pytest.approx(1.75)
 
+    def test_mean_is_correctly_rounded(self):
+        # the counts 3/6/1 of a capacity.csv; adding 0.3 + 1.8 + 0.4 left to
+        # right gives 2.4999999999999996, a compensated sum 2.5
+        assert gh.CapacityDistribution((1, 3, 4), (0.3, 0.6, 0.1)).mean() == 2.5
+
     @pytest.mark.parametrize("support,probs", [
         ((1, 2), (0.5,)),            # length mismatch
         ((), ()),                    # empty

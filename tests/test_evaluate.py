@@ -244,6 +244,7 @@ class TestDeterministicCapacity:
         ((1, 2), (0.5, 0.5), 2),      # mean 1.5 rounds half up
         ((0, 1), (0.9, 0.1), 0),      # mean 0.1
         ((28, 32), (0.5, 0.5), 30),
+        ((1, 3, 4), (0.3, 0.6, 0.1), 3),  # mean 2.5; a left-to-right sum gives 2.4999999999999996
     ])
     def test_rounding(self, support, probs, expected):
         assert gh.deterministic_capacity(gh.CapacityDistribution(support, probs)) == expected

@@ -294,6 +294,24 @@ class TestExtractPolicy:
         codes = [v.code for v in gh.check_policy(policy, sched)]
         assert codes == ["coupling-violated"]
 
+    def test_check_policy_computes_delays_from_assignments(self):
+        # the stated delays say nobody is held; the slots hold f1 two slots
+        # past f2 with slack 0, which the policy built from them also reports
+        sched = gh.FlightSchedule(
+            gh.TimeHorizon(4),
+            (gh.Flight("f1", "A", 1, 1.0), gh.Flight("f2", "A", 1, 1.0)),
+            (gh.ConnectionPair("f1", "f2", 0),),
+            2.0,
+        )
+        slots = {"f1": 3, "f2": 1}
+        stated = gh.GroundHoldingPolicy(slots, {"f1": 0, "f2": 0}, 2.0)
+        codes = [v.code for v in gh.check_policy(stated, sched)]
+        assert codes == ["ground-delay-mismatch", "coupling-violated"]
+        derived = gh.policy_from_assignments(slots, sched)
+        assert [v.code for v in gh.check_policy(derived, sched)] == ["coupling-violated"]
+        with pytest.raises(ValueError, match="ground-delay-mismatch"):
+            gh.evaluate_policy(stated, sched, [1])
+
     def test_policy_summary_format(self):
         policy = gh.GroundHoldingPolicy({"f1": 1, "f2": 3}, {"f1": 0, "f2": 2}, 2.0)
         assert policy.summary() == "f1@1;f2@3"

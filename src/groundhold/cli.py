@@ -13,8 +13,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .domain import (AmbiguitySpec, CapacityDistribution, FlightSchedule, NetworkInstance, SupportGrid,
                      default_support_grid)
 from .evaluate import (
@@ -248,20 +246,10 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "table.csv").write_text(result.to_table())
-    # rows with one policy and sample size share their costs, so a body;
-    # the key is cheap to hash, unlike the costs themselves.  A body is its
-    # cost table's lines read through the draw's index.
-    bodies: dict[tuple[str, int], str] = {}
     for row in result.rows:
-        if row.status != "optimal":
-            continue
-        key = row.policy_summary, row.sample_size
-        body = bodies.get(key)
-        if body is None:
-            costs = row.per_sample_costs
-            line = np.array([f"{float(c)!r}\n" for c in costs.table], dtype=object)
-            body = bodies[key] = "cost\n" + "".join(line[costs.index])
-        (out / f"samples_{row.label()}_{row.sample_size}.csv").write_text(body)
+        if row.status == "optimal":
+            with (out / f"samples_{row.label()}_{row.sample_size}.csv").open("w") as f:
+                f.writelines(("cost\n", row.per_sample_costs.lines))
     print(f"wrote sweep results to {out}")
     return EXIT_OK
 

@@ -136,7 +136,7 @@ class CapacityDistribution:
             raise ValueError("support points must be distinct")
         if any(p <= 0.0 for p in probs):
             raise ValueError("every probability must be strictly positive")
-        total = sum(probs)
+        total = math.fsum(probs)
         if abs(total - 1.0) > PROBABILITY_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
         order = sorted(range(len(support)), key=lambda i: support[i])

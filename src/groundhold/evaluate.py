@@ -3,16 +3,17 @@
 The second stage has a closed form: with a fixed landing plan, the cheapest
 airborne-queue response to a realized capacity is the greedy recursion
 ``y_t = max(0, y_{t-1} + arrivals_t - capacity)``, so policies are scored
-without invoking the LP engine.  A policy's cost depends on the sample only
-through the capacity, so each policy is priced once per distinct capacity in
-the draw, and a sweep scores each distinct policy once per sample size.  The
-per-sample costs, their mean and their std dev are read from that
-per-capacity table through the draw's index, with numpy arrays; every sum
-runs over the samples in order, so every float, and every byte of sweep
-output, is what a per-sample loop on Python 3.11 gives, on every supported
-Python version.  A sweep builds one robust model and reprices it per radius,
-so its rows and column storage are built once.  All sampling flows from an
-explicit seed; identical seeds give identical results.
+without invoking the LP engine.  A scored sequence is an ``IndexedTuple``,
+a table read through an index: a draw keeps the support as its table, so a
+policy is priced once per support point, and a sweep scores each distinct
+policy once per sample size.  The per-sample costs, their mean, their std
+dev and the lines of a sweep's sample file are read from that cost table
+through the draw's index, with numpy arrays; every sum runs over the
+samples in order, so every float, and every byte of sweep output, is what a
+per-sample loop on Python 3.11 gives, on every supported Python version.  A
+sweep builds one robust model and reprices it per radius, so its rows and
+column storage are built once.  All sampling flows from an explicit seed;
+identical seeds give identical results.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -107,13 +109,14 @@ def sample_capacities(dist: CapacityDistribution, n: int, seed: int) -> IndexedT
 
 
 class IndexedTuple(tuple):
-    """A tuple whose ``i``-th entry is ``table[index[i]]``, made by
-    ``from_table``: a draw of capacities, or the per-sample costs of a policy
-    on one.
+    """A tuple whose ``i``-th entry is ``table[index[i]]``: a draw of
+    capacities, or the per-sample costs of a policy on one.  ``of`` is the
+    one way to tabulate a sequence.
 
     Entries that share a table slot are one object, and the table and the
     read-only index travel with the tuple, so scoring, statistics and the
-    CLI's sample files work once per table entry instead of once per sample.
+    ``lines`` of a sweep's sample files work once per table entry instead of
+    once per sample.
     """
 
     table: tuple
@@ -129,14 +132,29 @@ class IndexedTuple(tuple):
         index.flags.writeable = False
         return entries
 
+    @classmethod
+    def of(cls, values: Sequence) -> IndexedTuple:
+        """``values`` itself if it is an ``IndexedTuple``; any other sequence
+        with one table entry per element."""
+        if isinstance(values, IndexedTuple):
+            return values
+        return cls.from_table(values, np.arange(len(values)))
+
+    @cached_property
+    def lines(self) -> str:
+        """Each entry's ``repr(float(entry))`` and a newline, in order, as one
+        string; each table entry is formatted once, so tuples that are one
+        object share one rendering."""
+        line = np.array([f"{float(c)!r}\n" for c in self.table], dtype=object)
+        return "".join(line[self.index])
+
 
 @dataclass(frozen=True)
 class PolicyEvaluation:
     """Per-sample total costs, at least one, with their mean and population
     std dev, computed once, from the costs, when the evaluation is made.
 
-    ``per_sample_costs`` is kept as an ``IndexedTuple`` of floats; any other
-    sequence of numbers becomes one with a table entry per sample.
+    ``per_sample_costs`` is kept as ``IndexedTuple.of`` the costs given.
     """
 
     per_sample_costs: tuple[float, ...]
@@ -145,10 +163,7 @@ class PolicyEvaluation:
     sample_size: int = field(init=False)
 
     def __post_init__(self) -> None:
-        costs = self.per_sample_costs
-        if not isinstance(costs, IndexedTuple):
-            table = tuple(map(float, costs))
-            costs = IndexedTuple.from_table(table, np.arange(len(table)))
+        costs = IndexedTuple.of(self.per_sample_costs)
         if not costs:
             raise ValueError("need at least one sample")
         mean, std_dev = _mean_std(costs.table, costs.index)
@@ -182,17 +197,6 @@ def _mean_std(table: Sequence[float], index: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(_sum_in_order(squares[index]) / n)
 
 
-def _distinct(samples: Sequence[int]) -> tuple[list, np.ndarray]:
-    """The distinct values of ``samples`` in ascending order, as Python
-    numbers, and each sample's position among them."""
-    samples = np.asarray(samples)
-    values = np.sort(samples)
-    keep = np.ones(len(values), dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    values = values[keep]
-    return values.tolist(), np.searchsorted(values, samples)
-
-
 def _costs_by_capacity(
     policy: GroundHoldingPolicy,
     schedule: FlightSchedule,
@@ -216,21 +220,18 @@ def evaluate_policy(
 ) -> PolicyEvaluation:
     """Total cost (ground + airborne) of a fixed policy on sampled capacities.
 
-    The cost is computed once per table entry of a draw from
-    ``sample_capacities``, or once per distinct capacity of any other
-    sequence; the per-sample costs are that cost table read through the
-    samples' index, in sample order, and share the draw's index.
+    The cost is computed once per table entry of ``IndexedTuple.of(samples)``:
+    once per support point for a draw from ``sample_capacities``, once per
+    element for any other sequence.  The per-sample costs are that cost
+    table read through the samples' index, in sample order, and share it.
     """
     _require_single_airport(schedule)
     problems = check_policy(policy, schedule)
     if problems:
         raise ValueError("policy does not fit schedule: " + "; ".join(str(v) for v in problems))
-    if isinstance(samples, IndexedTuple):
-        capacities, index = samples.table, samples.index
-    else:
-        capacities, index = _distinct(samples)
-    costs = _costs_by_capacity(policy, schedule, capacities)
-    return PolicyEvaluation(IndexedTuple.from_table(costs, index))
+    samples = IndexedTuple.of(samples)
+    costs = _costs_by_capacity(policy, schedule, samples.table)
+    return PolicyEvaluation(IndexedTuple.from_table(costs, samples.index))
 
 
 def expected_policy_cost(
@@ -241,12 +242,13 @@ def expected_policy_cost(
     """Exact in-distribution mean and std dev of the policy's total cost.
 
     Enumerates the support instead of sampling, so comparisons against model
-    optima carry no Monte Carlo noise.
+    optima carry no Monte Carlo noise.  Both sums are ``math.fsum``
+    (correctly rounded), so the same floats on every Python version.
     """
     _require_single_airport(schedule)
     costs = _costs_by_capacity(policy, schedule, dist.support_points)
-    mean = sum(p * c for p, c in zip(dist.probabilities, costs))
-    var = sum(p * (c - mean) ** 2 for p, c in zip(dist.probabilities, costs))
+    mean = math.fsum(p * c for p, c in zip(dist.probabilities, costs))
+    var = math.fsum(p * (c - mean) ** 2 for p, c in zip(dist.probabilities, costs))
     return mean, math.sqrt(var)
 
 
@@ -327,12 +329,14 @@ def epsilon_sweep(
     evaluated on the same ``sample_capacities(eval_dist, n, seed)`` draw per
     sample size.  Radii often share a policy, so each distinct policy is
     scored once per sample size and its rows share that ``PolicyEvaluation``;
-    within a scoring, each distinct capacity is costed once.  The rows are
-    identical to scoring every row on its own.  A solve that ends without an
-    optimum (infeasible or ``node_limit`` reached) annotates its rows with
-    that status and the sweep continues; an error raised by a solve or by
-    policy extraction (``NumericalInstabilityError``,
-    ``PolicyExtractionError``) ends the sweep.
+    within a scoring, each support point of the draw is costed once.  The
+    rows are identical to scoring every row on its own.  A solve that ends
+    without an optimum (infeasible or ``node_limit`` reached) annotates its
+    rows with that status and the sweep continues; an error raised by a
+    solve or by policy extraction (``NumericalInstabilityError``,
+    ``PolicyExtractionError``) ends the sweep.  A row's per-sample costs
+    are the shared scoring's ``IndexedTuple``, so rows of one scoring
+    share its ``lines``.
 
     Every radius (``AmbiguitySpec``) and sample size is checked before
     anything is solved.

@@ -345,14 +345,19 @@ def write_instance(path: str | Path, schedule: FlightSchedule,
 
 
 def json_number(value, kind: type, what: str):
-    """``kind(value)`` for a value read from a JSON document; ``what`` names
-    it in the ``IngestError`` raised for anything else."""
+    """``kind(value)`` for a JSON number read from a document: an ``int`` or a
+    ``float``, never a string or a boolean, and a whole one for ``kind`` int
+    (``4.0`` reads as 4); ``what`` names it in the ``IngestError`` raised for
+    anything else."""
+    # int() and float() would parse "8" and "3.5", and float() read true as 1.0
+    if not isinstance(value, (int, float)) or (isinstance(value, bool) and kind is float):
+        raise IngestError(f"{what} {value!r} is not a number")
     try:
         parsed = kind(value)
-    except (OverflowError, TypeError, ValueError):
+    except (OverflowError, ValueError):
         raise IngestError(f"{what} {value!r} is not a number") from None
     # int() would truncate 8.9 to 8 and read true as 1
-    if kind is int and (isinstance(value, bool) or (isinstance(value, float) and parsed != value)):
+    if kind is int and (isinstance(value, bool) or parsed != value):
         raise IngestError(f"{what} {value!r} is not a whole number")
     return parsed
 

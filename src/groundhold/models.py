@@ -23,6 +23,7 @@ rendering of it for people and MPS files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .domain import (
@@ -368,7 +369,8 @@ class DrDiagnostics:
 
     ``second_stage_costs`` maps each grid value to the realized airborne cost
     ``sum_t C_h * y[xi,t]``; ``dual_term`` is ``epsilon * alpha + sum_s p_s
-    beta_s``, the robust part of the objective.
+    beta_s``, the robust part of the objective, its sum by ``math.fsum`` so
+    the same float on every Python version.
     """
 
     alpha: float
@@ -393,6 +395,6 @@ def dr_diagnostics(model: MilpModel, sol: Solution, amb: AmbiguitySpec,
     for (_, xi), columns in index.queues.items():
         for j in columns:
             costs[xi] += schedule.airborne_cost * float(values[j])
-    dual_term = amb.radius * alpha + sum(
+    dual_term = amb.radius * alpha + math.fsum(
         p * beta[xi_hat] for xi_hat, p in amb.empirical.atoms())
     return DrDiagnostics(alpha, beta, costs, dual_term)

@@ -14,6 +14,7 @@ MILP engine, so that check compares the engine with code it does not share.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -57,11 +58,12 @@ class TransportPlan:
 
         Entries at or below ``_DROP_TOL`` are dropped and the remainder is
         renormalized, so the rounding of a split atom's two parts never
-        produces a zero-probability atom.
+        produces a zero-probability atom.  The remainder's total is a
+        ``math.fsum``, the same float on every Python version.
         """
         col = self.mass.sum(axis=0)
         keep = [(v, float(p)) for v, p in zip(self.target_values, col) if p > _DROP_TOL]
-        total = sum(p for _, p in keep)
+        total = math.fsum(p for _, p in keep)
         return CapacityDistribution(tuple(v for v, _ in keep), tuple(p / total for _, p in keep))
 
 

@@ -72,6 +72,24 @@ class TestSolve:
         assert doc["beta"] == {"1": pytest.approx(0.0)}
         assert doc["stats"]["nodes"] >= 1
 
+    def test_support_as_list_or_range(self, worked_bundle, tmp_path):
+        docs = []
+        for spec in ("0:1", "0,1"):
+            out = tmp_path / f"res{len(docs)}.json"
+            assert main(["solve", str(worked_bundle), "--model", "dr", "--epsilon", "0.4",
+                         "--support", spec, "--out", str(out)]) == 0
+            doc = _read_json(out)
+            del doc["stats"]["wall_time_s"]
+            docs.append(doc)
+        assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("spec", ["0:1:2", "a,1", "0:x"])
+    def test_malformed_support_exits_2(self, worked_bundle, tmp_path, capsys, spec):
+        assert main(["solve", str(worked_bundle), "--model", "dr", "--epsilon", "0.4",
+                     "--support", spec, "--out", str(tmp_path / "res.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad support spec {spec!r}: ")
+        assert not (tmp_path / "res.json").exists()
+
     def test_sp_worked_instance(self, worked_bundle, tmp_path):
         out = tmp_path / "res.json"
         code = main(["solve", str(worked_bundle), "--model", "sp", "--out", str(out)])
@@ -151,6 +169,13 @@ class TestSolve:
         pytest.param(lambda p: [p], "params.json: expected a JSON object, got list", id="list"),
         pytest.param(lambda p: {**p, "num_slots": 8.9},
                      "params.json: num_slots 8.9 is not a whole number", id="fractional-num-slots"),
+        # float() and int() would read these as 3.5, 1.0 and 8
+        pytest.param(lambda p: {**p, "airborne_cost": "3.5"},
+                     "params.json: airborne_cost '3.5' is not a number", id="string-airborne-cost"),
+        pytest.param(lambda p: {**p, "airborne_cost": True},
+                     "params.json: airborne_cost True is not a number", id="bool-airborne-cost"),
+        pytest.param(lambda p: {**p, "num_slots": "8"},
+                     "params.json: num_slots '8' is not a number", id="string-num-slots"),
     ])
     def test_malformed_params_exits_2(self, bundle, capsys, edit, message):
         params = bundle / "params.json"
@@ -246,6 +271,28 @@ class TestSweep:
                      "--jobs", "4", "--out", str(tmp_path / "sweep")]) == 0
         assert threads == [threading.main_thread().ident] * 5
 
+    def test_rows_stopped_at_node_limit_write_no_samples(self, tmp_path):
+        # two of the four robust solves need more than one node
+        inst, out = tmp_path / "inst", tmp_path / "sweep"
+        assert main(["gen", "--flights", "14", "--horizon", "12", "--seed", "1", "--out", str(inst)]) == 0
+        assert main(["sweep", str(inst), "--omega", "100,0.01,0,0.75", "--sizes", "1000", "--seed", "1",
+                     "--node-limit", "1", "--out", str(out)]) == 0
+        rows = (out / "table.csv").read_text().splitlines()[2:]
+        assert [r for r in rows if ",node-limit," in r] == [
+            "dr,100.0,1000,node-limit,,,", "dr,0.75,1000,node-limit,,,"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "samples_det_1000.csv", "samples_dr_eps0.01_1000.csv", "samples_dr_eps0.0_1000.csv",
+            "samples_sp_1000.csv", "table.csv"]
+        loaded = gh.load_instance(inst)
+        samples = gh.sample_capacities(loaded.capacities["AP0"], 1000, 1)
+        for row in rows[:2]:  # det and sp, each on its own
+            model, *_, summary = row.split(",")
+            slots = {fid: int(t) for fid, t in (a.split("@") for a in summary.split(";"))}
+            policy = gh.policy_from_assignments(slots, loaded.schedule)
+            costs = gh.evaluate_policy(policy, loaded.schedule, samples).per_sample_costs
+            body = "cost\n" + "".join(f"{c!r}\n" for c in costs)
+            assert (out / f"samples_{model}_1000.csv").read_text() == body
+
     # sha256 over the sorted file names and bytes of the output directory,
     # recorded before sweeps scored each distinct policy and capacity once
     GOLDEN = "685f104286d15f7e50dbad51f8fdec2bbcb4767e58f8651f84b834d007ed9fd0"
@@ -318,6 +365,7 @@ class TestEvaluate:
         (1.5, "1.5 is not a whole number"),   # int() would read slot 1
         (True, "True is not a whole number"),  # int() would read slot 1
         ("2.0", "'2.0' is not a number"),
+        ("2", "'2' is not a number"),          # int() would read slot 2
     ])
     def test_non_integer_slot_exits_2(self, worked_bundle, tmp_path, capsys, slot, problem):
         res = tmp_path / "res.json"

@@ -237,6 +237,22 @@ class TestExpectedPolicyCost:
         assert std_hold == pytest.approx(1.0)
         assert std_land == pytest.approx(2.0)
 
+    def test_sums_are_correctly_rounded(self):
+        # flight i held i % 3 slots: the products added left to right give
+        # 45.28999999999999, a compensated sum 45.29
+        inst = gh.synth_instance(gh.SynthParams(num_flights=14, horizon=12), 11)
+        sched = inst.schedule
+        T = sched.horizon.num_slots
+        policy = gh.policy_from_assignments(
+            {f.id: min(T, f.scheduled_arrival + i % 3) for i, f in enumerate(sched.flights)}, sched)
+        dist = inst.capacities[sched.airports[0]]
+        mean, std_dev = gh.expected_policy_cost(policy, sched, dist)
+        costs = [policy.ground_cost + gh.second_stage_cost(
+            gh.arrivals_from_policy(policy, sched), k, sched.airborne_cost) for k in dist.support_points]
+        assert mean == 45.29 == math.fsum(p * c for p, c in zip(dist.probabilities, costs))
+        assert std_dev == math.sqrt(math.fsum(
+            p * (c - mean) ** 2 for p, c in zip(dist.probabilities, costs)))
+
 
 class TestDeterministicCapacity:
     @pytest.mark.parametrize("support,probs,expected", [

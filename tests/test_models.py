@@ -312,6 +312,16 @@ class TestExtractPolicy:
         with pytest.raises(ValueError, match="ground-delay-mismatch"):
             gh.evaluate_policy(stated, sched, [1])
 
+    def test_check_policy_flags_window_and_cost(self):
+        # f1 (r = 2) lands at slot 1, before its window; the stated cost
+        # disagrees with the cost of the stated delays
+        sched = gh.FlightSchedule(
+            gh.TimeHorizon(3), (gh.Flight("f1", "A", 2, 1.0), gh.Flight("f2", "A", 1, 1.5)), (), 2.0)
+        early = gh.GroundHoldingPolicy({"f1": 1, "f2": 1}, {"f1": -1, "f2": 0}, -1.0)
+        assert [v.code for v in gh.check_policy(early, sched)] == ["slot-out-of-window"]
+        priced = gh.GroundHoldingPolicy({"f1": 2, "f2": 3}, {"f1": 0, "f2": 2}, 2.0)
+        assert [v.code for v in gh.check_policy(priced, sched)] == ["ground-cost-mismatch"]
+
     def test_policy_summary_format(self):
         policy = gh.GroundHoldingPolicy({"f1": 1, "f2": 3}, {"f1": 0, "f2": 2}, 2.0)
         assert policy.summary() == "f1@1;f2@3"

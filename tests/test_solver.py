@@ -161,6 +161,18 @@ class TestSolveMilp:
         assert limited.best_bound == gh.solve_lp(m).objective
         assert limited.best_bound <= full.objective
 
+    def test_unbounded_root_ends_the_search(self):
+        # min x - y with x binary, y >= 0 and x - y <= 0: y grows without end
+        m = gh.MilpModel()
+        x = m.add_binary("x", cost=1.0)
+        y = m.add_continuous("y", cost=-1.0)
+        m.add_row([(x, 1.0), (y, -1.0)], gh.SENSE_LE, 0.0)
+        m.freeze()
+        sol = gh.solve_milp(m)
+        assert sol.status == "unbounded" and sol.values is None
+        assert sol.objective == sol.best_bound == -math.inf
+        assert sol.nodes == 1
+
     def test_search_agrees_with_enumeration(self):
         rng = random.Random(4242)
         for _ in range(10):

@@ -112,6 +112,12 @@ class TestWorstCase:
         assert marginal.support_points == (0, 1)
         assert marginal.probabilities == pytest.approx((0.4, 0.6))
 
+    def test_marginal_total_is_correctly_rounded(self):
+        # 0.2 + 0.7 + 0.1 left to right is 0.9999999999999999, which would
+        # turn each probability into the next float up
+        plan = gh.TransportPlan((2,), (1.0,), (1, 2, 3), np.array([[0.2, 0.7, 0.1]]))
+        assert plan.marginal().probabilities == (0.2, 0.7, 0.1)
+
     def test_ample_budget_concentrates_on_worst_value(self):
         amb = gh.AmbiguitySpec(
             gh.CapacityDistribution((1,), (1.0,)), 1.0, gh.SupportGrid((0, 1, 2)))

@@ -30,27 +30,30 @@ gathered in one pass, rows ascending, and summed per column.  Which
 nonbasic columns may rise and which may fall are two masks kept across
 pivots, updated for the one or two columns a pivot or bound flip moves.
 
-The basis inverse is kept explicitly as a dense m x m array.  A
-refactorization inverts only the bump: each basic slack e_i covers row i,
-so of the basis only the k basic structural columns on the k rows no slack
-covers form a block that needs inverting, and the rest of the inverse
-follows from it in closed form.  The all-slack basis, where every solve
-without a stored basis starts, has k = 0 and inverts nothing.  Between
-refactorizations (every 100 pivots) each pivot is a rank-1 update of only
-the rows of the inverse where the entering column is nonzero; the other
-rows would subtract zeros, so the values are those of updating every row
-(only the sign of an exact zero can differ).  An answer
-(optimal, unbounded, infeasible, or a pivot too small to take) is given
-only from a fresh factorization: if a pivot has happened since the last
-one, the basis is refactorized and the loop looks again, so the values,
-duals and reduced costs returned all come from a fresh inverse.
+The basis inverse is kept explicitly as a dense m x m array, allocated
+once per LP and rewritten in place.  A refactorization inverts only the
+bump: each basic slack e_i covers row i, so of the basis only the k basic
+structural columns on the k rows no slack covers form a block that needs
+inverting, and the rest of the inverse follows from it in closed form.
+The all-slack basis, where every solve without a stored basis starts, has
+k = 0 and inverts nothing.  Between refactorizations (every 100 pivots)
+each pivot is a rank-1 update of only the rows of the inverse where the
+entering column is nonzero; the other rows would subtract zeros, so the
+values are those of updating every row (only the sign of an exact zero can
+differ).  The update runs over blocks of rows of at most ``_BLOCK_BYTES``
+each, so its temporaries stay small at any m; each element gets the same
+operands and arithmetic whatever the block size.  An answer (optimal,
+unbounded, infeasible, or a pivot too small to take) is given only from a
+fresh factorization: if a pivot has happened since the last one, the basis
+is refactorized and the loop looks again, so the values, duals and reduced
+costs returned all come from a fresh inverse.
 
 The dense inverse sets the limit.  On the dr-SAGHP root of ``gen
 --flights 60 --horizon 32 --seed 3`` (2,841 rows, 1,138 columns; one BLAS
-thread, 2-vCPU VM) the solve takes about 148 s over 2,628 pivots, 56 ms per
-pivot: 95% of it is the rank-1 update of the touched rows, and the 27 bump
-inversions take 0.2 s in all.  The benchmark's root LPs (up to 421 rows)
-take about 0.1 ms per pivot.
+thread, 2-vCPU VM) the solve takes about 33 s over 2,628 pivots, 13 ms per
+pivot: under cProfile 89% of it is the rank-1 update of the touched rows,
+and the 28 refactorizations take 1.2 s in all.  The benchmark's root LPs
+(up to 421 rows) take about 0.1 ms per pivot.
 """
 
 from __future__ import annotations
@@ -74,6 +77,7 @@ _PIVOT_FLOOR = 1e-10   # below this a pivot is reported as numerical trouble
 _DEGEN_TOL = 1e-9      # step sizes at or below this count as degenerate
 _BLAND_AFTER = 1000    # consecutive degenerate pivots before Bland's rule
 _REFACTOR_EVERY = 100  # pivots between basis refactorizations
+_BLOCK_BYTES = 128 * 1024  # most bytes of inverse rows a pivot updates at once
 FEASIBILITY_TOL = 1e-7  # bound violation a basic variable may carry
 
 
@@ -164,6 +168,7 @@ class _Simplex:
         self.limit = 2000 + 200 * (2 * m + n)
         self.pivots = 0
         self._since_refactor = 0
+        self.Binv = None  # the m x m basis inverse, allocated by the first _refactor
 
     # -- setup ---------------------------------------------------------------
 
@@ -239,28 +244,39 @@ class _Simplex:
         ``C[U]^-1`` in the structural positions' U columns,
         ``-C[S] C[U]^-1`` in the slack positions' U columns (S the covered
         rows), zero elsewhere.  The all-slack basis has k = 0 and inverts
-        nothing."""
+        nothing.  The inverse is one m x m array per LP, written in place:
+        the first refactorization finds it zero, each later one clears it.
+        C is stored only as its two row blocks, C[U] then C[S]."""
         n, m = self.nstruct, self.m
         slack = np.flatnonzero(self.basis >= n)  # basis positions of the slacks
         covered = self.basis[slack] - n
         struct = np.flatnonzero(self.basis < n)
         bump = np.ones(m, dtype=bool)
         bump[covered] = False
-        Binv = np.zeros((m, m))
+        if self.Binv is None:
+            self.Binv = np.zeros((m, m))
+        else:
+            self.Binv.fill(0.0)
+        Binv = self.Binv
         Binv[slack, covered] = 1.0
-        if len(struct):
+        k = len(struct)
+        if k:
             at = np.full(n, -1)
-            at[self.basis[struct]] = np.arange(len(struct))  # each basic structural's column of C
+            at[self.basis[struct]] = np.arange(k)  # each basic structural's column of C
             e = at[self.cols] >= 0
-            C = np.zeros((m, len(struct)))
-            C[self.rows[e], at[self.cols[e]]] = self.vals[e]
+            # row i of C is row place[i] of the blocks: U ascending, then S
+            # in the order of the slack positions
+            place = np.empty(m, dtype=int)
+            place[bump] = np.arange(k)
+            place[covered] = np.arange(k, m)
+            blocks = np.zeros((m, k))
+            blocks[place[self.rows[e]], at[self.cols[e]]] = self.vals[e]
             try:
-                inner = np.linalg.inv(C[bump])
+                inner = np.linalg.inv(blocks[:k])
             except np.linalg.LinAlgError as exc:
                 raise NumericalInstabilityError("singular basis") from exc
             Binv[np.ix_(struct, bump)] = inner
-            Binv[np.ix_(slack, bump)] = -(C[covered] @ inner)
-        self.Binv = Binv
+            Binv[np.ix_(slack, bump)] = -(blocks[k:] @ inner)
 
         x = self._nonbasic_values()
         Ax = np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=m) + x[n:]
@@ -355,10 +371,16 @@ class _Simplex:
             raise NumericalInstabilityError(f"pivot magnitude {abs(wr):.3e} below 1e-10")
         self.Binv[r] /= wr
         # only the rows where the entering column is nonzero change; the
-        # rest would subtract zeros
+        # rest would subtract zeros.  They change a block of rows at a time,
+        # so the temporaries stay within _BLOCK_BYTES (or one row) whatever
+        # the number of rows touched
         touched = w.nonzero()[0]
         touched = touched[touched != r]
-        self.Binv[touched] -= w[touched, None] * self.Binv[r]
+        pivot_row = self.Binv[r]
+        per_block = max(1, _BLOCK_BYTES // (8 * self.m))
+        for start in range(0, len(touched), per_block):
+            rows = touched[start:start + per_block]
+            self.Binv[rows] -= w[rows, None] * pivot_row
 
     # -- main loops -----------------------------------------------------------
 

@@ -666,15 +666,22 @@ class TestParserReuse:
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _fresh_python(code: str, *args: str, **env: str) -> str:
-    """Standard output of ``code`` run by a new interpreter that finds this
-    ``groundhold`` first; ``env`` replaces the BLAS thread variables."""
+def _run_python(code: str, *args: str, options: tuple[str, ...] = (), **env: str) -> subprocess.CompletedProcess:
+    """``code`` run by a new interpreter, started with ``options``, that
+    finds this ``groundhold`` first; ``env`` replaces the BLAS thread
+    variables."""
     environ = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
     environ.update(env)
     src = str(Path(gh.__file__).resolve().parents[1])
     environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code, *args], env=environ,
+    return subprocess.run([sys.executable, *options, "-c", code, *args], env=environ,
                           capture_output=True, text=True, timeout=120)
+
+
+def _fresh_python(code: str, *args: str, **env: str) -> str:
+    """Standard output of ``code`` run as ``_run_python`` runs it, which
+    must exit 0."""
+    done = _run_python(code, *args, **env)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -702,6 +709,7 @@ class TestBlasThreads:
         "print(*(os.environ[v] for v in {names!r}))\n"
         "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)\n"
     ).format(names=_BLAS_VARS)
+    ERROR = ("-W", "error::RuntimeWarning")  # a warning fails the interpreter
 
     def test_one_thread_by_default(self):
         # numpy reads the setting when it loads, so one thread means the
@@ -711,3 +719,19 @@ class TestBlasThreads:
     def test_user_setting_wins(self):
         out = _fresh_python(self.CODE, **dict.fromkeys(_BLAS_VARS, "2")).split()
         assert out[:3] == ["2", "2", "2"]
+
+    def test_numpy_loaded_first_warns(self):
+        # numpy has read the unset variables already, so the pin comes too
+        # late; the warning, made an error, fails the import
+        done = _run_python("import numpy, groundhold", options=self.ERROR)
+        assert done.returncode != 0
+        assert "RuntimeWarning" in done.stderr
+        assert all(v in done.stderr for v in _BLAS_VARS)
+
+    @pytest.mark.parametrize("code, env", [
+        ("import groundhold, numpy", {}),
+        ("import numpy, groundhold", dict.fromkeys(_BLAS_VARS, "1")),
+    ], ids=["groundhold-first", "variables-set"])
+    def test_pin_in_time_is_silent(self, code, env):
+        done = _run_python(code, options=self.ERROR, **env)
+        assert (done.returncode, done.stderr) == (0, "")

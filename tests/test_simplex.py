@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -656,6 +657,27 @@ class TestInversion:
         assert inverted == [(k, k)]
         assert np.abs(lp.Binv - expected).max() <= 1e-9
 
+    def test_refactorization_writes_the_inverse_in_place(self):
+        # the optimal basis of the dr root (m = 221, k = 51), factorized
+        # again: the inverse is rewritten in its own array, to the same bits,
+        # and no temporary as large as an m x m array is allocated
+        a = _dr_root_20x16().to_arrays()
+        sol = simplex.solve_lp_arrays(a, a.lower, a.upper)
+        m = len(a.b)
+        assert (m, int((sol.basis[0] < len(a.c)).sum())) == (221, 51)
+        lp = simplex._Simplex(a, a.lower, a.upper)
+        lp._load(sol.basis)
+        Binv, before = lp.Binv, lp.Binv.copy()
+        tracemalloc.start()
+        try:
+            lp._refactor()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lp.Binv is Binv
+        assert np.array_equal(Binv, before)
+        assert peak < 8 * m * m
+
     def test_basis_with_two_equal_columns_is_singular(self):
         # x0 and x1 have the same column, so a basis holding both is singular
         c, bounds = [1.0, 2.0, 1.0], [(0.0, 4.0)] * 3
@@ -752,6 +774,30 @@ class TestEnteringMasks:
         sol = gh.solve_lp(_dr_root_20x16())
         assert sol.status == "optimal"
         assert sol.pivots == len(checks) == 71  # the count before the masks were kept
+
+
+class TestUpdateBlocks:
+    """The rank-1 update of the inverse, applied a block of rows at a time,
+    gives each element the operands and arithmetic of the one-shot update,
+    so the block size changes no bit of any answer."""
+
+    @staticmethod
+    def _solves():
+        models = [lp_model(*_random_lp(random.Random(seed))) for seed in range(1000, 1120)]
+        return [gh.solve_lp(model) for model in [*models, _dr_root_20x16()]]
+
+    def test_one_row_blocks_change_no_bit(self, monkeypatch):
+        default = self._solves()
+        monkeypatch.setattr(simplex, "_BLOCK_BYTES", 1)  # one row a block
+        for got, want in zip(self._solves(), default, strict=True):
+            assert (got.status, got.pivots) == (want.status, want.pivots)
+            # each field is None on both sides unless the solve is optimal
+            for field in ("values", "dual_values", "reduced_costs"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+            assert (got.basis is None) == (want.basis is None)
+            if want.basis is not None:
+                assert np.array_equal(got.basis[0], want.basis[0])
+                assert np.array_equal(got.basis[1], want.basis[1])
 
 
 class TestBoundsLength:

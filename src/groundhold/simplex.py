@@ -20,39 +20,44 @@ values (the ``ptr``/``rows``/``cols``/``vals`` storage), and as the same
 entries by row (``row_ptr``/``row_cols``/``row_vals``), both built once
 per model by ``MilpModel.freeze`` and read as they are by every LP of a
 search; no dense ``A`` is built.  Slack column ``n + i`` is the unit
-vector e_i and is never stored.  The entering column ``Binv @ a_j`` and
-``A @ x_N`` read the columns and touch only the stored nonzeros, so a
+vector e_i and is never stored.  ``A @ x_N`` and the products with the
+basic columns read the columns and touch only the stored nonzeros, so a
 product costs in proportion to them and not to m * (n + m).  Every
-``u @ [A | I]`` (pricing ``y``, and the dual's pivot row ``Binv[r]``)
-reads the rows instead, only those where ``u`` is nonzero (for the pivot
-row about 4% of them in the median on the benchmark's largest LPs),
-gathered in one pass, rows ascending, and summed per column.  Which
+``u @ [A | I]`` (pricing ``y``, and the dual's pivot row, a row of
+``B^-1``) reads the rows instead, only those where ``u`` is nonzero (for
+the pivot row about 4% of them in the median on the benchmark's largest
+LPs), gathered in one pass, rows ascending, and summed per column.  Which
 nonbasic columns may rise and which may fall are two masks kept across
 pivots, updated for the one or two columns a pivot or bound flip moves.
 
-The basis inverse is kept explicitly as a dense m x m array, allocated
-once per LP and rewritten in place.  A refactorization inverts only the
-bump: each basic slack e_i covers row i, so of the basis only the k basic
-structural columns on the k rows no slack covers form a block that needs
-inverting, and the rest of the inverse follows from it in closed form.
-The all-slack basis, where every solve without a stored basis starts, has
-k = 0 and inverts nothing.  Between refactorizations (every 100 pivots)
-each pivot is a rank-1 update of only the rows of the inverse where the
-entering column is nonzero; the other rows would subtract zeros, so the
-values are those of updating every row (only the sign of an exact zero can
-differ).  The update runs over blocks of rows of at most ``_BLOCK_BYTES``
-each, so its temporaries stay small at any m; each element gets the same
-operands and arithmetic whatever the block size.  An answer (optimal,
-unbounded, infeasible, or a pivot too small to take) is given only from a
-fresh factorization: if a pivot has happened since the last one, the basis
-is refactorized and the loop looks again, so the values, duals and reduced
-costs returned all come from a fresh inverse.
+The basis inverse is never formed; only the inverse of its bump is kept.
+A basic slack e_i covers row i, so of the basis only the k basic
+structural columns C on the k rows U no slack covers form a block that
+needs inverting, and ``inner = C[U]^-1`` (k x k) with the stored columns
+of C gives the rest.  ``B^-1 v`` is ``x = inner @ v[U]`` at the
+structural positions and ``v[S] - C[S] x`` at the slack ones (S the
+covered rows), with ``C x`` summed over C's entries, copied from the
+column storage; row r of ``B^-1``, the dual's pivot row, is a row of
+``inner`` when r holds a structural, and when it holds the slack of row
+i, 1 at i and ``-C[i] inner`` on U, one short product; the duals solve
+the transposed system the same way.  No m x m or m x k array is
+allocated.  The all-slack basis, where every solve without a stored
+basis starts, has k = 0 and inverts nothing.  A refactorization (every
+100 pivots) inverts C[U] afresh; between them each pivot updates
+``inner`` in O(k^2), by one rule per case: a structural replacing a
+slack borders it (k + 1), a slack replacing a structural shrinks it
+(k - 1), a structural replacing a structural is a Sherman-Morrison
+update, and a slack replacing a slack swaps one row of U, a rank-1
+update with one column replaced.  Only the rows of ``inner`` where the entering
+column is nonzero change.  An answer (optimal, unbounded, infeasible, or
+a pivot too small to take) is given only from a fresh factorization: if
+a pivot has happened since the last one, the basis is refactorized and
+the loop looks again, so the values, duals and reduced costs returned
+all come from a fresh inverse.
 
-The dense inverse sets the limit.  On the dr-SAGHP root of ``gen
---flights 60 --horizon 32 --seed 3`` (2,841 rows, 1,138 columns; one BLAS
-thread, 2-vCPU VM) the solve takes about 33 s over 2,628 pivots, 13 ms per
-pivot: under cProfile 89% of it is the rank-1 update of the touched rows,
-and the 28 refactorizations take 1.2 s in all.  The benchmark's root LPs
+On the dr-SAGHP root of ``gen --flights 60 --horizon 32 --seed 3``
+(2,841 rows, 1,138 columns; one BLAS thread, 2-vCPU VM) the solve takes
+about 3 s over 2,718 pivots, with k at most 406; the benchmark's root LPs
 (up to 421 rows) take about 0.1 ms per pivot.
 """
 
@@ -77,7 +82,6 @@ _PIVOT_FLOOR = 1e-10   # below this a pivot is reported as numerical trouble
 _DEGEN_TOL = 1e-9      # step sizes at or below this count as degenerate
 _BLAND_AFTER = 1000    # consecutive degenerate pivots before Bland's rule
 _REFACTOR_EVERY = 100  # pivots between basis refactorizations
-_BLOCK_BYTES = 128 * 1024  # most bytes of inverse rows a pivot updates at once
 FEASIBILITY_TOL = 1e-7  # bound violation a basic variable may carry
 
 
@@ -156,6 +160,7 @@ class _Simplex:
         self.ptr, self.rows, self.cols, self.vals = arrays.ptr, arrays.rows, arrays.cols, arrays.vals
         # row i holds row_vals[row_ptr[i]:row_ptr[i+1]] in columns row_cols[...]
         self.row_ptr, self.row_cols, self.row_vals = arrays.row_ptr, arrays.row_cols, arrays.row_vals
+        self.col_count, self.row_count = np.diff(self.ptr), np.diff(self.row_ptr)
 
         slack_lo = np.where(arrays.senses > 0, -np.inf, 0.0)
         slack_up = np.where(arrays.senses < 0, np.inf, 0.0)
@@ -168,7 +173,6 @@ class _Simplex:
         self.limit = 2000 + 200 * (2 * m + n)
         self.pivots = 0
         self._since_refactor = 0
-        self.Binv = None  # the m x m basis inverse, allocated by the first _refactor
 
     # -- setup ---------------------------------------------------------------
 
@@ -214,80 +218,129 @@ class _Simplex:
 
     # -- linear algebra --------------------------------------------------------
 
+    @staticmethod
+    def _spans(ptr: np.ndarray, count: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The storage positions of the entries of rows (or columns) ``idx``
+        under ``ptr`` (``count`` entries each), in the order of ``idx``, and
+        how many each has."""
+        starts = ptr[idx]
+        counts = count[idx]
+        ends = counts.cumsum()
+        # the positions of idx[i]'s entries follow on from ends[i-1]
+        return np.arange(ends[-1] if len(ends) else 0) + (starts + counts - ends).repeat(counts), counts
+
     def _pivot_row(self, u: np.ndarray) -> np.ndarray:
         """``u @ [A | I]``, one entry per structural and slack column, from
         the rows where ``u`` is nonzero: their entries are gathered from the
         row view in one pass, rows ascending, so each column sums its terms
         in ascending row order."""
         nz = u.nonzero()[0]
-        starts = self.row_ptr[nz]
-        counts = self.row_ptr[nz + 1] - starts
-        ends = counts.cumsum()
-        # the view positions of row nz[i]'s entries follow on from ends[i-1]
-        at = np.arange(ends[-1] if len(ends) else 0) + (starts + counts - ends).repeat(counts)
+        at, counts = self._spans(self.row_ptr, self.row_count, nz)
         terms = u[nz].repeat(counts) * self.row_vals[at]
         return np.concatenate([np.bincount(self.row_cols[at], weights=terms, minlength=self.nstruct), u])
 
+    def _solve(self, v: np.ndarray) -> np.ndarray:
+        """``B^-1 v``, one entry per basis position: ``x = inner @ v[U]`` at
+        the structural positions, ``v[S] - C[S] x`` at the slack ones."""
+        x = self.inner @ v[self.urows]
+        cx = np.bincount(self.crow, weights=self.cval * x[self.cown], minlength=self.m)
+        out = (v - cx)[self.cover]
+        out[self.spos] = x
+        return out
+
     def _column(self, j: int) -> np.ndarray:
-        """``Binv @ a_j`` for a structural or slack column ``j``."""
-        if j >= self.nstruct:
-            return self.Binv[:, j - self.nstruct].copy()
-        k = slice(self.ptr[j], self.ptr[j + 1])
-        return self.Binv[:, self.rows[k]] @ self.vals[k]
+        """``B^-1 a_j`` for a structural or slack column ``j``."""
+        n = self.nstruct
+        a = np.zeros(self.m)
+        if j >= n:
+            a[j - n] = 1.0
+        else:
+            k = slice(self.ptr[j], self.ptr[j + 1])
+            a[self.rows[k]] = self.vals[k]
+        return self._solve(a)
+
+    def _inverse_row(self, r: int) -> np.ndarray:
+        """Row ``r`` of ``B^-1``, one entry per row.  When position ``r``
+        holds a structural, it is that structural's row of ``inner`` on U;
+        when it holds the slack of row i, 1 at i and ``-C[i] inner`` on U,
+        from row i's entries in basic columns."""
+        u = np.zeros(self.m)
+        col = self.basis[r]
+        if col < self.nstruct:
+            u[self.urows] = self.inner[self.inrow[col]]
+            return u
+        i = col - self.nstruct
+        k = slice(self.row_ptr[i], self.row_ptr[i + 1])
+        at = self.inrow[self.row_cols[k]]
+        basic = at >= 0
+        u[self.urows] = -(self.row_vals[k][basic] @ self.inner[at[basic]])
+        u[i] = 1.0
+        return u
 
     def _refactor(self) -> None:
         """Invert the basis afresh from the column storage, inverting only the
         bump.  A basic slack e_i covers row i, so the basis is nonsingular
         exactly when the k x k block C[U] of the k basic structural columns
-        C on the k rows U no slack covers is, and only C[U] is inverted.
-        The rest of the inverse is written down: 1 at each slack's own row,
-        ``C[U]^-1`` in the structural positions' U columns,
-        ``-C[S] C[U]^-1`` in the slack positions' U columns (S the covered
-        rows), zero elsewhere.  The all-slack basis has k = 0 and inverts
-        nothing.  The inverse is one m x m array per LP, written in place:
-        the first refactorization finds it zero, each later one clears it.
-        C is stored only as its two row blocks, C[U] then C[S]."""
+        C on the k rows U no slack covers is, and only C[U] is inverted, to
+        ``inner``: its rows follow the structural positions ``spos``, its
+        columns the rows ``urows``.  The all-slack basis has k = 0 and
+        inverts nothing."""
         n, m = self.nstruct, self.m
-        slack = np.flatnonzero(self.basis >= n)  # basis positions of the slacks
-        covered = self.basis[slack] - n
-        struct = np.flatnonzero(self.basis < n)
+        slack = self.basis >= n
+        # per basis position, the row its slack covers (-1 at a structural,
+        # whose entries the solves write over)
+        self.cover = np.where(slack, self.basis - n, -1)
+        spos = np.flatnonzero(~slack)
         bump = np.ones(m, dtype=bool)
-        bump[covered] = False
-        if self.Binv is None:
-            self.Binv = np.zeros((m, m))
-        else:
-            self.Binv.fill(0.0)
-        Binv = self.Binv
-        Binv[slack, covered] = 1.0
-        k = len(struct)
+        bump[self.cover[slack]] = False
+        k = len(spos)
+        # spos and urows are the first k entries of buffers a border appends to
+        self._spos_buf, self._urow_buf = np.empty(m, dtype=int), np.empty(m, dtype=int)
+        self._spos_buf[:k], self._urow_buf[:k] = spos, np.flatnonzero(bump)
+        # each basic structural's row of inner and each bump row's column of
+        # it; -1 for a nonbasic structural and for a covered row
+        self.inrow = np.full(n, -1)
+        self.inrow[self.basis[spos]] = np.arange(k)
+        self.ucol = np.full(m, -1)
+        self.ucol[self._urow_buf[:k]] = np.arange(k)
+        # the entries of C: their rows, values and rows of inner, in buffers
+        # the pivots append to; row a's entries start at cstart[a]
+        at, counts = self._spans(self.ptr, self.col_count, self.basis[spos])
+        self._cbuf = (self.rows[at], self.vals[at], np.arange(k).repeat(counts))
+        self.cstart = (counts.cumsum() - counts).tolist()
+        self._cview(len(at))
+        block = np.zeros((k, k))  # C[U]
         if k:
-            at = np.full(n, -1)
-            at[self.basis[struct]] = np.arange(k)  # each basic structural's column of C
-            e = at[self.cols] >= 0
-            # row i of C is row place[i] of the blocks: U ascending, then S
-            # in the order of the slack positions
-            place = np.empty(m, dtype=int)
-            place[bump] = np.arange(k)
-            place[covered] = np.arange(k, m)
-            blocks = np.zeros((m, k))
-            blocks[place[self.rows[e]], at[self.cols[e]]] = self.vals[e]
+            at = self.ucol[self.crow]
+            e = at >= 0
+            block[at[e], self.cown[e]] = self.cval[e]
             try:
-                inner = np.linalg.inv(blocks[:k])
+                block = np.linalg.inv(block)
             except np.linalg.LinAlgError as exc:
                 raise NumericalInstabilityError("singular basis") from exc
-            Binv[np.ix_(struct, bump)] = inner
-            Binv[np.ix_(slack, bump)] = -(blocks[k:] @ inner)
+        # inner is the top-left k x k corner of _store, which a border grows
+        # 16 at a time, so that a border does not copy inner at every pivot
+        self._store = block
+        self._resize(k)
 
         x = self._nonbasic_values()
         Ax = np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=m) + x[n:]
-        self.xB = Binv @ (self.b - Ax)
+        self.xB = self._solve(self.b - Ax)
         self._since_refactor = 0
         self._price()
 
     def _price(self) -> None:
-        """Duals ``y`` and reduced costs ``d`` of the basis under ``cost``."""
-        self.y = self.cost[self.basis] @ self.Binv
-        self.d = self.cost - self._pivot_row(self.y)
+        """Duals ``y`` and reduced costs ``d`` of the basis under ``cost``:
+        ``y`` is each slack's cost on the row it covers and, on U, the
+        structural costs less ``C[S]^T y[S]``, times ``inner``."""
+        cost_b = self.cost[self.basis]
+        y = np.zeros(self.m)
+        slack = self.cover >= 0
+        y[self.cover[slack]] = cost_b[slack]
+        t = cost_b[self.spos] - np.bincount(self.cown, weights=self.cval * y[self.crow], minlength=len(self.spos))
+        y[self.urows] = t @ self.inner
+        self.y = y
+        self.d = self.cost - self._pivot_row(y)
 
     def _count(self) -> None:
         """Book a pivot or bound flip; refactorize every ``_REFACTOR_EVERY``."""
@@ -354,33 +407,121 @@ class _Simplex:
         r = int(cand[np.argmin(self.basis[cand])])
         return max(rmin, 0.0), r
 
-    def _apply_pivot(self, j, step, r, w, leave_status) -> None:
+    def _apply_pivot(self, j, step, r, w, leave_status, rho=None) -> None:
         """Column ``j`` moves by ``step`` and replaces the variable basic in
-        row ``r``, which leaves with ``leave_status``."""
+        row ``r``, which leaves with ``leave_status``.  ``rho`` is row ``r``
+        of ``B^-1`` when the caller has it; the update needs it when a slack
+        leaves, and computes it then if not given."""
+        wr = w[r]
+        if abs(wr) < _PIVOT_FLOOR:
+            raise NumericalInstabilityError(f"pivot magnitude {abs(wr):.3e} below 1e-10")
+        leaving = self.basis[r]
+        if rho is None and leaving >= self.nstruct:
+            rho = self._inverse_row(r)
         s = self.status[j]
         enter_val = (self.up[j] if s == _AT_UP else self.lo[j] if s == _AT_LO else 0.0) + step
         self.xB -= step * w
-        self._set_status(self.basis[r], leave_status)
+        self._set_status(leaving, leave_status)
         self._set_status(j, _BASIC)
         self.basis[r] = j
         self.lo_b[r], self.up_b[r] = self.lo[j], self.up[j]
         self.xB[r] = enter_val
+        self._update_inverse(j, leaving, r, w, rho)
 
-        wr = w[r]
-        if abs(wr) < _PIVOT_FLOOR:
-            raise NumericalInstabilityError(f"pivot magnitude {abs(wr):.3e} below 1e-10")
-        self.Binv[r] /= wr
-        # only the rows where the entering column is nonzero change; the
-        # rest would subtract zeros.  They change a block of rows at a time,
-        # so the temporaries stay within _BLOCK_BYTES (or one row) whatever
-        # the number of rows touched
-        touched = w.nonzero()[0]
-        touched = touched[touched != r]
-        pivot_row = self.Binv[r]
-        per_block = max(1, _BLOCK_BYTES // (8 * self.m))
-        for start in range(0, len(touched), per_block):
-            rows = touched[start:start + per_block]
-            self.Binv[rows] -= w[rows, None] * pivot_row
+    def _update_inverse(self, j, leaving, r, w, rho) -> None:
+        """Carry ``inner`` across the pivot that put ``j`` in position ``r``
+        in place of ``leaving``, in O(k^2).  Row ``r`` of the inverse becomes
+        ``rho / w[r]`` and every other row q loses ``w[q]`` times it; on the
+        entries ``inner`` holds that is one rule per case.  Only the rows of
+        ``inner`` where ``w`` is nonzero change; the rest would subtract
+        zeros.  A leaving structural's entries stay in C's arrays as zeros
+        until the next refactorization."""
+        n, k, wr = self.nstruct, len(self.spos), w[r]
+        ws = w[self.spos]
+        touched = ws.nonzero()[0]
+        if leaving < n:
+            a = self.inrow[leaving]
+            self.inrow[leaving] = -1
+            # row 0 owns the zeros, since any k >= 1 has it
+            dead = slice(self.cstart[a], self.cstart[a] + self.col_count[leaving])
+            self.cval[dead], self.cown[dead] = 0.0, 0
+        if j < n and leaving < n:
+            # a structural replaces a structural: Sherman-Morrison on row a
+            row = self.inner[a] / wr
+            self.inner[touched] -= ws[touched, None] * row
+            self.inner[a] = row
+            self._add_column(j, a)
+        elif j < n:
+            # a structural replaces the slack of row i: i joins U as column k,
+            # and position r's row k is the pivot row, 1 / w[r] at i (a border)
+            i = leaving - n
+            if k == len(self._store):
+                store = np.empty((min(self.m, k + 16),) * 2)
+                store[:k, :k] = self.inner
+                self._store = store
+            self._spos_buf[k], self._urow_buf[k] = r, i
+            self.ucol[i], self.cover[r] = k, -1
+            self._resize(k + 1)
+            row = rho[self.urows[:k]] / wr
+            self.inner[touched, :k] -= ws[touched, None] * row
+            self.inner[:k, k] = ws / -wr
+            self.inner[k, :k] = row
+            self.inner[k, k] = 1.0 / wr
+            self._add_column(j, k)
+        elif leaving < n:
+            # the slack of bump row i replaces a structural: inner loses row
+            # a and i's column c, whose entries the update makes zero (a shrink)
+            i = j - n
+            keep_row, keep_col = np.arange(k) != a, np.arange(k) != self.ucol[i]
+            inner = self.inner
+            self._store = inner[np.ix_(keep_row, keep_col)] - np.outer(ws[keep_row], inner[a, keep_col] / wr)
+            self._spos_buf[:k - 1], self._urow_buf[:k - 1] = self.spos[keep_row], self.urows[keep_col]
+            self._resize(k - 1)
+            self.inrow[self.basis[self.spos]] = np.arange(k - 1)
+            self.ucol[i] = -1
+            self.ucol[self.urows] = np.arange(k - 1)
+            self.cover[r] = i
+            del self.cstart[a]
+            if k == 1:
+                self._cview(0)  # every entry left was a's
+            else:
+                self.cown -= self.cown > a
+        else:
+            # the slack of bump row i replaces the slack of row i': i' takes
+            # i's column c of inner, 1 / w[r] in the pivot row
+            i, c = j - n, self.ucol[j - n]
+            self.inner[touched] -= ws[touched, None] * (rho[self.urows] / wr)
+            self.inner[:, c] = ws / -wr
+            self._urow_buf[c] = leaving - n
+            self.ucol[leaving - n], self.ucol[i], self.cover[r] = c, -1, i
+
+    def _resize(self, k: int) -> None:
+        """Read ``inner``, ``spos`` and ``urows`` as the first k of their
+        buffers."""
+        self.inner = self._store[:k, :k]
+        self.spos, self.urows = self._spos_buf[:k], self._urow_buf[:k]
+
+    def _cview(self, end: int) -> None:
+        """Read C's entries as the first ``end`` of each buffer."""
+        crow, cval, cown = self._cbuf
+        self.crow, self.cval, self.cown = crow[:end], cval[:end], cown[:end]
+
+    def _add_column(self, j: int, a: int) -> None:
+        """Append structural ``j``'s entries to C's arrays as row ``a`` of
+        ``inner``; a full buffer doubles."""
+        e = slice(self.ptr[j], self.ptr[j + 1])
+        start = len(self.crow)
+        end = start + e.stop - e.start
+        if end > len(self._cbuf[0]):
+            self._cbuf = tuple(np.concatenate([buf[:start], np.zeros(2 * end, buf.dtype)]) for buf in self._cbuf)
+        crow, cval, cown = self._cbuf
+        crow[start:end], cval[start:end], cown[start:end] = self.rows[e], self.vals[e], a
+        if a == len(self.cstart):
+            self.cstart.append(start)
+        else:
+            self.cstart[a] = start
+        self._cview(end)
+        self.inrow[j] = a
 
     # -- main loops -----------------------------------------------------------
 
@@ -444,7 +585,8 @@ class _Simplex:
                 return True
             r = int(np.argmax(violation))
             rise = below[r] > 0.0  # the leaving variable climbs to its lower bound
-            alpha = self._pivot_row(self.Binv[r])
+            rho = self._inverse_row(r)
+            alpha = self._pivot_row(rho)
             # raising x_j moves x_B[r] toward its violated bound where the
             # signed row (alpha if rise else -alpha) is negative
             eligible = self._wrong_sign(alpha if rise else -alpha).nonzero()[0]
@@ -457,7 +599,7 @@ class _Simplex:
             j = int(cand[np.abs(alpha[cand]).argmax()])
             w = self._column(j)
             target = self.lo_b[r] if rise else self.up_b[r]
-            self._apply_pivot(j, (self.xB[r] - target) / w[r], r, w, _AT_LO if rise else _AT_UP)
+            self._apply_pivot(j, (self.xB[r] - target) / w[r], r, w, _AT_LO if rise else _AT_UP, rho)
             self.d -= (self.d[j] / alpha[j]) * alpha
             self._count()
 

@@ -1,3 +1,5 @@
+import collections
+import copy
 import math
 import random
 import tracemalloc
@@ -165,7 +167,7 @@ class TestPeriodicRefactorization:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_long_dr_relaxation_matches_highs(self, seed, monkeypatch):
         # dr-SAGHP relaxations of seeded 24-flight, 16-slot instances take
-        # 115-180 pivots, so the basis inverse is rebuilt mid-solve
+        # 112-173 pivots, so the bump inverse is rebuilt mid-solve
         rebuilt_after = []
         refactor = simplex._Simplex._refactor
 
@@ -421,8 +423,8 @@ class TestCertificateMatchesBasis:
         assert optimal == 27
 
     def test_dr_root_lp(self):
-        # over 100 pivots, so the basis inverse is updated in product form
-        # between refactorizations before the answer is given
+        # over 100 pivots (112), so the bump inverse is updated between
+        # refactorizations before the answer is given
         inst = gh.synth_instance(gh.SynthParams(num_flights=24, horizon=16), 1)
         empirical = inst.capacities["AP0"]
         amb = gh.AmbiguitySpec(empirical, 0.5, gh.default_support_grid(empirical))
@@ -638,8 +640,9 @@ class TestInversion:
     def test_bump_inverse_matches_the_full_inverse(self, seed, monkeypatch):
         # an optimal basis of slacks and structurals, loaded again with its
         # columns in a random order: only the k x k bump of the k basic
-        # structurals is inverted, and the inverse assembled around it is
-        # that of the explicit basis matrix
+        # structurals is inverted, and B^-1 and B^-T applied through it to
+        # each unit vector give the columns and rows of the inverse of the
+        # explicit basis matrix, and the duals its costs times that inverse
         rng = random.Random(9700 + seed)
         c, rows, bounds = sparse_lp(rng, rng.randint(60, 120), rng.uniform(0.03, 0.06))
         a = lp_model(c, rows, bounds).to_arrays()
@@ -655,28 +658,61 @@ class TestInversion:
         lp = simplex._Simplex(a, a.lower, a.upper)
         lp._load((cols, status))
         assert inverted == [(k, k)]
-        assert np.abs(lp.Binv - expected).max() <= 1e-9
+        assert lp.inner.shape == (k, k)
+        unit = np.eye(m)
+        assert np.abs(np.column_stack([lp._solve(e) for e in unit]) - expected).max() <= 1e-9
+        assert np.abs(np.vstack([lp._inverse_row(r) for r in range(m)]) - expected).max() <= 1e-9
+        c_ext = np.concatenate([a.c, np.zeros(m)])
+        assert np.abs(lp.y - c_ext[cols] @ expected).max() <= 1e-9
 
-    def test_refactorization_writes_the_inverse_in_place(self):
-        # the optimal basis of the dr root (m = 221, k = 51), factorized
-        # again: the inverse is rewritten in its own array, to the same bits,
-        # and no temporary as large as an m x m array is allocated
+    def test_refactorization_allocates_no_full_width_array(self):
+        # the optimal basis of the dr root (m = 221, k = 51, 2,211 entries),
+        # factorized again: one refactorization allocates at its peak no
+        # more than C[U] and its inverse (k x k each) and six entry-long
+        # temporaries of the column and row gathers, 147,744 bytes.  It
+        # reaches about 97,000, so one m x k array more (90,168 bytes) would
+        # break the bound, and an m x m inverse (390,728) far more
         a = _dr_root_20x16().to_arrays()
         sol = simplex.solve_lp_arrays(a, a.lower, a.upper)
-        m = len(a.b)
-        assert (m, int((sol.basis[0] < len(a.c)).sum())) == (221, 51)
+        m, k = len(a.b), int((sol.basis[0] < len(a.c)).sum())
+        assert (m, k) == (221, 51)
         lp = simplex._Simplex(a, a.lower, a.upper)
         lp._load(sol.basis)
-        Binv, before = lp.Binv, lp.Binv.copy()
         tracemalloc.start()
         try:
             lp._refactor()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert lp.Binv is Binv
-        assert np.array_equal(Binv, before)
-        assert peak < 8 * m * m
+        assert lp.inner.shape == (k, k)
+        assert peak < 8 * (2 * k * k + 6 * len(a.vals))
+
+    def test_each_update_matches_a_fresh_refactorization(self, monkeypatch):
+        # after every pivot of the random LPs and the dr root, the updated
+        # bump inverse equals (rows and columns matched by position and
+        # row) the one a refactorization of the new basis computes; each of
+        # the four update rules is taken
+        cases = collections.Counter()
+        update = simplex._Simplex._update_inverse
+
+        def spy(self, j, leaving, r, w, rho):
+            update(self, j, leaving, r, w, rho)
+            n = self.nstruct
+            cases[(j < n, leaving < n)] += 1
+            fresh = copy.copy(self)
+            fresh._refactor()
+            assert np.array_equal(np.sort(self.spos), fresh.spos)
+            assert np.array_equal(np.sort(self.urows), fresh.urows)
+            carried = self.inner[np.argsort(self.spos)][:, np.argsort(self.urows)]
+            assert np.abs(carried - fresh.inner).max(initial=0.0) <= 1e-9
+
+        monkeypatch.setattr(simplex._Simplex, "_update_inverse", spy)
+        for seed in range(1000, 1120):
+            gh.solve_lp(lp_model(*_random_lp(random.Random(seed))))
+        gh.solve_lp(_dr_root_20x16())
+        # structural for slack (border), slack for structural (shrink),
+        # structural for structural (Sherman-Morrison), slack for slack
+        assert set(cases) == {(True, False), (False, True), (True, True), (False, False)}
 
     def test_basis_with_two_equal_columns_is_singular(self):
         # x0 and x1 have the same column, so a basis holding both is singular
@@ -774,30 +810,6 @@ class TestEnteringMasks:
         sol = gh.solve_lp(_dr_root_20x16())
         assert sol.status == "optimal"
         assert sol.pivots == len(checks) == 71  # the count before the masks were kept
-
-
-class TestUpdateBlocks:
-    """The rank-1 update of the inverse, applied a block of rows at a time,
-    gives each element the operands and arithmetic of the one-shot update,
-    so the block size changes no bit of any answer."""
-
-    @staticmethod
-    def _solves():
-        models = [lp_model(*_random_lp(random.Random(seed))) for seed in range(1000, 1120)]
-        return [gh.solve_lp(model) for model in [*models, _dr_root_20x16()]]
-
-    def test_one_row_blocks_change_no_bit(self, monkeypatch):
-        default = self._solves()
-        monkeypatch.setattr(simplex, "_BLOCK_BYTES", 1)  # one row a block
-        for got, want in zip(self._solves(), default, strict=True):
-            assert (got.status, got.pivots) == (want.status, want.pivots)
-            # each field is None on both sides unless the solve is optimal
-            for field in ("values", "dual_values", "reduced_costs"):
-                assert np.array_equal(getattr(got, field), getattr(want, field))
-            assert (got.basis is None) == (want.basis is None)
-            if want.basis is not None:
-                assert np.array_equal(got.basis[0], want.basis[0])
-                assert np.array_equal(got.basis[1], want.basis[1])
 
 
 class TestBoundsLength:

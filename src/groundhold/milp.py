@@ -2,14 +2,20 @@
 
 Every model builder targets this IR; the solver consumes it and the MPS
 exporter serializes it for cross-checking against external solvers.  Models
-are minimizations only.  A column is its int index: ``add_variable`` returns
-it, and constraint terms name columns by it.  A column's objective cost is
-given when it is added, one cost per column.  Variable and row names
-(``x[f,t]``, ``y[xi,t]``, ``alpha``, ``beta[s]``) are for people and the MPS
-comment block; what a column means lives in the index a model builder
-attaches at ``freeze``, and code that interprets a solution reads that
-index, never a name.  Adding a variable or row checks nothing: ``freeze``
-checks the whole model once, on its arrays.
+are minimizations only.  A column is its int index: ``add_columns`` and
+``add_variable`` return them, and row entries name columns by it.  A
+column's objective cost is given when it is added, one cost per column.
+A model is built as blocks of numpy arrays, in the manner of a matrix
+generator: ``add_columns`` appends columns of one kind with their bounds
+and costs, ``add_rows`` rows of one sense as (row, column, value)
+triplets with their right-hand sides, and the one-at-a-time ``add_*``
+methods append a block of one.  ``freeze`` checks the whole model once,
+concatenates the blocks into the arrays the solver reads, and drops them;
+adding checks only that each entry of a row block lies in one of its rows.
+Variable and row names (``x[f,t]``, ``y[xi,t]``, ``alpha``, ``beta[s]``)
+are for people and the MPS comment block; what a column means lives in the
+index a model builder attaches at ``freeze``, and code that interprets a
+solution reads that index, never a name.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ SENSE_LE = "<="
 SENSE_EQ = "="
 SENSE_GE = ">="
 _SENSE_CODES = {SENSE_LE: -1, SENSE_EQ: 0, SENSE_GE: 1}
+_SENSE_NAMES = {code: sense for sense, code in _SENSE_CODES.items()}
 _KIND_CODES = {CONTINUOUS: 0, BINARY: 1}
 _UNKNOWN = 2  # the code of a sense or kind that is neither
 
@@ -113,18 +120,50 @@ class ModelArrays(NamedTuple):
         return A
 
 
+class _ColumnBlock(NamedTuple):
+    """Columns appended together: one lower bound, upper bound and cost per
+    column, and one kind for all."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+    kind: str
+    cost: np.ndarray
+
+
+class _RowBlock(NamedTuple):
+    """Rows appended together: entry k is ``val[k]`` in column ``col[k]`` of
+    model row ``row[k]`` (rows ascending, a row's entries in the order given),
+    with one right-hand side per row and one sense for all."""
+
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    sense: str
+    rhs: np.ndarray
+
+
 class MilpModel:
     """Mutable while building; frozen before hand-off to the solver.
 
+    While building, a model is a list of column blocks and a list of row
+    blocks, each a few numpy arrays, and a list of names for each.
+    ``add_columns`` and ``add_rows`` append a block; ``add_variable``,
+    ``add_binary``, ``add_continuous`` and ``add_row`` append a block of
+    one.  ``freeze`` checks the model, concatenates the blocks into its
+    arrays, once, and drops them; the names stay.  ``variables`` and
+    ``constraints`` are derived on each access, from the blocks while
+    building and from the arrays once frozen, where a row's terms are its
+    stored entries, columns ascending and exact zeros dropped.
+
     Building is single-owner and not thread safe; a frozen model is immutable
-    and may be shared across threads.  ``freeze`` checks the model and builds
-    its arrays, once; the ``add_*`` methods only record what they are given.
+    and may be shared across threads.
     """
 
     def __init__(self) -> None:
-        self._variables: list[VariableDef] = []
-        self._constraints: list[LinearConstraint] = []
-        self._costs: list[float] = []  # one per column, while building; then arrays.c
+        self._col_blocks: list[_ColumnBlock] = []  # while building; then the arrays
+        self._row_blocks: list[_RowBlock] = []
+        self._col_names: list[str] = []
+        self._row_names: list[str] = []
         self._offset = 0.0  # while building; then arrays.offset
         self._index: ModelIndex | None = None
         self._arrays: ModelArrays | None = None  # built by freeze; None while mutable
@@ -135,27 +174,56 @@ class MilpModel:
         if self._arrays is not None:
             raise ModelError("model is frozen")
 
+    def add_columns(self, names: Sequence[str], lower=0.0, upper=math.inf, kind: str = CONTINUOUS,
+                    cost=0.0) -> range:
+        """Append one column of kind ``kind`` per name and return their
+        indices; ``lower``, ``upper`` and ``cost`` are each one value for
+        every column or one per column."""
+        self._check_mutable()
+        k, start = len(names), len(self._col_names)
+        self._col_blocks.append(_ColumnBlock(_floats(lower, k), _floats(upper, k), kind, _floats(cost, k)))
+        self._col_names.extend(names)
+        return range(start, start + k)
+
     def add_variable(self, defn: VariableDef, cost: float = 0.0) -> int:
         """Append a column whose objective coefficient is ``cost`` and
         return its index."""
-        self._check_mutable()
-        self._variables.append(defn)
-        self._costs.append(cost)
-        return len(self._variables) - 1
+        return self.add_columns([defn.name], defn.lower, defn.upper, defn.kind, cost).start
 
     def add_binary(self, name: str, cost: float = 0.0) -> int:
-        return self.add_variable(VariableDef(0.0, 1.0, BINARY, name), cost)
+        return self.add_columns([name], 0.0, 1.0, BINARY, cost).start
 
     def add_continuous(self, name: str, lower: float = 0.0, upper: float = math.inf,
                        cost: float = 0.0) -> int:
-        return self.add_variable(VariableDef(lower, upper, CONTINUOUS, name), cost)
+        return self.add_columns([name], lower, upper, CONTINUOUS, cost).start
+
+    def add_rows(self, names: Sequence[str], row, col, val, sense: str, rhs) -> range:
+        """Append one row of sense ``sense`` per name and return their
+        indices.  Entry k is ``val[k]`` in column ``col[k]`` of the block's
+        row ``row[k]``, numbered from 0 within the block; the entries may
+        come in any row order, and a row's entries keep the order given.
+        ``val`` is one value for every entry or one per entry, ``rhs`` one
+        for every row or one per row.  A ``row`` outside the block raises
+        ``ModelError`` here; every other check waits for ``freeze``."""
+        self._check_mutable()
+        k, start = len(names), len(self._row_names)
+        row, col = np.asarray(row, dtype=np.intp), np.asarray(col)
+        if row.shape != col.shape or row.ndim != 1 or row.size and not 0 <= row.min() <= row.max() < k:
+            raise ModelError(f"a block of {k} rows needs one row in [0, {k}) per entry")
+        if not col.size:
+            col = col.astype(np.intp)  # an empty list is read as floats
+        order = np.argsort(row, kind="stable")
+        self._row_blocks.append(
+            _RowBlock(row[order] + start, col[order], _floats(val, len(col))[order], sense, _floats(rhs, k)))
+        self._row_names.extend(names)
+        return range(start, start + k)
 
     def add_row(self, terms: Iterable[tuple[int, float]], sense: str, rhs: float, name: str = "") -> int:
         """Append the row ``sum(coef * x[j] for j, coef in terms) sense rhs``
         and return its index."""
-        self._check_mutable()
-        self._constraints.append(LinearConstraint(tuple(terms), sense, rhs, name))
-        return len(self._constraints) - 1
+        terms = list(terms)
+        return self.add_rows([name], [0] * len(terms), [j for j, _ in terms], [v for _, v in terms],
+                             sense, rhs).start
 
     def add_objective_offset(self, value: float) -> None:
         self._check_mutable()
@@ -167,6 +235,7 @@ class MilpModel:
         fails a check raises and stays unfrozen."""
         if self._arrays is None:
             self._index, self._arrays = index, self._build_arrays()
+            self._col_blocks, self._row_blocks = [], []
         return self
 
     # -- inspection ----------------------------------------------------------
@@ -181,19 +250,41 @@ class MilpModel:
 
     @property
     def variables(self) -> tuple[VariableDef, ...]:
-        return tuple(self._variables)
+        """Each column's bounds, kind and name, derived on each access."""
+        if self._arrays is None:
+            blocks = self._col_blocks
+            lower, upper = _cat(blocks, "lower", float), _cat(blocks, "upper", float)
+            kinds = [b.kind for b in blocks for _ in range(len(b.cost))]
+        else:
+            a = self._arrays
+            lower, upper = a.lower, a.upper
+            kinds = [BINARY if binary else CONTINUOUS for binary in a.is_binary.tolist()]
+        return tuple(map(VariableDef, lower.tolist(), upper.tolist(), kinds, self._col_names))
 
     @property
     def constraints(self) -> tuple[LinearConstraint, ...]:
-        return tuple(self._constraints)
+        """Each row's terms, sense, right-hand side and name, derived on each
+        access."""
+        if self._arrays is None:
+            blocks = self._row_blocks
+            cols, vals, rhs = _cat(blocks, "col", np.intp), _cat(blocks, "val", float), _cat(blocks, "rhs", float)
+            ptr = np.searchsorted(_cat(blocks, "row", np.intp), np.arange(len(rhs) + 1))
+            senses = [b.sense for b in blocks for _ in range(len(b.rhs))]
+        else:
+            a = self._arrays
+            ptr, cols, vals, rhs = a.row_ptr, a.row_cols, a.row_vals, a.b
+            senses = [_SENSE_NAMES[code] for code in a.senses.tolist()]
+        ptr, cols, vals = ptr.tolist(), cols.tolist(), vals.tolist()
+        return tuple(LinearConstraint(tuple(zip(cols[s:e], vals[s:e])), sense, b, name)
+                     for s, e, sense, b, name in zip(ptr, ptr[1:], senses, rhs.tolist(), self._row_names))
 
     @property
     def num_variables(self) -> int:
-        return len(self._variables)
+        return len(self._col_names)
 
     @property
     def num_constraints(self) -> int:
-        return len(self._constraints)
+        return len(self._row_names)
 
     @property
     def objective_offset(self) -> float:
@@ -206,19 +297,19 @@ class MilpModel:
         """A frozen sibling whose objective coefficient of column ``j`` is
         ``costs[j]``; every other coefficient is this model's.
 
-        The sibling shares this model's variables, constraints and index,
-        and its arrays share every array of this model's but ``c``.  This
-        model is not changed.
+        The sibling shares this model's names and index, and its arrays
+        share every array of this model's but ``c``.  This model is not
+        changed.
         """
         if self._arrays is None:
             raise ModelError("only a frozen model can be repriced")
         cols, vals = np.array(list(costs)), np.array(list(costs.values()), dtype=float)
-        _raise_first(_term_checks(cols, vals, len(self._variables), lambda k: "repricing"))
+        _raise_first(_term_checks(cols, vals, self.num_variables, lambda k: "repricing"))
         c = self._arrays.c.copy()
         c[cols.astype(np.intp)] = vals + 0.0  # -0.0 as 0.0, as freeze stores it
         c.flags.writeable = False
         sibling = MilpModel()
-        sibling._variables, sibling._constraints = self._variables, self._constraints
+        sibling._col_names, sibling._row_names = self._col_names, self._row_names
         sibling._index, sibling._arrays = self._index, self._arrays._replace(c=c)
         return sibling
 
@@ -230,24 +321,21 @@ class MilpModel:
         return self._arrays
 
     def _build_arrays(self) -> ModelArrays:
-        variables, cons = self._variables, self._constraints
-        rows = np.repeat(np.arange(len(cons)), [len(con.terms) for con in cons])
-        cols = np.array([j for con in cons for j, _ in con.terms])
-        vals = np.array([coef for con in cons for _, coef in con.terms], dtype=float)
-        senses = np.array([_SENSE_CODES.get(con.sense, _UNKNOWN) for con in cons], dtype=np.int8)
-        b = np.array([con.rhs for con in cons], dtype=float)
-        kinds = np.array([_KIND_CODES.get(d.kind, _UNKNOWN) for d in variables], dtype=np.int8)
-        lower = np.array([d.lower for d in variables], dtype=float)
-        upper = np.array([d.upper for d in variables], dtype=float)
-        c = np.array(self._costs, dtype=float) + 0.0  # -0.0 as 0.0
+        rblocks, cblocks = self._row_blocks, self._col_blocks
+        m, n = self.num_constraints, self.num_variables
+        rows, cols, vals = _cat(rblocks, "row", np.intp), _cat(rblocks, "col", np.intp), _cat(rblocks, "val", float)
+        senses, b = _codes(rblocks, "sense", "rhs", _SENSE_CODES), _cat(rblocks, "rhs", float)
+        kinds = _codes(cblocks, "kind", "cost", _KIND_CODES)
+        lower, upper = _cat(cblocks, "lower", float), _cat(cblocks, "upper", float)
+        c = _cat(cblocks, "cost", float) + 0.0  # -0.0 as 0.0
         order = self._check(rows, cols, vals, senses, b, kinds, lower, upper, c)
         # no two entries share a (row, column), so dropping exact zeros loses nothing
         order = order[vals[order] != 0.0]
         rows, cols, vals = rows[order], cols[order].astype(np.intp, copy=False), vals[order]
-        ptr = np.searchsorted(cols, np.arange(len(variables) + 1))
+        ptr = np.searchsorted(cols, np.arange(n + 1))
         # a stable sort by row keeps the columns ascending within each row
         by_row = np.argsort(rows, kind="stable")
-        row_ptr = np.searchsorted(rows[by_row], np.arange(len(cons) + 1))
+        row_ptr = np.searchsorted(rows[by_row], np.arange(m + 1))
         row_cols, row_vals = cols[by_row], vals[by_row]
         is_binary = kinds == _KIND_CODES[BINARY]
         for array in (c, senses, b, lower, upper, is_binary, ptr, rows, cols, vals, row_ptr, row_cols, row_vals):
@@ -261,18 +349,19 @@ class MilpModel:
         offending row, column or term, or ``TypeError`` for a column that is
         not an int.  Returns the row terms' stable order by column, in which
         rows ascend within each column."""
-        cons, variables, n = self._constraints, self._variables, len(self._variables)
-        row_checks = _term_checks(cols, vals, n, lambda k: f"constraint {cons[rows[k]].name!r}")
+        rblocks, cblocks, names, n = self._row_blocks, self._col_blocks, self._row_names, self.num_variables
+        row_checks = _term_checks(cols, vals, n, lambda k: f"constraint {names[rows[k]]!r}")
         order = np.argsort(cols, kind="stable")
         by_col, by_row = cols[order], rows[order]
         _raise_first([
             *row_checks,
-            (senses == _UNKNOWN, lambda i: f"unknown constraint sense {cons[i].sense!r}"),
-            (~np.isfinite(b), lambda i: f"constraint rhs must be finite, got {cons[i].rhs}"),
+            (senses == _UNKNOWN, lambda i: f"unknown constraint sense {_given(rblocks, 'sense', 'rhs', i)!r}"),
+            (~np.isfinite(b), lambda i: f"constraint rhs must be finite, got {b[i]}"),
             # a repeated (row, column) pair is adjacent in column order
             ((by_col[1:] == by_col[:-1]) & (by_row[1:] == by_row[:-1]),
-             lambda k: f"duplicate variable #{by_col[k]} in constraint {cons[by_row[k]].name!r}"),
-            (kinds == _UNKNOWN, lambda j: f"variable #{j}: unknown variable kind {variables[j].kind!r}"),
+             lambda k: f"duplicate variable #{by_col[k]} in constraint {names[by_row[k]]!r}"),
+            (kinds == _UNKNOWN,
+             lambda j: f"variable #{j}: unknown variable kind {_given(cblocks, 'kind', 'cost', j)!r}"),
             (np.isnan(lower) | np.isnan(upper), lambda j: f"variable #{j}: variable bounds must not be NaN"),
             (lower > upper,
              lambda j: f"variable #{j}: lower bound {lower[j]} exceeds upper bound {upper[j]}"),
@@ -283,6 +372,33 @@ class MilpModel:
              lambda _: f"objective offset must be finite, got {self._offset}"),
         ])
         return order
+
+
+def _floats(value, k: int) -> np.ndarray:
+    """``value``, one number or ``k``, as a new array of ``k`` floats."""
+    out = np.empty(k)
+    out[...] = value
+    return out
+
+
+def _cat(blocks: list, field: str, dtype) -> np.ndarray:
+    """The ``field`` arrays of ``blocks`` end to end; no blocks give an empty
+    array of ``dtype``."""
+    return np.concatenate([getattr(b, field) for b in blocks]) if blocks else np.empty(0, dtype)
+
+
+def _codes(blocks: list, field: str, size: str, codes: dict) -> np.ndarray:
+    """Each block's ``field`` by ``codes`` (``_UNKNOWN`` if not there), once
+    per entry of its ``size`` array, as int8."""
+    return np.repeat(np.array([codes.get(getattr(b, field), _UNKNOWN) for b in blocks], dtype=np.int8),
+                     np.array([len(getattr(b, size)) for b in blocks], dtype=np.intp))
+
+
+def _given(blocks: list, field: str, size: str, i: int):
+    """The ``field`` of the block holding entry ``i`` of the ``size`` arrays
+    of ``blocks`` end to end."""
+    ends = np.cumsum([len(getattr(b, size)) for b in blocks])
+    return getattr(blocks[int(np.searchsorted(ends, i, side="right"))], field)
 
 
 def _term_checks(cols: np.ndarray, vals: np.ndarray, n: int, owner) -> list:
@@ -393,8 +509,8 @@ def _mps_pairs(lines: list[str], name: str, entries: list[tuple[str, float]]) ->
 def export_mps(model: MilpModel) -> str:
     """Serialize a frozen model as fixed-format MPS text.
 
-    The numbers come from the model's arrays, the names from its variables
-    and constraints.
+    The numbers come from the model's arrays, the names from its column and
+    row names.
     """
     a = model.to_arrays()
     n = len(a.c)
@@ -404,12 +520,8 @@ def export_mps(model: MilpModel) -> str:
     lines: list[str] = []
     lines.append("* fixed-format MPS (fields at columns 2/5/15/25/40/50)")
     lines.append("* objective constant is the negated RHS of the OBJ row")
-    for j, d in enumerate(model.variables):
-        if d.name:
-            lines.append(f"* {cols[j]} = {d.name}")
-    for i, con in enumerate(model.constraints):
-        if con.name:
-            lines.append(f"* {rows[i]} = {con.name}")
+    for labels, names in ((cols, model._col_names), (rows, model._row_names)):
+        lines.extend(f"* {label} = {name}" for label, name in zip(labels, names) if name)
     lines.append(_mps_line("NAME", "", "GROUNDHL"))
 
     lines.append("ROWS")

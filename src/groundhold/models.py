@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .domain import (
     AmbiguitySpec,
     CapacityDistribution,
@@ -34,7 +36,7 @@ from .domain import (
     Violation,
     validate_schedule,
 )
-from .milp import SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel, Solution
+from .milp import BINARY, SENSE_EQ, SENSE_GE, SENSE_LE, MilpModel, Solution
 
 __all__ = [
     "ModelIndex",
@@ -97,64 +99,99 @@ def _require_valid(schedule: FlightSchedule) -> None:
         raise ValueError("invalid schedule: " + "; ".join(str(v) for v in violations))
 
 
+def _ranges(starts, counts) -> np.ndarray:
+    """``starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1`` for each
+    ``i`` in turn, as one array."""
+    starts, counts = np.asarray(starts, dtype=np.intp), np.asarray(counts, dtype=np.intp)
+    ends = counts.cumsum()
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts + counts - ends, counts)
+
+
 def _first_stage(schedule: FlightSchedule) -> tuple[MilpModel, ModelIndex]:
-    """New model holding the binaries ``x[f,t]`` and the ground-delay cost."""
+    """New model holding the binaries ``x[f,t]`` and the ground-delay cost,
+    as one block, flight by flight, so each flight's columns are consecutive."""
     _require_valid(schedule)
     model, index = MilpModel(), ModelIndex({})
+    keys = [(f.id, t) for f in schedule.flights for t in schedule.available_slots(f)]
+    costs = [f.ground_cost * t for f in schedule.flights for t in schedule.available_slots(f)]
+    index.x.update(zip(keys, model.add_columns([f"x[{fid},{t}]" for fid, t in keys], 0.0, 1.0, BINARY, costs)))
     for f in schedule.flights:
-        for t in schedule.available_slots(f):
-            index.x[f.id, t] = model.add_binary(f"x[{f.id},{t}]", f.ground_cost * t)
         model.add_objective_offset(-f.ground_cost * f.scheduled_arrival)
     return model, index
 
 
+def _x_terms(schedule: FlightSchedule, index: ModelIndex, flights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The slot and column of every ``x[f,t]`` of ``flights``, flight by
+    flight and slots ascending, and how many each flight has."""
+    release = [f.scheduled_arrival for f in flights]
+    counts = schedule.horizon.num_slots + 1 - np.array(release, dtype=np.intp)
+    first = [index.x[f.id, f.scheduled_arrival] for f in flights]
+    return _ranges(release, counts), _ranges(first, counts), counts
+
+
 def _finish(model: MilpModel, schedule: FlightSchedule, index: ModelIndex) -> MilpModel:
     """One-slot-per-flight and connection rows, then freeze with ``index``."""
-    for f in schedule.flights:
-        terms = [(index.x[f.id, t], 1.0) for t in schedule.available_slots(f)]
-        model.add_row(terms, SENSE_EQ, 1.0, name=f"assign[{f.id}]")
+    flights = schedule.flights
+    _, columns, counts = _x_terms(schedule, index, flights)
+    model.add_rows([f"assign[{f.id}]" for f in flights], np.repeat(np.arange(len(flights)), counts), columns,
+                   1.0, SENSE_EQ, 1.0)
     _add_coupling_rows(model, schedule, index)
     return model.freeze(index)
 
 
 def _add_coupling_rows(model: MilpModel, schedule: FlightSchedule, index: ModelIndex) -> None:
     # f2 landed by t => f1 landed by t + d, with d = r1 - r2 + slack, for
-    # every slot t of f2; rows with t + d >= T are implied by assign[f1]
+    # every slot t of f2; rows with t + d >= T are implied by assign[f1].
+    # One block, connection by connection: the row of slot t = r2 + q holds
+    # the q + 1 columns x[f2, r2..t] at +1, then the q + 1 + slack columns
+    # x[f1, r1..t+d] at -1
     T = schedule.horizon.num_slots
     by_id, x = schedule.flight_by_id, index.x
+    names, counts, first2, first1, slack = [], [], [], [], []
     for c in schedule.connections:
         f1 = by_id[c.predecessor]
         f2 = by_id[c.successor]
-        d = f1.scheduled_arrival - f2.scheduled_arrival + c.slack
-        for t in range(f2.scheduled_arrival, min(T + 1, T - d)):
-            terms = [(x[f2.id, u], 1.0) for u in range(f2.scheduled_arrival, t + 1)]
-            terms += [(x[f1.id, u], -1.0) for u in range(f1.scheduled_arrival, t + d + 1)]
-            model.add_row(terms, SENSE_LE, 0.0, name=f"couple[{f1.id},{f2.id},{t}]")
+        slots = range(f2.scheduled_arrival, min(T + 1, T - (f1.scheduled_arrival - f2.scheduled_arrival + c.slack)))
+        names += [f"couple[{f1.id},{f2.id},{t}]" for t in slots]
+        counts.append(len(slots))
+        first2.append(x[f2.id, f2.scheduled_arrival])
+        first1.append(x[f1.id, f1.scheduled_arrival])
+        slack.append(c.slack)
+    rows, counts = np.arange(len(names)), np.array(counts, dtype=np.intp)
+    n2 = _ranges(np.ones(len(counts)), counts)
+    n1 = n2 + np.repeat(np.array(slack, dtype=np.intp), counts)
+    model.add_rows(names, np.concatenate([rows.repeat(n2), rows.repeat(n1)]),
+                   np.concatenate([_ranges(np.repeat(first2, counts), n2), _ranges(np.repeat(first1, counts), n1)]),
+                   np.repeat([1.0, -1.0], [n2.sum(), n1.sum()]), SENSE_LE, 0.0)
 
 
-def _arrival_terms(schedule: FlightSchedule, index: ModelIndex,
-                   flights: list) -> list[list[tuple[int, float]]]:
-    """For each slot ``t = 1..T``, the terms ``(x[f,t], 1.0)`` of the
-    ``flights`` that may land at ``t``, in flight order."""
-    return [[(index.x[f.id, t], 1.0) for f in flights if t >= f.scheduled_arrival]
-            for t in schedule.horizon.slots()]
+def _arrival_terms(schedule: FlightSchedule, index: ModelIndex, flights) -> tuple[np.ndarray, np.ndarray]:
+    """The entries ``x[f,t]`` of the ``flights`` that may land at slot
+    ``t``, as (block row ``t - 1``, column) pairs, flight by flight: the
+    left sides of a block of one row per slot ``t = 1..T``."""
+    slots, columns, _ = _x_terms(schedule, index, flights)
+    return slots - 1, columns
 
 
-def _add_queue_block(model: MilpModel, index: ModelIndex, airport: str | None,
-                     arrivals: list[list[tuple[int, float]]], capacity: int, cost: float = 0.0) -> None:
+def _add_queue_block(model: MilpModel, index: ModelIndex, airport: str | None, T: int,
+                     arrivals: tuple[np.ndarray, np.ndarray], capacity: int, cost: float = 0.0) -> None:
     """Airborne-queue recourse rows for one capacity realization.
 
-    ``arrivals_t <= capacity - y_{t-1} + y_t`` with ``y_0 = 0``, whose left
-    side is ``arrivals[t - 1]`` (see ``_arrival_terms``); the queue
-    variables ``y_1..y_T``, each of objective cost ``cost``, go to
-    ``index.queues[airport, capacity]``.
+    ``arrivals_t <= capacity - y_{t-1} + y_t`` with ``y_0 = 0``, for
+    ``t = 1..T``, whose left side is ``arrivals`` (see ``_arrival_terms``);
+    the queue variables ``y_1..y_T``, each of objective cost ``cost``, go
+    to ``index.queues[airport, capacity]``.
     """
     tag = str(capacity) if airport is None else f"{airport},{capacity}"
-    y = tuple(model.add_continuous(f"y[{tag},{t}]", cost=cost) for t in range(1, len(arrivals) + 1))
-    index.queues[airport, capacity] = y
-    for t, arrived in enumerate(arrivals, start=1):
-        terms = arrived + [(y[t - 1], -1.0)] + ([(y[t - 2], 1.0)] if t >= 2 else [])
-        model.add_row(terms, SENSE_LE, float(capacity), name=f"recourse[{tag},{t}]")
+    y = model.add_columns([f"y[{tag},{t}]" for t in range(1, T + 1)], cost=cost)
+    index.queues[airport, capacity] = tuple(y)
+    rows, columns = arrivals
+    t = np.arange(T)
+    model.add_rows([f"recourse[{tag},{t}]" for t in range(1, T + 1)],
+                   np.concatenate([rows, t, t[1:]]),
+                   np.concatenate([columns, y.start + t, y.start + t[:-1]]),
+                   np.concatenate([np.ones(len(rows)), np.full(T, -1.0), np.ones(T - 1)]),
+                   SENSE_LE, float(capacity))
 
 
 def _add_robust_block(model: MilpModel, schedule: FlightSchedule, index: ModelIndex,
@@ -163,8 +200,10 @@ def _add_robust_block(model: MilpModel, schedule: FlightSchedule, index: ModelIn
 
     Adds a queue block per grid value, ``alpha`` at cost ``amb.radius`` (the
     radius rule; see ``reprice_dr_saghp``), ``beta`` per support point at
-    its probability, and the ``dual`` rows.  ``airport=None`` is the
-    single-airport model, whose names carry no airport.
+    its probability, and the ``dual`` rows, one per (grid value, support
+    point), each holding ``alpha`` (when the two differ), ``beta`` and the
+    grid value's queue columns.  ``airport=None`` is the single-airport
+    model, whose names carry no airport.
 
     ``beta`` keeps the default lower bound 0: every support point lies in the
     grid, so the ``dual[xi_hat, xi_hat]`` row already forces
@@ -173,20 +212,28 @@ def _add_robust_block(model: MilpModel, schedule: FlightSchedule, index: ModelIn
     all-slack start of the LP relaxation is dual feasible.
     """
     tag = "" if airport is None else f"{airport},"
+    T = schedule.horizon.num_slots
     arrivals = _arrival_terms(schedule, index, flights)
-    for xi in amb.grid.values:
-        _add_queue_block(model, index, airport, arrivals, xi)
+    grid, support = amb.grid.values, amb.empirical.support_points
+    for xi in grid:
+        _add_queue_block(model, index, airport, T, arrivals, xi)
     alpha = index.alpha[airport] = model.add_continuous(
         "alpha" if airport is None else f"alpha[{airport}]", cost=amb.radius)
-    for xi_hat, p in amb.empirical.atoms():
-        index.beta[airport, xi_hat] = model.add_continuous(f"beta[{tag}{xi_hat}]", cost=p)
+    beta = model.add_columns([f"beta[{tag}{xi_hat}]" for xi_hat in support], cost=amb.empirical.probabilities)
+    index.beta.update(((airport, xi_hat), j) for xi_hat, j in zip(support, beta))
 
-    for xi in amb.grid.values:
-        for xi_hat in amb.empirical.support_points:
-            terms = [(alpha, float(abs(xi_hat - xi)))] if xi_hat != xi else []
-            terms.append((index.beta[airport, xi_hat], 1.0))
-            terms += [(j, -schedule.airborne_cost) for j in index.queues[airport, xi]]
-            model.add_row(terms, SENSE_GE, 0.0, name=f"dual[{tag}{xi},{xi_hat}]")
+    # row q = g * len(support) + s pairs grid value g with support point s
+    rows = np.arange(len(grid) * len(support))
+    distance = np.abs(np.tile(support, len(grid)) - np.repeat(grid, len(support))).astype(float)
+    moved = rows[distance != 0.0]
+    queues = np.repeat([index.queues[airport, xi][0] for xi in grid], len(support))
+    model.add_rows([f"dual[{tag}{xi},{xi_hat}]" for xi in grid for xi_hat in support],
+                   np.concatenate([moved, rows, np.repeat(rows, T)]),
+                   np.concatenate([np.full(len(moved), alpha), np.tile(beta, len(grid)),
+                                   _ranges(queues, np.full(len(rows), T))]),
+                   np.concatenate([distance[moved], np.ones(len(rows)),
+                                   np.full(len(rows) * T, -schedule.airborne_cost)]),
+                   SENSE_GE, 0.0)
 
 
 def build_d_saghp(schedule: FlightSchedule, capacity: int) -> MilpModel:
@@ -199,8 +246,8 @@ def build_d_saghp(schedule: FlightSchedule, capacity: int) -> MilpModel:
     if capacity < 0:
         raise ValueError("capacity must be nonnegative")
     model, index = _first_stage(schedule)
-    for t, terms in zip(schedule.horizon.slots(), _arrival_terms(schedule, index, list(schedule.flights))):
-        model.add_row(terms, SENSE_LE, float(capacity), name=f"cap[{t}]")
+    model.add_rows([f"cap[{t}]" for t in schedule.horizon.slots()],
+                   *_arrival_terms(schedule, index, schedule.flights), 1.0, SENSE_LE, float(capacity))
     return _finish(model, schedule, index)
 
 
@@ -213,9 +260,9 @@ def build_s_saghp(schedule: FlightSchedule, dist: CapacityDistribution) -> MilpM
     airborne at the end of the horizon unresolved.
     """
     model, index = _first_stage(schedule)
-    arrivals = _arrival_terms(schedule, index, list(schedule.flights))
+    arrivals = _arrival_terms(schedule, index, schedule.flights)
     for xi, p in dist.atoms():
-        _add_queue_block(model, index, None, arrivals, xi, p * schedule.airborne_cost)
+        _add_queue_block(model, index, None, schedule.horizon.num_slots, arrivals, xi, p * schedule.airborne_cost)
     return _finish(model, schedule, index)
 
 

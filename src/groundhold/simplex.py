@@ -284,7 +284,9 @@ class _Simplex:
         C on the k rows U no slack covers is, and only C[U] is inverted, to
         ``inner``: its rows follow the structural positions ``spos``, its
         columns the rows ``urows``.  The all-slack basis has k = 0 and
-        inverts nothing."""
+        inverts nothing.  The old inverse is dropped first, so that it is not
+        held while the new one is built."""
+        self._store = self.inner = None
         n, m = self.nstruct, self.m
         slack = self.basis >= n
         # per basis position, the row its slack covers (-1 at a structural,
@@ -577,24 +579,25 @@ class _Simplex:
         self.cost = self.c - shift
         self.d -= shift
         while True:
-            below = self.lo_b - self.xB
-            above = self.xB - self.up_b
-            violation = np.maximum(below, above)
+            violation = np.maximum(self.lo_b - self.xB, self.xB - self.up_b)
             if violation.max(initial=0.0) <= FEASIBILITY_TOL:
                 self.cost = self.c
                 return True
             r = int(np.argmax(violation))
-            rise = below[r] > 0.0  # the leaving variable climbs to its lower bound
+            rise = self.xB[r] < self.lo_b[r]  # the leaving variable climbs to its lower bound
             rho = self._inverse_row(r)
             alpha = self._pivot_row(rho)
             # raising x_j moves x_B[r] toward its violated bound where the
-            # signed row (alpha if rise else -alpha) is negative
-            eligible = self._wrong_sign(alpha if rise else -alpha).nonzero()[0]
+            # signed row (alpha if rise else -alpha) is negative: the
+            # _wrong_sign of that row, read from alpha's signs
+            pos, neg = alpha > _ENTER_TOL, alpha < -_ENTER_TOL
+            eligible = ((self.can_rise & (neg if rise else pos))
+                        | (self.can_fall & (pos if rise else neg))).nonzero()[0]
             if not eligible.size:
                 if self._fresh():
                     return False
                 continue
-            ratios = np.abs(self.d[eligible]) / np.abs(alpha[eligible])
+            ratios = np.abs(self.d[eligible] / alpha[eligible])
             cand = eligible[ratios <= ratios.min() + 1e-12]
             j = int(cand[np.abs(alpha[cand]).argmax()])
             w = self._column(j)

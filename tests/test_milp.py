@@ -117,6 +117,111 @@ def _two_columns(add):
     return m
 
 
+def _random_blocks(rng: random.Random):
+    """A random model as blocks: column blocks (names, lower, upper, kind,
+    costs) and row blocks (names, rows, columns, values, sense, rhs), each
+    block's entries in shuffled row order, some rows and blocks empty."""
+    cols, n = [], 0
+    for _ in range(rng.randint(1, 4)):
+        k = rng.randint(0, 5)
+        kind = rng.choice([gh.BINARY, gh.CONTINUOUS])
+        if kind == gh.BINARY:
+            lower, upper = [0.0] * k, [1.0] * k
+        else:
+            lower = [rng.choice([0.0, -math.inf, round(rng.uniform(-3, 0), 3)]) for _ in range(k)]
+            upper = [rng.choice([math.inf, lo + round(rng.uniform(0, 4), 3)]) for lo in lower]
+        costs = [rng.choice([0.0, -0.0, round(rng.uniform(-3, 3), 3)]) for _ in range(k)]
+        cols.append(([f"c{n + j}" for j in range(k)], lower, upper, kind, costs))
+        n += k
+    rows, m = [], 0
+    for _ in range(rng.randint(0, 4)):
+        k = rng.randint(0, 4)
+        entries = [(i, j, rng.choice([0.0, -0.0, round(rng.uniform(-2, 2), 3)]))
+                   for i in range(k) for j in rng.sample(range(n), rng.randint(0, min(n, 4)))]
+        rng.shuffle(entries)
+        sense = rng.choice([gh.SENSE_LE, gh.SENSE_EQ, gh.SENSE_GE])
+        rhs = [round(rng.uniform(-4, 4), 3) for _ in range(k)]
+        rows.append(([f"r{m + i}" for i in range(k)], *([e[t] for e in entries] for t in range(3)), sense, rhs))
+        m += k
+    return cols, rows
+
+
+def _model_from_blocks(cols, rows, offset) -> gh.MilpModel:
+    m = gh.MilpModel()
+    for names, lower, upper, kind, costs in cols:
+        m.add_columns(names, lower, upper, kind, costs)
+    for names, row, col, val, sense, rhs in rows:
+        m.add_rows(names, row, col, val, sense, rhs)
+    m.add_objective_offset(offset)
+    return m
+
+
+def _model_one_at_a_time(cols, rows, offset) -> gh.MilpModel:
+    m = gh.MilpModel()
+    for names, lower, upper, kind, costs in cols:
+        for name, lo, up, cost in zip(names, lower, upper, costs):
+            m.add_variable(gh.VariableDef(lo, up, kind, name), cost)
+    for names, row, col, val, sense, rhs in rows:
+        for i, (name, b) in enumerate(zip(names, rhs)):
+            m.add_row([(j, v) for r, j, v in zip(row, col, val) if r == i], sense, b, name)
+    m.add_objective_offset(offset)
+    return m
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_blocks_build_the_model_rows_and_columns_build(self, seed):
+        # the same columns and rows, added as blocks and one at a time: the
+        # same views while building and once frozen, and the same arrays and
+        # MPS text
+        rng = random.Random(4000 + seed)
+        cols, rows = _random_blocks(rng)
+        offset = rng.choice([0.0, round(rng.uniform(-5, 5), 3)])
+        blocks, single = _model_from_blocks(cols, rows, offset), _model_one_at_a_time(cols, rows, offset)
+        assert blocks.variables == single.variables
+        assert blocks.constraints == single.constraints
+        a, b = blocks.freeze().to_arrays(), single.freeze().to_arrays()
+        for field in ModelArrays._fields:
+            got, want = getattr(a, field), getattr(b, field)
+            if isinstance(got, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want), field
+            else:
+                assert got == want, field
+        assert gh.export_mps(blocks) == gh.export_mps(single)
+        assert blocks.variables == single.variables and blocks.constraints == single.constraints
+
+    def test_views_while_building_and_once_frozen(self):
+        # while building, a row's terms are as given, zeros and order kept;
+        # once frozen, they are its stored entries, columns ascending
+        m = gh.MilpModel()
+        x = m.add_columns(["a", "b", "c"], upper=[1.0, 2.0, 3.0], cost=[1.0, 0.0, 2.0])
+        assert x == range(3)
+        rows = m.add_rows(["p", "q"], [1, 0, 1, 0], [2, 1, 0, 0], [5.0, 0.0, -1.0, 4.0], gh.SENSE_GE,
+                          [1.0, 2.0])
+        assert rows == range(2)
+        assert m.add_row([(1, 3.0)], gh.SENSE_EQ, 0.5, "s") == 2
+        given = (gh.LinearConstraint(((1, 0.0), (0, 4.0)), ">=", 1.0, "p"),
+                 gh.LinearConstraint(((2, 5.0), (0, -1.0)), ">=", 2.0, "q"),
+                 gh.LinearConstraint(((1, 3.0),), "=", 0.5, "s"))
+        assert m.constraints == given
+        assert m.variables == tuple(gh.VariableDef(0.0, up, gh.CONTINUOUS, name)
+                                    for up, name in zip((1.0, 2.0, 3.0), "abc"))
+        m.add_binary("d")
+        m.freeze()
+        assert m.constraints == (given[0]._replace(terms=((0, 4.0),)),
+                                 given[1]._replace(terms=((0, -1.0), (2, 5.0))), given[2])
+        assert m.variables[2:] == (gh.VariableDef(0.0, 3.0, gh.CONTINUOUS, "c"),
+                                   gh.VariableDef(0.0, 1.0, gh.BINARY, "d"))
+
+    @pytest.mark.parametrize("row, col", [([0, 2], [0, 1]), ([-1], [0]), ([0, 1], [0])])
+    def test_a_row_outside_the_block_is_refused(self, row, col):
+        m = gh.MilpModel()
+        m.add_columns(["a", "b"])
+        with pytest.raises(gh.ModelError, match=r"a block of 2 rows needs one row in \[0, 2\) per entry"):
+            m.add_rows(["p", "q"], row, col, 1.0, gh.SENSE_LE, 0.0)
+        assert m.num_constraints == 0
+
+
 # one case per input that adding a variable or row accepts
 # and freeze rejects: (add, error class, message pattern)
 _REJECTED_AT_FREEZE = {
@@ -221,7 +326,8 @@ class TestSolutionChecking:
 
 
 def _dense(model):
-    """The constraint matrix written entry by entry from the model's terms."""
+    """The constraint matrix written entry by entry from the model's terms
+    (the terms it was given, while it is unfrozen)."""
     A = np.zeros((model.num_constraints, model.num_variables))
     for i, con in enumerate(model.constraints):
         for j, coef in con.terms:
@@ -248,7 +354,9 @@ def _airborne_free_dr_model():
     dist = inst.capacities["AP0"]
     sched = dataclasses.replace(inst.schedule, airborne_cost=0.0)
     model = gh.build_dr_saghp(sched, gh.AmbiguitySpec(dist, 0.5, gh.default_support_grid(dist)))
-    assert any(c == 0.0 and math.copysign(1.0, c) < 0 for con in model.constraints for _, c in con.terms)
+    # each dual row was given alpha, beta and a -0.0 per queue column, and
+    # keeps only alpha and beta
+    assert all(len(con.terms) <= 2 for con in model.constraints if con.name.startswith("dual["))
     return model
 
 
@@ -257,6 +365,21 @@ def _rowless_model():
     for j in range(3):
         m.add_continuous(f"x{j}", 0.0, 1.0, cost=float(j))
     return m.freeze()
+
+
+def _built(case, monkeypatch):
+    """The storage case's frozen model, and its constraint matrix written
+    from the terms it was given, read just before ``freeze``."""
+    given, freeze = [], gh.MilpModel.freeze
+
+    def spy(model, index=None):
+        if not model.frozen:
+            given.append(_dense(model))
+        return freeze(model, index)
+
+    monkeypatch.setattr(gh.MilpModel, "freeze", spy)
+    model = _STORAGE_CASES[case]()
+    return model, given[-1]
 
 
 _STORAGE_CASES = {
@@ -270,12 +393,11 @@ _STORAGE_CASES = {
 
 class TestColumnStorage:
     @pytest.mark.parametrize("case", _STORAGE_CASES)
-    def test_layout_is_that_of_the_dense_matrix(self, case):
+    def test_layout_is_that_of_the_dense_matrix(self, case, monkeypatch):
         # by column, rows ascending, exact zeros (either sign) dropped: the
         # layout np.nonzero gives on the dense matrix's transpose
-        model = _STORAGE_CASES[case]()
+        model, dense = _built(case, monkeypatch)
         a = model.to_arrays()
-        dense = _dense(model)
         cols, rows = np.nonzero(dense.T)
         for got, want in ((a.cols, cols), (a.rows, rows), (a.vals, dense[rows, cols]),
                           (a.ptr, np.searchsorted(cols, np.arange(model.num_variables + 1)))):
@@ -291,12 +413,13 @@ class TestColumnStorage:
         np.testing.assert_allclose(gh.constraint_residuals(model, v), expected, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("case", _STORAGE_CASES)
-    def test_row_view_is_that_of_the_dense_matrix(self, case):
+    def test_row_view_is_that_of_the_dense_matrix(self, case, monkeypatch):
         # by row, columns ascending, exact zeros dropped: the layout
-        # np.nonzero gives on the dense matrix
-        model = _STORAGE_CASES[case]()
+        # np.nonzero gives on the dense matrix; the frozen model's terms are
+        # that row view
+        model, dense = _built(case, monkeypatch)
         a = model.to_arrays()
-        dense = _dense(model)
+        assert np.array_equal(_dense(model), dense)
         rows, cols = np.nonzero(dense)
         for got, want in ((a.row_cols, cols), (a.row_vals, dense[rows, cols]),
                           (a.row_ptr, np.searchsorted(rows, np.arange(model.num_constraints + 1)))):
@@ -588,6 +711,9 @@ _MPS_BUNDLES = {
     "a20x12-g1": ["--flights", "20", "--horizon", "12", "--density", "0", "--seed", "1"],
     "n12x8-g1": ["--flights", "12", "--horizon", "8", "--density", "0", "--airports", "2", "--seed", "1"],
     "n8x6-g2": ["--flights", "8", "--horizon", "6", "--airports", "2", "--seed", "2"],
+    # two of the root-large benchmark deck's bundles
+    "a100x48-g1": ["--flights", "100", "--horizon", "48", "--density", "0", "--seed", "1"],
+    "n120x40-g1": ["--flights", "120", "--horizon", "40", "--density", "0", "--airports", "2", "--seed", "1"],
 }
 _SINGLE_AIRPORT_MODELS = {
     "det": ["det"], "sp": ["sp"],
@@ -596,7 +722,9 @@ _SINGLE_AIRPORT_MODELS = {
 _MPS_CLI_CASES = {
     **{f"{b}-{k}": (b, flags) for b in ("b16x12-g1", "s14x12-g1", "g8x8-g2", "a20x12-g1")
        for k, flags in _SINGLE_AIRPORT_MODELS.items()},
-    **{f"{b}-dr-maghp": (b, ["dr-maghp", "--epsilon", "0.5"]) for b in ("n12x8-g1", "n8x6-g2")},
+    **{f"{b}-dr-maghp": (b, ["dr-maghp", "--epsilon", "0.5"]) for b in ("n12x8-g1", "n8x6-g2", "n120x40-g1")},
+    "a100x48-g1-sp": ("a100x48-g1", ["sp"]),
+    "a100x48-g1-dr0.5": ("a100x48-g1", ["dr", "--epsilon", "0.5"]),
 }
 _MPS_LIBRARY_CASES = {
     **_STORAGE_CASES,
@@ -631,6 +759,10 @@ _MPS_GOLDEN = {
     "a20x12-g1-dr100": "aae14231dbdd40852818d97505b027c29d67d89af59fcac5f4f4a93b39361a9c",
     "n12x8-g1-dr-maghp": "ec077ce4c3083a63057636a1567ed4dac06206d651d294f9724f79a90f9750af",
     "n8x6-g2-dr-maghp": "039948d92a22b93f51a9ade77a0dab589b3009b4323c8b0841a2a21c7ad01e83",
+    # recorded when every row and column was added one at a time
+    "a100x48-g1-sp": "da408e101cdeac8f5d0524e2de6d4827a535bc55f3d94919d54c5d354c4a7aa0",
+    "a100x48-g1-dr0.5": "ee05e060692f2ab7bbf651ec2ce27491c88da23fda1566772ec9fe97da2632ab",
+    "n120x40-g1-dr-maghp": "9602d18da11b7b89fdaa05663bc97b8e92ad9f291de42354710380ea17b98105",
     "zero-coefficients": "152d51713a32d4dba5e490f179a2987c65b821d1282c8f0f607cdb8253b0c114",
     "airborne-free-dr": "f76b1631ec1cfb3ab397c8c14f0b7069d083ede446d78b6b07d8b78808887c85",
     "sparse-0": "4e07007201e06e582beeb07d7a7813475a6c0bc3bedb7c4eeb29d3811a9ac5c7",

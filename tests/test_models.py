@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,6 +371,26 @@ def _all_builders(rng):
     net = gh.NetworkInstance(("A", "B"), split, {"A": amb, "B": amb})
     return sched, [gh.build_d_saghp(sched, rng.randint(0, 3)), gh.build_s_saghp(sched, dist),
                    gh.build_dr_saghp(sched, amb), gh.build_dr_maghp(net)]
+
+
+class TestModelMemory:
+    def test_a_frozen_model_keeps_its_arrays_names_and_index(self):
+        # the dr model of the root-large deck's a100x48-g1 bundle (304 rows,
+        # 2,706 columns, 13,527 entries; its arrays take 635,562 bytes):
+        # live after building and freezing, it took 1,938,716 bytes when
+        # every row kept its terms as tuples and every column a VariableDef,
+        # and takes 1,143,816 as blocks dropped at freeze
+        inst = gh.synth_instance(gh.SynthParams(num_flights=100, horizon=48, connection_density=0.0), 1)
+        dist = inst.capacities["AP0"]
+        amb = gh.AmbiguitySpec(dist, 0.5, gh.default_support_grid(dist))
+        tracemalloc.start()
+        try:
+            model = gh.build_dr_saghp(inst.schedule, amb)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (model.num_constraints, model.num_variables, len(model.to_arrays().vals)) == (304, 2706, 13527)
+        assert live < 1_600_000
 
 
 class TestModelIndex:
